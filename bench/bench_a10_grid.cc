@@ -22,16 +22,16 @@
 //       and rebinds an overlay but still materializes per-scenario reports;
 //   (c) AssignGrid over the same scenarios × bases;
 //
-// best-of-R each, verifies every grid cell is bit-identical to the per-base
-// AssignBatch reports, and exits non-zero unless the grid is >= 3x the
-// naive re-planning loop (the ISSUE acceptance gate). A machine-readable
+// all three pinned to the 16-lane blocked kernel, best-of-R each. It
+// verifies every grid cell is bit-identical to the per-base AssignBatch
+// reports, and exits non-zero unless the grid is >= 3x the naive
+// re-planning loop (the acceptance gate). A machine-readable
 // BENCH_a10.json lands next to the human output.
 //
 // Knobs: COBRA_A10_SCENARIOS (1024), COBRA_A10_BASES (64),
 //        COBRA_A10_SF (0.01, TPC-H scale factor), COBRA_A10_THREADS
 //        (0 = hardware), COBRA_A10_BUCKET (128), COBRA_A10_BOUND_PCT (60),
-//        COBRA_A10_DELTAS (12 overrides per scenario), COBRA_A10_LANES (8,
-//        blocked-kernel lane count), COBRA_A10_REPS (3).
+//        COBRA_A10_DELTAS (12 overrides per scenario), COBRA_A10_REPS (3).
 
 #include <algorithm>
 #include <cmath>
@@ -121,7 +121,6 @@ int main() {
   const std::size_t bucket_size = bench::EnvSize("COBRA_A10_BUCKET", 128);
   const std::size_t bound_pct = bench::EnvSize("COBRA_A10_BOUND_PCT", 60);
   const std::size_t deltas = bench::EnvSize("COBRA_A10_DELTAS", 12);
-  const std::size_t lanes = bench::EnvSize("COBRA_A10_LANES", 8);
   const std::size_t reps =
       std::max<std::size_t>(1, bench::EnvSize("COBRA_A10_REPS", 3));
 
@@ -170,7 +169,6 @@ int main() {
   // and the per-base value rebinds.
   core::BatchOptions options;
   options.sweep = core::BatchOptions::Sweep::kBlocked;
-  options.block_lanes = lanes;
   options.num_threads = num_threads;
 
   // Bit-identity corpus: one grid, checked cell-by-cell against a warm

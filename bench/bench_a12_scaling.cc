@@ -1,39 +1,24 @@
-// Ablation A12 — SoA execution images, 16-lane kernels, and multi-core
+// Ablation A12 — the 16-lane blocked kernel: bit-identity and multi-core
 // scaling (per-order TPC-H).
 //
-// PR 9's blocked kernel (the A7/A9 baseline) walks the EvalProgram's
-// compile-time AoS arrays at 8 lanes. This bench measures what the
-// plan-time re-layout buys on top of it:
-//
-//   (a) baseline: kBlocked, 8 lanes, AoS arrays, prefetch off — the PR-9
-//       kernel, pinned so kAuto's re-fit policy cannot re-route it;
-//   (b) soa8:  kBlocked, 8 lanes, SoA execution image (lane-contiguous,
-//       cache-line-aligned copies + fused count streams), default
-//       software prefetch;
-//   (c) soa16: same image, 16-lane kernel — the widest compiled width.
-//
-// Every configuration must stay bit-identical to the scalar sparse-delta
-// engine (the reference semantics), and the best SoA configuration must
-// be >= 1.3x the baseline (the ISSUE acceptance gate).
-//
-// The second half is the multi-core scaling gate: the best configuration
-// re-runs at 1, hw/2 and hw threads. When the host has >= 2 hardware
-// threads the hw-thread sweep must be >= 1.6x the single-thread one;
-// on a 1-core box the gate cannot be armed and is skipped with a visible
-// notice (CI greps for it and surfaces a ::notice annotation).
+// The blocked kernel (kBlocked) evaluates 16 scenario lanes per scan of the
+// compiled program. This bench runs it on the A7 workload with wide
+// override unions at 1, hw/2 and hw threads (best-of-R each). Every run must
+// stay bit-identical to the scalar sparse-delta engine (the reference
+// semantics). When the host has >= 2 hardware threads the hw-thread sweep
+// must also be >= 1.6x the single-thread one; on a 1-core box the gate
+// cannot be armed and is skipped with a visible notice (CI greps for it and
+// surfaces a ::notice annotation).
 //
 // A machine-readable BENCH_a12.json lands next to the human output.
 //
 // Knobs: COBRA_A12_SCENARIOS (1024), COBRA_A12_SF (0.03, TPC-H scale
 //        factor), COBRA_A12_BUCKET (128 orders per tree bucket),
 //        COBRA_A12_BOUND_PCT (60), COBRA_A12_DELTAS (32, overrides per
-//        scenario — wide unions are where halving the block count pays),
-//        COBRA_A12_REPS (11, best-of interleaved timing rounds),
-//        COBRA_A12_PREFETCH (8, cache lines ahead for the SoA kernels),
-//        COBRA_A12_MIN_SPEEDUP (1.3), COBRA_A12_MIN_MT (1.6).
+//        scenario), COBRA_A12_REPS (11, best-of timing rounds),
+//        COBRA_A12_MIN_MT (1.6).
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -99,11 +84,9 @@ int main() {
   const std::size_t bound_pct = bench::EnvSize("COBRA_A12_BOUND_PCT", 60);
   const std::size_t reps = bench::EnvSize("COBRA_A12_REPS", 11);
   const std::size_t deltas = bench::EnvSize("COBRA_A12_DELTAS", 32);
-  const std::size_t prefetch = bench::EnvSize("COBRA_A12_PREFETCH", 8);
-  const double min_speedup = bench::EnvDouble("COBRA_A12_MIN_SPEEDUP", 1.3);
   const double min_mt = bench::EnvDouble("COBRA_A12_MIN_MT", 1.6);
 
-  bench::Header("A12: SoA images, 16-lane kernels, multi-core scaling");
+  bench::Header("A12: 16-lane blocked kernel, multi-core scaling");
 
   data::TpchConfig config;
   config.scale_factor = scale_factor;
@@ -113,8 +96,7 @@ int main() {
 
   // The A7 workload: per-order instrumentation (high-cardinality pool),
   // Q6-style filter — the program is large enough that the sweep is a
-  // long contiguous scan, which is exactly what the SoA re-layout and the
-  // prefetch distance target.
+  // long contiguous scan for the worker threads to share.
   const char* sql =
       "SELECT l_returnflag, SUM(l_extendedprice * l_discount) AS revenue "
       "FROM lineitem "
@@ -152,77 +134,21 @@ int main() {
   core::BatchAssignReport reference =
       snapshot->AssignBatch(scenarios, sparse).ValueOrDie();
 
-  struct Config {
-    const char* name;
-    std::size_t lanes;
-    core::BatchOptions::Layout layout;
-    std::size_t prefetch_distance;
-  };
-  const Config configs[] = {
-      {"aos8 (PR-9 baseline)", 8, core::BatchOptions::Layout::kAoS, 0},
-      {"soa8", 8, core::BatchOptions::Layout::kSoA, prefetch},
-      {"soa16", 16, core::BatchOptions::Layout::kSoA, prefetch},
-  };
-
-  // The three configurations are timed in interleaved rounds (one rep of
-  // each per round, best-of across rounds) rather than three sequential
-  // best-of phases: on a shared box, a slow system phase then skews one
-  // config's whole measurement and flips the ratio gate spuriously.
-  // Interleaving exposes every config to the same noise.
-  double seconds[3] = {HUGE_VAL, HUGE_VAL, HUGE_VAL};
-  bool identical = true;
-  bool config_identical[3] = {true, true, true};
-  for (std::size_t rep = 0; rep < std::max<std::size_t>(1, reps); ++rep) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      core::BatchOptions options;
-      options.num_threads = 1;
-      options.sweep = core::BatchOptions::Sweep::kBlocked;
-      options.block_lanes = configs[c].lanes;
-      options.layout = configs[c].layout;
-      options.prefetch_distance = configs[c].prefetch_distance;
-      core::BatchAssignReport batch;
-      seconds[c] = std::min(seconds[c], bench::TimeSeconds([&] {
-                     batch = snapshot->AssignBatch(scenarios, options)
-                                 .ValueOrDie();
-                   }));
-      const bool same = BitIdentical(reference, batch);
-      identical = identical && same;
-      config_identical[c] = config_identical[c] && same;
-    }
-  }
-  std::printf("\n%-24s %12s %16s %10s\n", "config", "best (ms)",
-              "per scenario", "identical");
-  for (std::size_t c = 0; c < 3; ++c) {
-    std::printf("%-24s %12.2f %14.2fus %10s\n", configs[c].name,
-                seconds[c] * 1e3,
-                seconds[c] * 1e6 / static_cast<double>(num_scenarios),
-                config_identical[c] ? "yes" : "NO");
-  }
-
-  const double soa_best = std::min(seconds[1], seconds[2]);
-  const double soa_vs_aos = bench::Ratio(seconds[0], soa_best);
-  const std::size_t best_index = seconds[1] <= seconds[2] ? 1 : 2;
-  std::printf("\nbest SoA config: %s — %.2fx vs %s\n",
-              configs[best_index].name, soa_vs_aos, configs[0].name);
-
-  // Multi-core scaling sweep on the best SoA configuration. The thread
-  // counts are 1, hw/2 and hw; duplicates collapse on small hosts.
+  // Thread counts 1, hw/2 and hw; duplicates collapse on small hosts.
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   std::vector<std::size_t> thread_counts = {1};
   if (hw / 2 > 1) thread_counts.push_back(hw / 2);
   if (hw > 1) thread_counts.push_back(hw);
-  core::BatchOptions best_options;
-  best_options.sweep = core::BatchOptions::Sweep::kBlocked;
-  best_options.block_lanes = configs[best_index].lanes;
-  best_options.layout = configs[best_index].layout;
-  best_options.prefetch_distance = configs[best_index].prefetch_distance;
+  core::BatchOptions blocked;
+  blocked.sweep = core::BatchOptions::Sweep::kBlocked;
 
   std::printf("\n%-24s %12s %16s\n", "threads", "best (ms)", "scenarios/sec");
+  bool identical = true;
   double t1_seconds = 0.0;
   double thw_seconds = 0.0;
   for (std::size_t threads : thread_counts) {
-    core::BatchOptions options = best_options;
+    core::BatchOptions options = blocked;
     options.num_threads = threads;
     core::BatchAssignReport batch;
     const double elapsed =
@@ -246,12 +172,6 @@ int main() {
   json.Add("monomials_full", snapshot->full_size());
   json.Add("monomials_compressed", snapshot->compressed_size());
   json.Add("pool_size", snapshot->pool_size());
-  json.Add("prefetch_distance", prefetch);
-  json.Add("aos8_seconds", seconds[0]);
-  json.Add("soa8_seconds", seconds[1]);
-  json.Add("soa16_seconds", seconds[2]);
-  json.Add("best_soa_config", std::string(configs[best_index].name));
-  json.Add("soa_vs_aos", soa_vs_aos);
   json.Add("hardware_threads", hw);
   json.Add("t1_seconds", t1_seconds);
   json.Add("thw_seconds", thw_seconds);
@@ -262,7 +182,6 @@ int main() {
 
   bench::GateSet gates;
   gates.Require("identical", identical);
-  gates.Require("soa_vs_aos>=1.3x", soa_vs_aos >= min_speedup);
   if (mt_gate_armed) {
     gates.Require("multi_core_scaling>=1.6x", mt_scaling >= min_mt);
   } else {

@@ -16,11 +16,11 @@
 //       sweep is thread-parallel, and scenarios are evaluated a block at a
 //       time by the scenario-blocked kernel (the default engine);
 //
-// then re-runs the batch with the scalar sparse and legacy dense-copy
-// engines as A/B references, verifies the per-scenario results are
-// bit-identical across every path, and reports the speedups. The exit-code
-// gate (the ISSUE acceptance criterion) is on (a) vs (c). A
-// machine-readable BENCH_a6.json lands next to the human output.
+// then re-runs the batch with the scalar sparse engine as the A/B
+// reference, verifies the per-scenario results are bit-identical across
+// every path, and reports the speedups. The exit-code gate (the
+// acceptance criterion) is on (a) vs (c). A machine-readable BENCH_a6.json
+// lands next to the human output.
 //
 // Knobs: COBRA_A6_SCENARIOS (64), COBRA_A6_SF (0.05, TPC-H scale factor),
 //        COBRA_A6_THREADS (0 = hardware), COBRA_A6_BOUND_PCT (50).
@@ -167,21 +167,9 @@ int main() {
     sparse_batch = session.AssignBatch(scenarios, sparse).ValueOrDie();
   });
 
-  // (e) Batched with the legacy dense-copy engine (one full-pool valuation
-  // copied per scenario per side) — the A/B baseline for the sparse paths.
-  // Q6's month-grouped pool is small, so the contrast here is modest; the
-  // high-cardinality bench (bench_a7_highcard) is where the copies dominate.
-  core::BatchOptions dense = options;
-  dense.sweep = core::BatchOptions::Sweep::kDenseCopy;
-  core::BatchAssignReport dense_batch;
-  const double dense_seconds = bench::TimeSeconds([&] {
-    dense_batch = session.AssignBatch(scenarios, dense).ValueOrDie();
-  });
-
   double max_diff = MaxResultDifference(sequential, batch);
   max_diff = std::max(max_diff, MaxResultDifference(one_at_a_time, batch));
   max_diff = std::max(max_diff, MaxResultDifference(sequential, sparse_batch));
-  max_diff = std::max(max_diff, MaxResultDifference(sequential, dense_batch));
   const double speedup = bench::Ratio(sequential_seconds, batch_seconds);
   const double batching_speedup = bench::Ratio(single_seconds, batch_seconds);
 
@@ -198,17 +186,13 @@ int main() {
   std::printf("%-28s %12.2f %14.2fus\n", "AssignBatch(N) sparse scalar",
               sparse_seconds * 1e3,
               sparse_seconds * 1e6 / static_cast<double>(num_scenarios));
-  std::printf("%-28s %12.2f %14.2fus\n", "AssignBatch(N) dense-copy",
-              dense_seconds * 1e3,
-              dense_seconds * 1e6 / static_cast<double>(num_scenarios));
-  const double sparse_vs_copy = bench::Ratio(dense_seconds, sparse_seconds);
   const double blocked_vs_sparse = bench::Ratio(sparse_seconds, batch_seconds);
   std::printf(
       "\nscenarios=%zu threads=%zu  speedup vs Assign()=%.1fx  "
-      "vs one-at-a-time batches=%.1fx  sparse vs dense-copy=%.2fx  "
-      "blocked vs sparse=%.2fx  max |diff|=%g\n",
+      "vs one-at-a-time batches=%.1fx  blocked vs sparse=%.2fx  "
+      "max |diff|=%g\n",
       num_scenarios, batch.num_threads, speedup, batching_speedup,
-      sparse_vs_copy, blocked_vs_sparse, max_diff);
+      blocked_vs_sparse, max_diff);
   std::printf("result check: %s\n",
               max_diff == 0.0 ? "IDENTICAL" : "MISMATCH");
   std::printf("\n%s", batch.ToString(2, 3).c_str());
@@ -222,9 +206,7 @@ int main() {
   json.Add("single_batches_seconds", single_seconds);
   json.Add("blocked_seconds", batch_seconds);
   json.Add("sparse_seconds", sparse_seconds);
-  json.Add("dense_seconds", dense_seconds);
   json.Add("speedup_vs_sequential", speedup);
-  json.Add("sparse_vs_dense", sparse_vs_copy);
   json.Add("blocked_vs_sparse", blocked_vs_sparse);
   json.Add("max_diff", max_diff);
   json.Add("identical", max_diff == 0.0);

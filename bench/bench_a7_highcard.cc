@@ -12,22 +12,23 @@
 //
 // The bench runs N scenarios through one immutable CompiledSession snapshot
 //
-//   (a) with the legacy dense-copy engine (BatchOptions::Sweep::kDenseCopy);
+//   (a) with a bench-local dense-copy loop: per scenario, copy the base
+//       valuation, apply the overrides, expand it to the full side and run
+//       a dense Eval of both programs, at the sparse run's thread count;
 //   (b) with the scalar sparse-delta engine (kSparseDelta);
-//   (c) with the scenario-blocked kernel (kBlocked, the default): one scan
-//       of the compiled program serves a whole block of scenario lanes;
+//   (c) with the scenario-blocked kernel (kBlocked, 16 lanes): one scan of
+//       the compiled program serves a whole block of scenario lanes;
 //
 // verifies (a) == (b) == (c) bit-for-bit for every scenario, spot-checks a
 // sample against sequential Session::Assign(), and exits non-zero unless
-// the sparse sweep is >= 2x the dense one AND the blocked sweep is >= 2x
-// the scalar sparse one (the ISSUE acceptance gates). A machine-readable
+// the sparse sweep is >= 2x the dense loop AND the blocked sweep is >= 2x
+// the scalar sparse one (the acceptance gates). A machine-readable
 // BENCH_a7.json lands next to the human output for cross-PR tracking.
 //
 // Knobs: COBRA_A7_SCENARIOS (1024), COBRA_A7_SF (0.01, TPC-H scale factor),
 //        COBRA_A7_THREADS (0 = hardware), COBRA_A7_BUCKET (128 orders per
 //        tree bucket), COBRA_A7_BOUND_PCT (60), COBRA_A7_CHECK (16
 //        scenarios cross-checked against sequential Assign()),
-//        COBRA_A7_LANES (8, blocked-kernel lane count: 4, 8 or 16),
 //        COBRA_A7_MT_THREADS (hardware, floored at 2 — the extra blocked
 //        run exercising the multi-threaded tile pool).
 
@@ -35,6 +36,7 @@
 #include <cmath>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "core/compiled_session.h"
@@ -68,6 +70,63 @@ core::ScenarioSet MakeScenarios(const core::Session& session, std::size_t n) {
   return set;
 }
 
+/// Per-scenario (full, compressed) result rows of the dense-copy loop.
+struct DenseRows {
+  std::vector<std::vector<double>> full;
+  std::vector<std::vector<double>> compressed;
+};
+
+/// The dense-copy reference: every scenario copies the pool-sized base,
+/// applies its overrides in order, expands to the full side and evaluates
+/// both programs densely — the pool-sized copies the sparse engine avoids.
+/// Scenarios are split into `threads` contiguous chunks.
+DenseRows DenseCopySweep(const core::CompiledSession& snapshot,
+                         const core::ScenarioSet& scenarios,
+                         std::size_t threads) {
+  const std::size_t n = scenarios.size();
+  DenseRows rows;
+  rows.full.resize(n);
+  rows.compressed.resize(n);
+  auto worker = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      prov::Valuation meta = snapshot.default_meta_valuation();
+      for (const core::Scenario::Delta& delta :
+           scenarios.scenario(i).deltas) {
+        meta.Set(snapshot.pool().Find(delta.var), delta.value);
+      }
+      snapshot.full_program().Eval(snapshot.ExpandValuation(meta),
+                                   &rows.full[i]);
+      snapshot.compressed_program().Eval(meta, &rows.compressed[i]);
+    }
+  };
+  threads = std::max<std::size_t>(1, std::min(threads, n));
+  const std::size_t chunk = (n + threads - 1) / threads;
+  std::vector<std::thread> pool;
+  for (std::size_t begin = 0; begin < n; begin += chunk) {
+    pool.emplace_back(worker, begin, std::min(n, begin + chunk));
+  }
+  for (std::thread& th : pool) th.join();
+  return rows;
+}
+
+/// Largest absolute per-group difference between the dense rows and a
+/// batched report.
+double MaxDenseDifference(const DenseRows& dense,
+                          const core::BatchAssignReport& batch) {
+  if (dense.full.size() != batch.reports.size()) return HUGE_VAL;
+  double max_diff = 0.0;
+  for (std::size_t i = 0; i < dense.full.size(); ++i) {
+    const auto& rows = batch.reports[i].delta.rows;
+    if (rows.size() != dense.full[i].size()) return HUGE_VAL;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      max_diff = std::max(max_diff, std::fabs(dense.full[i][r] - rows[r].full));
+      max_diff = std::max(
+          max_diff, std::fabs(dense.compressed[i][r] - rows[r].compressed));
+    }
+  }
+  return max_diff;
+}
+
 /// Largest absolute per-group difference between two batched reports.
 double MaxBatchDifference(const core::BatchAssignReport& a,
                           const core::BatchAssignReport& b) {
@@ -95,7 +154,6 @@ int main() {
   const std::size_t bucket_size = bench::EnvSize("COBRA_A7_BUCKET", 128);
   const std::size_t bound_pct = bench::EnvSize("COBRA_A7_BOUND_PCT", 60);
   const std::size_t check = bench::EnvSize("COBRA_A7_CHECK", 16);
-  const std::size_t lanes = bench::EnvSize("COBRA_A7_LANES", 8);
 
   bench::Header("A7: high-cardinality batched serving (per-order TPC-H)");
 
@@ -141,28 +199,24 @@ int main() {
       session.Snapshot().ValueOrDie();
   core::ScenarioSet scenarios = MakeScenarios(session, num_scenarios);
 
-  core::BatchOptions dense;
-  dense.num_threads = num_threads;
-  dense.sweep = core::BatchOptions::Sweep::kDenseCopy;
   core::BatchOptions sparse;
   sparse.num_threads = num_threads;
   sparse.sweep = core::BatchOptions::Sweep::kSparseDelta;
   core::BatchOptions blocked;
   blocked.num_threads = num_threads;
   blocked.sweep = core::BatchOptions::Sweep::kBlocked;
-  blocked.block_lanes = lanes;
 
-  // Wall-clock around the whole call: the dense engine's cost is precisely
-  // the per-scenario valuation materialization, which happens before its
-  // sweep timer starts, and the blocked engine's includes its per-block
-  // override-table construction.
-  core::BatchAssignReport dense_batch;
-  const double dense_seconds = bench::TimeSeconds([&] {
-    dense_batch = snapshot->AssignBatch(scenarios, dense).ValueOrDie();
-  });
+  // Wall-clock around the whole call: the dense loop's cost is precisely
+  // the per-scenario valuation materialization, and the blocked engine's
+  // includes its per-block override-table construction.
   core::BatchAssignReport sparse_batch;
   const double sparse_seconds = bench::TimeSeconds([&] {
     sparse_batch = snapshot->AssignBatch(scenarios, sparse).ValueOrDie();
+  });
+  DenseRows dense_rows;
+  const double dense_seconds = bench::TimeSeconds([&] {
+    dense_rows =
+        DenseCopySweep(*snapshot, scenarios, sparse_batch.num_threads);
   });
   core::BatchAssignReport blocked_batch;
   const double blocked_seconds = bench::TimeSeconds([&] {
@@ -184,7 +238,7 @@ int main() {
     blocked_mt_batch = snapshot->AssignBatch(scenarios, blocked_mt).ValueOrDie();
   });
 
-  double max_diff = MaxBatchDifference(dense_batch, sparse_batch);
+  double max_diff = MaxDenseDifference(dense_rows, sparse_batch);
   max_diff = std::max(max_diff,
                       MaxBatchDifference(sparse_batch, blocked_batch));
   max_diff = std::max(max_diff,
@@ -217,7 +271,7 @@ int main() {
   const double blocked_vs_sparse =
       bench::Ratio(sparse_seconds, blocked_seconds);
   std::printf("\n%-28s %12s %16s\n", "mode", "total (ms)", "per scenario");
-  std::printf("%-28s %12.2f %14.2fus\n", "dense-copy sweep",
+  std::printf("%-28s %12.2f %14.2fus\n", "dense-copy loop",
               dense_seconds * 1e3,
               dense_seconds * 1e6 / static_cast<double>(num_scenarios));
   std::printf("%-28s %12.2f %14.2fus\n", "sparse-delta sweep",
@@ -234,7 +288,7 @@ int main() {
       "\nscenarios=%zu threads=%zu lanes=%zu  scenarios/sec: dense=%.0f "
       "sparse=%.0f blocked=%.0f\n"
       "sparse vs copy=%.1fx  blocked vs sparse=%.1fx  max |diff|=%g\n",
-      num_scenarios, blocked_batch.num_threads, lanes,
+      num_scenarios, blocked_batch.num_threads, blocked_batch.block_lanes,
       bench::Ratio(static_cast<double>(num_scenarios), dense_seconds),
       bench::Ratio(static_cast<double>(num_scenarios), sparse_seconds),
       bench::Ratio(static_cast<double>(num_scenarios), blocked_seconds),
@@ -246,7 +300,7 @@ int main() {
   json.Add("bench", std::string("a7_highcard"));
   json.Add("scenarios", num_scenarios);
   json.Add("threads", blocked_batch.num_threads);
-  json.Add("block_lanes", lanes);
+  json.Add("block_lanes", blocked_batch.block_lanes);
   json.Add("scale_factor", scale_factor);
   json.Add("monomials_full", snapshot->full_size());
   json.Add("monomials_compressed", snapshot->compressed_size());

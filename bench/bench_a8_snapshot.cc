@@ -12,8 +12,8 @@
 //                      recompilation)
 //
 // then verifies that the loaded replica's AssignBatch results are
-// bit-identical to the origin snapshot under all three sweep engines
-// (kBlocked / kSparseDelta / kDenseCopy), and exits non-zero unless load is
+// bit-identical to the origin snapshot under both explicit sweep engines
+// (kBlocked / kSparseDelta), and exits non-zero unless load is
 // >= 5x faster than compress+snapshot (the ISSUE acceptance gate). A
 // machine-readable BENCH_a8.json lands next to the human output.
 //
@@ -234,8 +234,7 @@ int main() {
   double max_diff = 0.0;
   for (core::BatchOptions::Sweep sweep :
        {core::BatchOptions::Sweep::kBlocked,
-        core::BatchOptions::Sweep::kSparseDelta,
-        core::BatchOptions::Sweep::kDenseCopy}) {
+        core::BatchOptions::Sweep::kSparseDelta}) {
     core::BatchAssignReport origin_batch =
         origin->AssignBatch(scenarios, WithSweep(sweep)).ValueOrDie();
     core::BatchAssignReport replica_batch =
@@ -251,7 +250,7 @@ int main() {
               save_seconds * 1e3, snapshot_bytes);
   std::printf("%-28s %12.2fms  (min of %zu)\n", "load snapshot (replica)",
               load_seconds * 1e3, load_reps);
-  std::printf("\nload vs recompile: %.1fx  max |diff| across 3 engines: %g\n",
+  std::printf("\nload vs recompile: %.1fx  max |diff| across engines: %g\n",
               speedup, max_diff);
   std::printf("result check: %s\n",
               max_diff == 0.0 ? "IDENTICAL" : "MISMATCH");

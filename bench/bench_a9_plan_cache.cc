@@ -22,7 +22,7 @@
 //
 // best-of-R for both, and exits non-zero unless warm is >= 1.5x cold at the
 // default 1024 scenarios AND results are bit-identical across
-// kAuto/kBlocked/kSparseDelta/kDenseCopy and across cold vs warm plans.
+// kAuto/kBlocked/kSparseDelta and across cold vs warm plans.
 // A machine-readable BENCH_a9.json lands next to the human output.
 //
 // Knobs: COBRA_A9_SCENARIOS (1024), COBRA_A9_SF (0.01, TPC-H scale factor),
@@ -156,8 +156,7 @@ int main() {
   double max_diff = MaxBatchDifference(auto_cold, auto_warm);
   for (core::BatchOptions::Sweep sweep :
        {core::BatchOptions::Sweep::kBlocked,
-        core::BatchOptions::Sweep::kSparseDelta,
-        core::BatchOptions::Sweep::kDenseCopy}) {
+        core::BatchOptions::Sweep::kSparseDelta}) {
     core::BatchOptions pinned = options;
     pinned.sweep = sweep;
     core::BatchAssignReport batch =
@@ -232,8 +231,8 @@ int main() {
       auto_warm.block_lanes, warm_speedup, stats.entries,
       static_cast<unsigned long long>(stats.hits),
       static_cast<unsigned long long>(stats.misses), max_diff);
-  std::printf("result check: %s (kAuto/kBlocked/kSparseDelta/kDenseCopy, "
-              "cold vs warm)\n",
+  std::printf("result check: %s (kAuto/kBlocked/kSparseDelta, cold vs "
+              "warm)\n",
               max_diff == 0.0 ? "IDENTICAL" : "MISMATCH");
 
   bench::JsonObject json;

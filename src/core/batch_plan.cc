@@ -35,19 +35,6 @@ constexpr std::size_t kAutoOverrideWeightFactor = 32;
 /// workloads.
 constexpr std::size_t kAutoMinBlockedScenarios = 128;
 
-/// From this many scenarios up the adaptive policy widens blocks to 16
-/// lanes: with hundreds of blocks the wider ragged tail is noise and the
-/// per-factor bookkeeping (row lookup, base load) is amortized over twice
-/// the scenarios per program scan.
-constexpr std::size_t kAutoWideLanesMinScenarios = 512;
-
-/// The adaptive layout policy's re-layout-amortization threshold, in units
-/// of program weight x scenario count (~sweep work). The SoA image build is
-/// one O(weight) pass, so it is amortized as soon as the sweep re-reads the
-/// program a handful of times; the threshold mainly keeps tiny batches from
-/// paying an allocation they cannot win back.
-constexpr std::size_t kAutoSoAMinWork = std::size_t{1} << 20;
-
 /// Builds the tile schedule for one program: whole-poly ranges sized by
 /// PartitionPolys, with the dominant-polynomial term-splitting fallback —
 /// exactly the tiling AssignBatch used to rebuild per call, now derived
@@ -104,40 +91,12 @@ util::Status ValidateSweepOptions(const BatchOptions& options) {
     case BatchOptions::Sweep::kAuto:
     case BatchOptions::Sweep::kBlocked:
     case BatchOptions::Sweep::kSparseDelta:
-    case BatchOptions::Sweep::kDenseCopy:
       break;
     default:
       return util::Status::InvalidArgument(util::StrFormat(
           "AssignBatch: invalid BatchOptions.sweep = %d (accepted: kAuto, "
-          "kBlocked, kSparseDelta, kDenseCopy)",
+          "kBlocked, kSparseDelta)",
           static_cast<int>(options.sweep)));
-  }
-  if (options.sweep == BatchOptions::Sweep::kBlocked &&
-      options.block_lanes != 4 && options.block_lanes != 8 &&
-      options.block_lanes != 16) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "AssignBatch: invalid BatchOptions.block_lanes = %zu (accepted: 4, 8 "
-        "or 16; kAuto picks the lane count itself and the scalar engines "
-        "ignore the knob)",
-        options.block_lanes));
-  }
-  switch (options.layout) {
-    case BatchOptions::Layout::kAuto:
-    case BatchOptions::Layout::kAoS:
-    case BatchOptions::Layout::kSoA:
-      break;
-    default:
-      return util::Status::InvalidArgument(util::StrFormat(
-          "AssignBatch: invalid BatchOptions.layout = %d (accepted: kAuto, "
-          "kAoS, kSoA)",
-          static_cast<int>(options.layout)));
-  }
-  if (options.prefetch_distance > 64) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "AssignBatch: invalid BatchOptions.prefetch_distance = %zu "
-        "(accepted: 0 to 64 cache lines ahead of the SoA kernels' "
-        "factor/coeff cursors; 0 disables prefetching)",
-        options.prefetch_distance));
   }
   return util::Status::OK();
 }
@@ -199,33 +158,18 @@ BaseFingerprint FingerprintBase(const prov::Valuation& base,
   return {hash.lo(), hash.hi()};
 }
 
-EnginePick ChooseAutoEngine(std::size_t program_weight,
-                            std::size_t num_scenarios,
-                            std::size_t max_override_width) {
+BatchOptions::Sweep ChooseAutoEngine(std::size_t program_weight,
+                                     std::size_t num_scenarios,
+                                     std::size_t max_override_width) {
   // Policy table (fit from BENCH_a6/a7; see the header comment):
   //   n < 128, weight < 2048, or weight < 32 x override width -> sparse
-  //   128 <= n < 512 -> blocked, 8 lanes
-  //   n >= 512       -> blocked, 16 lanes
+  //   otherwise -> blocked, 16 lanes
   if (num_scenarios < kAutoMinBlockedScenarios ||
       program_weight < kAutoMinBlockedWeight ||
       program_weight < kAutoOverrideWeightFactor * max_override_width) {
-    return {BatchOptions::Sweep::kSparseDelta, 1};
+    return BatchOptions::Sweep::kSparseDelta;
   }
-  return {BatchOptions::Sweep::kBlocked,
-          num_scenarios >= kAutoWideLanesMinScenarios ? std::size_t{16}
-                                                      : std::size_t{8}};
-}
-
-prov::EvalLayout ChooseAutoLayout(std::size_t program_weight,
-                                  std::size_t num_scenarios) {
-  // Guard the multiply; any plausible overflow is far past the threshold.
-  if (program_weight != 0 &&
-      num_scenarios > kAutoSoAMinWork / program_weight) {
-    return prov::EvalLayout::kSoA;
-  }
-  return program_weight * num_scenarios >= kAutoSoAMinWork
-             ? prov::EvalLayout::kSoA
-             : prov::EvalLayout::kAoS;
+  return BatchOptions::Sweep::kBlocked;
 }
 
 util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
@@ -261,7 +205,6 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
   core->fingerprint_ = precomputed_fingerprint != nullptr
                            ? *precomputed_fingerprint
                            : FingerprintScenarios(scenarios);
-  core->options_ = options;
   core->frozen_pool_size_ = frozen_pool_size;
   core->scenario_names_ = scenarios.Names();
 
@@ -270,6 +213,8 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
   core->compiled_.reserve(scenarios.size());
   for (const Scenario& scenario : scenarios.scenarios()) {
     CompiledScenario compiled;
+    std::vector<prov::VarOverride>& overrides = compiled.overrides;
+    overrides.reserve(scenario.deltas.size());
     for (const Scenario::Delta& delta : scenario.deltas) {
       prov::VarId id = pool.Find(delta.var);
       if (id == prov::kInvalidVar) {
@@ -286,23 +231,25 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
             "this snapshot was taken",
             scenario.name.c_str(), delta.var.c_str()));
       }
-      // Deltas apply in order, so a repeated variable keeps the last value;
-      // the compiled list stays duplicate-free for the kernels.
-      bool found = false;
-      for (prov::VarOverride& existing : compiled.overrides) {
-        if (existing.var == id) {
-          existing.value = delta.value;
-          found = true;
-        }
-      }
-      if (!found) compiled.overrides.push_back({id, delta.value});
+      overrides.push_back({id, delta.value});
     }
-    std::sort(compiled.overrides.begin(), compiled.overrides.end(),
-              [](const prov::VarOverride& a, const prov::VarOverride& b) {
-                return a.var < b.var;
-              });
-    max_override_width = std::max(max_override_width,
-                                  compiled.overrides.size());
+    // Deltas apply in order, so a repeated variable keeps its last value. A
+    // stable sort keeps each variable's deltas in input order; collapsing
+    // every run to its last entry leaves the duplicate-free list the kernels
+    // need, in O(d log d) for d deltas.
+    std::stable_sort(overrides.begin(), overrides.end(),
+                     [](const prov::VarOverride& a,
+                        const prov::VarOverride& b) { return a.var < b.var; });
+    std::size_t kept = 0;
+    for (const prov::VarOverride& ov : overrides) {
+      if (kept > 0 && overrides[kept - 1].var == ov.var) {
+        overrides[kept - 1].value = ov.value;
+      } else {
+        overrides[kept++] = ov;
+      }
+    }
+    overrides.resize(kept);
+    max_override_width = std::max(max_override_width, overrides.size());
     core->compiled_.push_back(std::move(compiled));
   }
 
@@ -317,58 +264,16 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
                              sweep_full.factors().size() +
                              compressed.NumTerms() +
                              compressed.factors().size();
-  EnginePick pick;
-  switch (options.sweep) {
-    case BatchOptions::Sweep::kAuto:
-      pick = ChooseAutoEngine(weight, n, max_override_width);
-      break;
-    case BatchOptions::Sweep::kBlocked:
-      pick = {BatchOptions::Sweep::kBlocked, options.block_lanes};
-      break;
-    case BatchOptions::Sweep::kSparseDelta:
-      pick = {BatchOptions::Sweep::kSparseDelta, 1};
-      break;
-    case BatchOptions::Sweep::kDenseCopy:
-      pick = {BatchOptions::Sweep::kDenseCopy, 1};
-      break;
-  }
-  core->engine_ = pick.engine;
-  core->lanes_ = pick.lanes;
-
-  // Resolve the layout — same plan-time determinism contract as the engine.
-  // Only the blocked kernel has SoA image paths: the scalar engines always
-  // execute AoS, so a scalar resolution silently pins kAoS (the knob is a
-  // performance hint and can never change results). The SoA images are
-  // built here, once, and cached on the core: grid overlays and plan-cache
-  // replays reuse them without re-laying anything out.
-  if (core->engine_ == BatchOptions::Sweep::kBlocked) {
-    switch (options.layout) {
-      case BatchOptions::Layout::kAuto:
-        core->layout_ = ChooseAutoLayout(weight, n);
-        break;
-      case BatchOptions::Layout::kAoS:
-        core->layout_ = prov::EvalLayout::kAoS;
-        break;
-      case BatchOptions::Layout::kSoA:
-        core->layout_ = prov::EvalLayout::kSoA;
-        break;
-    }
-  } else {
-    core->layout_ = prov::EvalLayout::kAoS;
-  }
-  if (core->layout_ == prov::EvalLayout::kSoA) {
-    core->full_image_ = std::make_shared<const prov::EvalImage>(
-        prov::EvalImage::Build(sweep_full));
-    core->compressed_image_ = std::make_shared<const prov::EvalImage>(
-        prov::EvalImage::Build(compressed));
-  }
+  core->engine_ = options.sweep == BatchOptions::Sweep::kAuto
+                     ? ChooseAutoEngine(weight, n, max_override_width)
+                     : options.sweep;
+  core->lanes_ = core->engine_ == BatchOptions::Sweep::kBlocked
+                     ? prov::EvalProgram::kMaxLanes
+                     : 1;
 
   std::size_t threads = options.num_threads;
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  if (core->engine_ == BatchOptions::Sweep::kDenseCopy) {
-    threads = std::min(threads, n);
   }
   core->num_threads_ = threads;
   core->num_blocks_ = (n + core->lanes_ - 1) / core->lanes_;
@@ -393,38 +298,12 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
     }
   }
 
-  // The tile schedules. The dense-copy engine scans scenario-major with no
-  // intra-program tiling, so it gets the trivial one-range schedule.
-  if (core->engine_ == BatchOptions::Sweep::kDenseCopy) {
-    ProgramSchedule full_schedule;
-    full_schedule.num_polys = session->full_program().NumPolys();
-    full_schedule.split_poly = full_schedule.num_polys;
-    full_schedule.ranges.emplace_back(
-        0, static_cast<std::uint32_t>(full_schedule.num_polys));
-    ProgramSchedule compressed_schedule;
-    compressed_schedule.num_polys = compressed.NumPolys();
-    compressed_schedule.split_poly = compressed_schedule.num_polys;
-    compressed_schedule.ranges.emplace_back(
-        0, static_cast<std::uint32_t>(compressed_schedule.num_polys));
-    core->full_schedule_ = std::move(full_schedule);
-    core->compressed_schedule_ = std::move(compressed_schedule);
-  } else {
-    core->full_schedule_ =
-        MakeSchedule(sweep_full, threads, core->num_blocks_, options);
-    core->compressed_schedule_ =
-        MakeSchedule(compressed, threads, core->num_blocks_, options);
-  }
+  core->full_schedule_ =
+      MakeSchedule(sweep_full, threads, core->num_blocks_, options);
+  core->compressed_schedule_ =
+      MakeSchedule(compressed, threads, core->num_blocks_, options);
 
   return std::shared_ptr<const PlanCore>(std::move(core));
-}
-
-std::shared_ptr<const PlanCore> PlanCore::WithImages(
-    std::shared_ptr<const prov::EvalImage> full,
-    std::shared_ptr<const prov::EvalImage> compressed) const {
-  auto copy = std::shared_ptr<PlanCore>(new PlanCore(*this));
-  copy->full_image_ = std::move(full);
-  copy->compressed_image_ = std::move(compressed);
-  return copy;
 }
 
 std::shared_ptr<const PlanBaseOverlay> PlanCore::MakeOverlay(
@@ -463,11 +342,6 @@ util::Result<std::shared_ptr<const StreamPlan>> StreamPlan::Create(
     return util::Status::InvalidArgument("AssignStream: null session");
   }
   COBRA_RETURN_IF_ERROR(ValidateSweepOptions(options));
-  if (options.sweep == BatchOptions::Sweep::kDenseCopy) {
-    return util::Status::InvalidArgument(
-        "AssignStream: BatchOptions.sweep = kDenseCopy is not streamable "
-        "(accepted: kAuto, kBlocked, kSparseDelta)");
-  }
   if (options.stream_block_scenarios == 0) {
     return util::Status::InvalidArgument(
         "AssignStream: invalid BatchOptions.stream_block_scenarios = 0 "
@@ -490,49 +364,20 @@ util::Result<std::shared_ptr<const StreamPlan>> StreamPlan::Create(
   // count and its max_deltas() bound for the measured override width. Every
   // chunk core is then compiled with the pinned choice, so chunk boundaries
   // can never flip the engine mid-stream.
-  EnginePick pick;
-  switch (options.sweep) {
-    case BatchOptions::Sweep::kAuto: {
-      const prov::EvalProgram& sweep_full = session->sweep_full_program();
-      const prov::EvalProgram& compressed = session->compressed_program();
-      const std::size_t weight = sweep_full.NumTerms() +
-                                 sweep_full.factors().size() +
-                                 compressed.NumTerms() +
-                                 compressed.factors().size();
-      pick = ChooseAutoEngine(weight, plan->window_, source.max_deltas());
-      break;
-    }
-    case BatchOptions::Sweep::kBlocked:
-      pick = {BatchOptions::Sweep::kBlocked, options.block_lanes};
-      break;
-    default:
-      pick = {BatchOptions::Sweep::kSparseDelta, 1};
-      break;
-  }
-
   plan->resolved_ = options;
-  plan->resolved_.sweep = pick.engine;
-  plan->lanes_ = pick.lanes;
-  if (pick.engine == BatchOptions::Sweep::kBlocked) {
-    plan->resolved_.block_lanes = pick.lanes;
-    // Pin the layout for the whole stream so chunk boundaries can never
-    // flip it: resolve kAuto here with the window standing in for the
-    // scenario count (each chunk is a batch of at most `window` scenarios).
-    if (plan->resolved_.layout == BatchOptions::Layout::kAuto) {
-      const prov::EvalProgram& sweep_full = session->sweep_full_program();
-      const prov::EvalProgram& compressed = session->compressed_program();
-      const std::size_t weight = sweep_full.NumTerms() +
-                                 sweep_full.factors().size() +
-                                 compressed.NumTerms() +
-                                 compressed.factors().size();
-      plan->resolved_.layout =
-          ChooseAutoLayout(weight, plan->window_) == prov::EvalLayout::kSoA
-              ? BatchOptions::Layout::kSoA
-              : BatchOptions::Layout::kAoS;
-    }
-  } else {
-    plan->resolved_.layout = BatchOptions::Layout::kAoS;
+  if (options.sweep == BatchOptions::Sweep::kAuto) {
+    const prov::EvalProgram& sweep_full = session->sweep_full_program();
+    const prov::EvalProgram& compressed = session->compressed_program();
+    const std::size_t weight = sweep_full.NumTerms() +
+                               sweep_full.factors().size() +
+                               compressed.NumTerms() +
+                               compressed.factors().size();
+    plan->resolved_.sweep =
+        ChooseAutoEngine(weight, plan->window_, source.max_deltas());
   }
+  plan->lanes_ = plan->resolved_.sweep == BatchOptions::Sweep::kBlocked
+                     ? prov::EvalProgram::kMaxLanes
+                     : 1;
   if (plan->resolved_.num_threads == 0) {
     plan->resolved_.num_threads =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());

@@ -103,48 +103,24 @@ struct ProgramSchedule {
   std::size_t slices() const { return ranges.size() + term_slices(); }
 };
 
-/// The resolved engine choice of the `Sweep::kAuto` policy.
-struct EnginePick {
-  BatchOptions::Sweep engine = BatchOptions::Sweep::kSparseDelta;
-  std::size_t lanes = 1;  ///< 4, 8 or 16 for kBlocked, 1 for the scalars.
-};
-
-/// The adaptive engine policy: picks the sweep engine and lane count from
-/// the combined program weight (terms + factors of both sides), the
-/// scenario count, and the widest per-scenario override list. Deliberately
-/// independent of the thread count (and of anything else nondeterministic),
-/// so the same workload always plans the same way.
+/// The adaptive engine policy: picks the sweep engine from the combined
+/// program weight (terms + factors of both sides), the scenario count, and
+/// the widest per-scenario override list. Deliberately independent of the
+/// thread count (and of anything else nondeterministic), so the same
+/// workload always plans the same way.
 ///
 /// The thresholds are fit from the accumulated BENCH_a6/a7 measurements
 /// (blocked-vs-sparse ratio 0.79x at 64 scenarios, 3.5x at 1024 on the CI
 /// box): the blocked kernel's per-batch fixed costs — block-table
 /// sort/unique/index builds, tile dispatch — only amortize once there are a
-/// couple hundred scenarios to spread them over, and the 16-lane width only
-/// pays once blocks are plentiful enough that its wider ragged tail cannot
-/// dominate. Policy table:
+/// couple hundred scenarios to spread them over. Policy table:
 ///
 ///   scenarios < 128, weight < 2048, or weight < 32 x override width
 ///                      -> kSparseDelta (scalar, 1 lane)
-///   128 <= scenarios < 512                    -> kBlocked, 8 lanes
-///   scenarios >= 512                          -> kBlocked, 16 lanes
-///
-/// (4 lanes remains reachable by pinning `block_lanes = 4` explicitly; the
-/// policy never picks it because a batch small enough to want narrow blocks
-/// is below the blocked crossover entirely.)
-EnginePick ChooseAutoEngine(std::size_t program_weight,
-                            std::size_t num_scenarios,
-                            std::size_t max_override_width);
-
-/// The adaptive layout policy (`BatchOptions::Layout::kAuto`, blocked engine
-/// only): selects the SoA `prov::EvalImage` re-layout when the sweep is
-/// large enough to amortize building it — program weight x scenario count at
-/// or above the re-layout threshold (the image build is one O(weight) pass,
-/// the sweep reads the program O(scenarios / lanes) times, so any
-/// non-trivial batch clears it quickly). Deterministic, like
-/// ChooseAutoEngine; both layouts are bit-identical, so the choice never
-/// changes results. Scalar engines always execute AoS regardless.
-prov::EvalLayout ChooseAutoLayout(std::size_t program_weight,
-                                  std::size_t num_scenarios);
+///   otherwise          -> kBlocked, 16 lanes
+BatchOptions::Sweep ChooseAutoEngine(std::size_t program_weight,
+                                     std::size_t num_scenarios,
+                                     std::size_t max_override_width);
 
 /// The cheap per-base half of a plan: the pool-sized base valuation the
 /// scenarios apply on top of, its content fingerprint, and — for the
@@ -218,32 +194,9 @@ class PlanCore {
   /// planning time so the choice is inspectable and cacheable).
   BatchOptions::Sweep engine() const { return engine_; }
 
-  /// Scenario lanes per block: 4, 8 or 16 for the blocked kernel, 1
-  /// otherwise.
+  /// Scenario lanes per block: 16 for the blocked kernel, 1 for the scalar
+  /// engine.
   std::size_t lanes() const { return lanes_; }
-
-  /// The resolved execution layout — never `BatchOptions::Layout::kAuto`
-  /// (the policy resolves at planning time, like the engine). Always
-  /// `kAoS` for the scalar engines.
-  prov::EvalLayout layout() const { return layout_; }
-
-  /// The cached SoA execution images of the two program sides (null unless
-  /// layout() == kSoA). Built once at Create; grid/stream replays of this
-  /// core reuse them as-is.
-  const std::shared_ptr<const prov::EvalImage>& full_image() const {
-    return full_image_;
-  }
-  const std::shared_ptr<const prov::EvalImage>& compressed_image() const {
-    return compressed_image_;
-  }
-
-  /// Returns a copy of this core with the two execution images replaced — a
-  /// fault-injection hook for verifier tests (an image whose layout tag or
-  /// arrays disagree with the plan must be reported by VerifyPlan). The
-  /// normal path builds images in Create() and never swaps them.
-  std::shared_ptr<const PlanCore> WithImages(
-      std::shared_ptr<const prov::EvalImage> full,
-      std::shared_ptr<const prov::EvalImage> compressed) const;
 
   /// Worker threads the sweep will use (the resolved `num_threads`).
   std::size_t num_threads() const { return num_threads_; }
@@ -259,10 +212,6 @@ class PlanCore {
     return num_blocks_ *
            (full_schedule_.slices() + compressed_schedule_.slices());
   }
-
-  /// The options the core was built from (with `sweep` still as requested;
-  /// see engine() for the resolved choice).
-  const BatchOptions& options() const { return options_; }
 
   const std::vector<std::string>& scenario_names() const {
     return scenario_names_;
@@ -295,12 +244,8 @@ class PlanCore {
 
   std::weak_ptr<const CompiledSession> session_;
   PlanFingerprint fingerprint_;
-  BatchOptions options_;
   BatchOptions::Sweep engine_ = BatchOptions::Sweep::kSparseDelta;
   std::size_t lanes_ = 1;
-  prov::EvalLayout layout_ = prov::EvalLayout::kAoS;
-  std::shared_ptr<const prov::EvalImage> full_image_;
-  std::shared_ptr<const prov::EvalImage> compressed_image_;
   std::size_t num_threads_ = 1;
   std::size_t num_blocks_ = 0;
   std::size_t frozen_pool_size_ = 0;
@@ -324,13 +269,12 @@ class PlanCore {
 /// Engine/lane decisions are pinned at Create time: every chunk's core is
 /// compiled with the same resolved engine, so a streamed sweep behaves like
 /// one large batch cut into windows (and is bit-identical to it on any
-/// materialized prefix). The `kDenseCopy` legacy engine is not streamable
-/// and is rejected here.
+/// materialized prefix).
 class StreamPlan {
  public:
   /// Resolves the stream-invariant plan half. Validates `options` like
-  /// `PlanCore::Create` (plus `stream_block_scenarios > 0` and the
-  /// no-kDenseCopy rule) and rejects a null session or an empty source.
+  /// `PlanCore::Create` (plus `stream_block_scenarios > 0`) and rejects a
+  /// null session or an empty source.
   static util::Result<std::shared_ptr<const StreamPlan>> Create(
       std::shared_ptr<const CompiledSession> session,
       const ScenarioSource& source, const BatchOptions& options);
@@ -347,10 +291,10 @@ class StreamPlan {
     return session_.lock();
   }
 
-  /// The resolved engine — never `kAuto`, never `kDenseCopy`.
+  /// The resolved engine — never `kAuto`.
   BatchOptions::Sweep engine() const { return resolved_.sweep; }
 
-  /// Scenario lanes per block (4/8/16 blocked, 1 scalar).
+  /// Scenario lanes per block (16 blocked, 1 scalar).
   std::size_t lanes() const { return lanes_; }
 
   /// Resolved worker thread count.
@@ -366,16 +310,8 @@ class StreamPlan {
   }
   std::uint64_t source_size() const { return source_size_; }
 
-  /// The resolved execution layout — never `kAuto`. Every chunk core is
-  /// compiled with it pinned, so a streamed sweep keeps one layout
-  /// throughout (each window-sized core builds its own window-lifetime
-  /// image; the build is O(program), amortized across the window's
-  /// scenarios exactly like a batch of that size).
-  BatchOptions::Layout layout() const { return resolved_.layout; }
-
   /// The options every chunk core is compiled with: the caller's options
-  /// with `sweep`/`block_lanes`/`layout`/`num_threads` pinned to the
-  /// resolved choice.
+  /// with `sweep`/`num_threads` pinned to the resolved choice.
   const BatchOptions& resolved_options() const { return resolved_; }
 
  private:
@@ -440,12 +376,16 @@ class BatchPlan {
   const PlanFingerprint& fingerprint() const { return core_->fingerprint(); }
   BatchOptions::Sweep engine() const { return core_->engine(); }
   std::size_t lanes() const { return core_->lanes(); }
-  prov::EvalLayout layout() const { return core_->layout(); }
+  /// Always `kAoS`: the kernels read the compiled programs' own arrays.
+  /// Kept for callers that report it; slated for removal.
+  prov::EvalLayout layout() const {
+    using enum prov::EvalLayout;
+    return kAoS;
+  }
   std::size_t num_threads() const { return core_->num_threads(); }
   std::size_t num_scenarios() const { return core_->num_scenarios(); }
   std::size_t num_blocks() const { return core_->num_blocks(); }
   std::size_t num_tiles() const { return core_->num_tiles(); }
-  const BatchOptions& options() const { return core_->options(); }
   const std::vector<std::string>& scenario_names() const {
     return core_->scenario_names();
   }

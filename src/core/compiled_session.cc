@@ -336,9 +336,6 @@ std::size_t CompiledSession::PlanCacheKeyHash::operator()(
   std::uint64_t h = key.scenarios.lo;
   h = util::HashCombine(h, key.scenarios.hi);
   h = util::HashCombine(h, key.sweep);
-  h = util::HashCombine(h, key.layout);
-  h = util::HashCombine(h, key.block_lanes);
-  h = util::HashCombine(h, key.prefetch_distance);
   h = util::HashCombine(h, key.num_threads);
   h = util::HashCombine(h, key.partition_min_terms);
   h = util::HashCombine(h, key.split_min_terms);
@@ -354,9 +351,6 @@ CompiledSession::PlanCacheKey CompiledSession::MakePlanCacheKey(
   PlanCacheKey key;
   key.scenarios = FingerprintScenarios(scenarios);
   key.sweep = static_cast<std::uint32_t>(options.sweep);
-  key.layout = static_cast<std::uint32_t>(options.layout);
-  key.block_lanes = options.block_lanes;
-  key.prefetch_distance = options.prefetch_distance;
   key.num_threads = options.num_threads;
   key.partition_min_terms = options.partition_min_terms;
   key.split_min_terms = options.split_min_terms;
@@ -523,101 +517,40 @@ util::Result<BatchAssignReport> CompiledSession::Execute(
         "different (or since-destroyed) CompiledSession");
   }
   const std::size_t n = plan.num_scenarios();
-  const prov::Valuation& base = plan.base();
-  const std::vector<CompiledScenario>& compiled = plan.compiled();
-  const prov::EvalProgram& compressed_program = artifacts_->compressed_program;
-  const std::size_t threads = plan.num_threads();
-
-  std::vector<std::vector<double>> full_values(n);
-  std::vector<std::vector<double>> compressed_values(n);
+  const PlanCore& core = *plan.core();
+  const PlanBaseOverlay& overlay = plan.overlay();
 
   BatchAssignReport batch;
   batch.scenario_names = plan.scenario_names();
   batch.engine = plan.engine();
   batch.block_lanes = plan.lanes();
-  batch.layout = plan.layout();
 
-  if (plan.engine() == BatchOptions::Sweep::kDenseCopy) {
-    // Legacy engine: materialize one full-pool valuation per scenario per
-    // side, then dense scans — the baseline the sparse path is benchmarked
-    // against (bench_a6/bench_a7). The materialization is the engine's
-    // defining cost, so it stays in execution rather than being cached on
-    // the plan.
-    const prov::EvalProgram& full_program = artifacts_->full_program;
-    std::vector<prov::Valuation> meta_valuations;
-    std::vector<prov::Valuation> full_valuations;
-    meta_valuations.reserve(n);
-    full_valuations.reserve(n);
+  // The shared sweep core (SweepPlanProgram) fills a scenario-major flat
+  // matrix per side, then the rows are lifted into per-scenario report
+  // vectors.
+  std::vector<std::vector<double>> full_values(n);
+  std::vector<std::vector<double>> compressed_values(n);
+  std::size_t used_threads = 1;
+  auto sweep = [&](const prov::EvalProgram& program,
+                   const ProgramSchedule& schedule,
+                   std::vector<std::vector<double>>* out) {
+    const std::size_t polys = program.NumPolys();
+    std::vector<double> flat(n * polys, 0.0);
+    SweepPlanProgram(core, overlay, program, schedule, flat.data(),
+                     &used_threads);
     for (std::size_t i = 0; i < n; ++i) {
-      prov::Valuation meta = base;
-      for (const prov::VarOverride& ov : compiled[i].overrides) {
-        meta.Set(ov.var, ov.value);
-      }
-      full_valuations.push_back(ExpandValuation(meta));
-      meta_valuations.push_back(std::move(meta));
+      (*out)[i].assign(flat.begin() + i * polys,
+                       flat.begin() + (i + 1) * polys);
     }
-    auto sweep = [&](const prov::EvalProgram& program,
-                     const std::vector<prov::Valuation>& valuations,
-                     std::vector<std::vector<double>>* out) {
-      auto worker = [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          program.Eval(valuations[i], &(*out)[i]);
-        }
-      };
-      if (threads == 1) {
-        worker(0, n);
-        return;
-      }
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      const std::size_t chunk = (n + threads - 1) / threads;
-      for (std::size_t t = 0; t < threads; ++t) {
-        const std::size_t begin = t * chunk;
-        const std::size_t end = std::min(n, begin + chunk);
-        if (begin >= end) break;
-        pool.emplace_back(worker, begin, end);
-      }
-      for (std::thread& th : pool) th.join();
-    };
-    batch.num_threads = threads;
-    util::Timer timer;
-    sweep(full_program, full_valuations, &full_values);
-    batch.full_sweep_seconds = timer.ElapsedSeconds();
-    timer.Reset();
-    sweep(compressed_program, meta_valuations, &compressed_values);
-    batch.compressed_sweep_seconds = timer.ElapsedSeconds();
-  } else {
-    // Sparse-delta and scenario-blocked engines: the shared sweep core
-    // (SweepPlanProgram) fills a scenario-major flat matrix per side, then
-    // the rows are lifted into per-scenario report vectors.
-    const prov::EvalProgram& sweep_full = artifacts_->sweep_full_program;
-    const PlanCore& core = *plan.core();
-    const PlanBaseOverlay& overlay = plan.overlay();
-
-    std::size_t used_threads = 1;
-    auto sweep = [&](const prov::EvalProgram& program,
-                     const prov::EvalImage* image,
-                     const ProgramSchedule& schedule,
-                     std::vector<std::vector<double>>* out) {
-      const std::size_t polys = program.NumPolys();
-      std::vector<double> flat(n * polys, 0.0);
-      SweepPlanProgram(core, overlay, program, image, schedule, flat.data(),
-                       &used_threads);
-      for (std::size_t i = 0; i < n; ++i) {
-        (*out)[i].assign(flat.begin() + i * polys,
-                         flat.begin() + (i + 1) * polys);
-      }
-    };
-    util::Timer timer;
-    sweep(sweep_full, core.full_image().get(), plan.full_schedule(),
-          &full_values);
-    batch.full_sweep_seconds = timer.ElapsedSeconds();
-    timer.Reset();
-    sweep(compressed_program, core.compressed_image().get(),
-          plan.compressed_schedule(), &compressed_values);
-    batch.compressed_sweep_seconds = timer.ElapsedSeconds();
-    batch.num_threads = used_threads;
-  }
+  };
+  util::Timer timer;
+  sweep(artifacts_->sweep_full_program, plan.full_schedule(), &full_values);
+  batch.full_sweep_seconds = timer.ElapsedSeconds();
+  timer.Reset();
+  sweep(artifacts_->compressed_program, plan.compressed_schedule(),
+        &compressed_values);
+  batch.compressed_sweep_seconds = timer.ElapsedSeconds();
+  batch.num_threads = used_threads;
 
   batch.aggregate.repetitions = n;
   batch.aggregate.full_seconds =
@@ -642,7 +575,6 @@ util::Result<BatchAssignReport> CompiledSession::Execute(
 void CompiledSession::SweepPlanProgram(const PlanCore& core,
                                        const PlanBaseOverlay& overlay,
                                        const prov::EvalProgram& program,
-                                       const prov::EvalImage* image,
                                        const ProgramSchedule& schedule,
                                        double* flat,
                                        std::size_t* used_threads,
@@ -659,7 +591,6 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
   // adjacent rows of the scenario-major matrix with stride `polys`.
   const std::size_t n = core.num_scenarios();
   const std::size_t threads = core.num_threads();
-  const std::size_t prefetch_distance = core.options().prefetch_distance;
   const bool use_blocks = core.engine() == BatchOptions::Sweep::kBlocked;
   const std::size_t lanes = core.lanes();
   const std::size_t num_blocks = core.num_blocks();
@@ -690,28 +621,14 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
     if (use_blocks) {
       const prov::BlockOverrides& table = block_tables[block];
       if (s < ranges.size()) {
-        if (image != nullptr) {
-          image->EvalRangeBlocked(base, table, ranges[s].first,
-                                  ranges[s].second, flat + i0 * polys, polys,
-                                  prefetch_distance);
-        } else {
-          program.EvalRangeBlocked(base, table, ranges[s].first,
-                                   ranges[s].second, flat + i0 * polys,
-                                   polys);
-        }
+        program.EvalRangeBlocked(base, table, ranges[s].first,
+                                 ranges[s].second, flat + i0 * polys, polys);
       } else {
         const std::size_t k = s - ranges.size();
-        if (image != nullptr) {
-          image->EvalTermRangeBlocked(base, table, term_bounds[k],
-                                      term_bounds[k + 1],
-                                      partials.data() + i0 * term_slices + k,
-                                      term_slices, prefetch_distance);
-        } else {
-          program.EvalTermRangeBlocked(base, table, term_bounds[k],
-                                       term_bounds[k + 1],
-                                       partials.data() + i0 * term_slices + k,
-                                       term_slices);
-        }
+        program.EvalTermRangeBlocked(base, table, term_bounds[k],
+                                     term_bounds[k + 1],
+                                     partials.data() + i0 * term_slices + k,
+                                     term_slices);
       }
     } else {
       const std::vector<prov::VarOverride>& ov = compiled[i0].overrides;
@@ -787,7 +704,6 @@ util::Result<GridAssignReport> CompiledSession::AssignGrid(
   grid.scenario_names = core->scenario_names();
   grid.engine = core->engine();
   grid.block_lanes = core->lanes();
-  grid.layout = core->layout();
 
   const std::size_t polys_full = artifacts_->sweep_full_program.NumPolys();
   const std::size_t polys_comp = artifacts_->compressed_program.NumPolys();
@@ -828,36 +744,14 @@ util::Result<GridAssignReport> CompiledSession::AssignGrid(
       grid.overlay_seconds += overlay_timer.ElapsedSeconds();
     }
 
-    if (core->engine() == BatchOptions::Sweep::kDenseCopy) {
-      // The legacy dense engine has no flat sweep core; run it through
-      // Execute and copy the per-scenario rows into the grid cells.
-      util::Result<BatchAssignReport> batch =
-          Execute(*BatchPlan::FromParts(core, overlay));
-      if (!batch.ok()) return batch.status();
-      grid.full_sweep_seconds += batch->full_sweep_seconds;
-      grid.compressed_sweep_seconds += batch->compressed_sweep_seconds;
-      used_threads = std::max(used_threads, batch->num_threads);
-      for (std::size_t s = 0; s < n; ++s) {
-        const ResultDelta& delta = batch->reports[s].delta;
-        for (std::size_t g = 0; g < grid.num_groups; ++g) {
-          grid.full_values[(b * n + s) * polys_full + g] =
-              delta.rows[g].full;
-          grid.compressed_values[(b * n + s) * polys_comp + g] =
-              delta.rows[g].compressed;
-        }
-      }
-      continue;
-    }
-
     util::Timer timer;
     SweepPlanProgram(*core, *overlay, artifacts_->sweep_full_program,
-                     core->full_image().get(), core->full_schedule(),
+                     core->full_schedule(),
                      grid.full_values.data() + b * n * polys_full,
                      &used_threads);
     grid.full_sweep_seconds += timer.ElapsedSeconds();
     timer.Reset();
     SweepPlanProgram(*core, *overlay, artifacts_->compressed_program,
-                     core->compressed_image().get(),
                      core->compressed_schedule(),
                      grid.compressed_values.data() + b * n * polys_comp,
                      &used_threads);
@@ -1020,9 +914,6 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
   summary.source_fingerprint = plan.source_fingerprint();
   summary.engine = plan.engine();
   summary.block_lanes = plan.lanes();
-  summary.layout = plan.layout() == BatchOptions::Layout::kSoA
-                       ? prov::EvalLayout::kSoA
-                       : prov::EvalLayout::kAoS;
   summary.num_threads = plan.num_threads();
   summary.window = plan.window();
   summary.labels = artifacts_->labels;
@@ -1138,10 +1029,8 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
     comp_flat.assign(count * polys_comp, 0.0);
     std::size_t used_threads = 1;
     timer.Reset();
-    SweepPlanProgram(core, *overlay, compressed,
-                     core.compressed_image().get(),
-                     core.compressed_schedule(), comp_flat.data(),
-                     &used_threads);
+    SweepPlanProgram(core, *overlay, compressed, core.compressed_schedule(),
+                     comp_flat.data(), &used_threads);
     summary.compressed_sweep_seconds += timer.ElapsedSeconds();
 
     // Fixed-order metric pass: aggregates and early-exit decisions walk
@@ -1206,9 +1095,8 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
     full_flat.assign(count * polys_full, 0.0);
     timer.Reset();
     if (query.kind == StreamQuery::Kind::kAll) {
-      SweepPlanProgram(core, *overlay, sweep_full, core.full_image().get(),
-                       core.full_schedule(), full_flat.data(),
-                       &used_threads);
+      SweepPlanProgram(core, *overlay, sweep_full, core.full_schedule(),
+                       full_flat.data(), &used_threads);
       summary.full_rows_computed += count;
     } else {
       const std::size_t lanes = core.lanes();
@@ -1230,9 +1118,8 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
       summary.full_rows_computed += rows_run;
       summary.full_rows_skipped += count - rows_run;
       if (any) {
-        SweepPlanProgram(core, *overlay, sweep_full, core.full_image().get(),
-                         core.full_schedule(), full_flat.data(),
-                         &used_threads, mask.data());
+        SweepPlanProgram(core, *overlay, sweep_full, core.full_schedule(),
+                         full_flat.data(), &used_threads, mask.data());
       }
       // Report rows the consumer may read: only surviving blocks' rows.
       for (std::size_t i = 0; i < count; ++i) {

@@ -64,11 +64,10 @@ struct BatchAssignReport {
   std::size_t num_threads = 1;
 
   /// The engine the sweep actually ran (never kAuto — the plan resolves the
-  /// adaptive policy before execution), its lane count (1 for the scalar
-  /// engines), and the resolved execution layout (kAoS for the scalars).
+  /// adaptive policy before execution) and its lane count (16 blocked, 1
+  /// scalar).
   BatchOptions::Sweep engine = BatchOptions::Sweep::kSparseDelta;
   std::size_t block_lanes = 1;
-  prov::EvalLayout layout = prov::EvalLayout::kAoS;
 
   /// Whether AssignBatch served this call from a fully cached BatchPlan —
   /// core *and* base overlay (always false for direct Execute() calls).
@@ -110,12 +109,10 @@ struct GridAssignReport {
   std::vector<double> full_values;
   std::vector<double> compressed_values;
 
-  /// The engine the sweep ran (never kAuto), its lane count, the resolved
-  /// execution layout, and the maximum worker threads any per-base sweep
-  /// used.
+  /// The engine the sweep ran (never kAuto), its lane count, and the
+  /// maximum worker threads any per-base sweep used.
   BatchOptions::Sweep engine = BatchOptions::Sweep::kSparseDelta;
   std::size_t block_lanes = 1;
-  prov::EvalLayout layout = prov::EvalLayout::kAoS;
   std::size_t num_threads = 1;
 
   /// Whether the shared plan core came from the plan cache (no scenario
@@ -231,10 +228,10 @@ struct StreamBlockView {
 using StreamConsumer = std::function<bool(const StreamBlockView&)>;
 
 /// One scenario kept by a kTopK/kThreshold query: its source ordinal, name,
-/// metric, and result rows (`full` is empty when the scenario's block was
-/// pruned before its full side ran — possible only for kThreshold matches
-/// past `max_entries`... which carry no entry at all; kept entries always
-/// have both rows).
+/// metric, and both result rows. Every kept entry carries its full row: a
+/// block whose full side was pruned holds no kept scenario (kThreshold
+/// matches past `max_entries` are counted in `SweepSummary::matched` but get
+/// no entry).
 struct StreamEntry {
   std::uint64_t index = 0;
   std::string name;
@@ -255,8 +252,11 @@ struct SweepSummary {
   SourceFingerprint source_fingerprint;
 
   BatchOptions::Sweep engine = BatchOptions::Sweep::kSparseDelta;
-  std::size_t block_lanes = 1;
-  prov::EvalLayout layout = prov::EvalLayout::kAoS;
+  std::size_t block_lanes = 1;     ///< 16 blocked, 1 scalar.
+  /// Always `kAoS` (the enum's zero value): the kernels read the compiled
+  /// programs' own arrays. Kept for callers that report it; slated for
+  /// removal.
+  prov::EvalLayout layout{};
   std::size_t num_threads = 1;
   std::size_t window = 0;          ///< Scenarios per streamed block.
   bool stopped_early = false;
@@ -637,13 +637,8 @@ class CompiledSession
   /// whose byte is 0 is skipped entirely (its rows in `flat` are left
   /// untouched) — the streaming early-exit hook. Computed blocks run the
   /// identical kernel path, so masking never perturbs surviving rows.
-  /// `image`, when non-null, is this program side's cached SoA execution
-  /// image (core.layout() == kSoA): the blocked tiles then run the image
-  /// kernels with the core's prefetch distance — bit-identical to the AoS
-  /// path, only the memory layout differs. Null executes AoS.
   void SweepPlanProgram(const PlanCore& core, const PlanBaseOverlay& overlay,
                         const prov::EvalProgram& program,
-                        const prov::EvalImage* image,
                         const ProgramSchedule& schedule, double* flat,
                         std::size_t* used_threads,
                         const std::uint8_t* block_mask = nullptr) const;
@@ -659,9 +654,6 @@ class CompiledSession
   struct PlanCacheKey {
     PlanFingerprint scenarios;
     std::uint32_t sweep = 0;
-    std::uint32_t layout = 0;
-    std::uint64_t block_lanes = 0;
-    std::uint64_t prefetch_distance = 0;
     std::uint64_t num_threads = 0;
     std::uint64_t partition_min_terms = 0;
     std::uint64_t split_min_terms = 0;

@@ -513,20 +513,6 @@ const char* SweepName(BatchOptions::Sweep sweep) {
       return "kBlocked";
     case BatchOptions::Sweep::kSparseDelta:
       return "kSparseDelta";
-    case BatchOptions::Sweep::kDenseCopy:
-      return "kDenseCopy";
-  }
-  return "?";
-}
-
-const char* LayoutName(BatchOptions::Layout layout) {
-  switch (layout) {
-    case BatchOptions::Layout::kAuto:
-      return "kAuto";
-    case BatchOptions::Layout::kAoS:
-      return "kAoS";
-    case BatchOptions::Layout::kSoA:
-      return "kSoA";
   }
   return "?";
 }

@@ -361,36 +361,35 @@ util::Result<std::shared_ptr<const ScenarioSource>> Compose(
 
 /// Execution knobs for the batched scenario sweep.
 struct BatchOptions {
-  /// Sweep implementation.
+  /// Sweep implementation. Every engine is bit-identical to per-scenario
+  /// `CompiledSession::Assign()`.
   enum class Sweep {
-    /// Adaptive policy (default): the batch planner picks the engine and
-    /// lane count from the compiled program sizes, the scenario count, and
-    /// the override width — the blocked kernel whenever the program scan
-    /// dominates, falling back to `kSparseDelta` for tiny programs where the
-    /// per-batch fixed costs (block tables, tile dispatch) would dominate.
-    /// The choice is deterministic and independent of the thread count, and
-    /// every engine is bit-identical, so `kAuto` never changes results —
-    /// pin one of the explicit engines below to A/B against it.
+    /// Adaptive policy (default): the batch planner picks the engine from
+    /// the compiled program sizes, the scenario count, and the override
+    /// width — the blocked kernel whenever the program scan dominates,
+    /// falling back to `kSparseDelta` for small batches and tiny programs
+    /// where the per-batch fixed costs (block tables, tile dispatch) would
+    /// dominate. The choice is deterministic and independent of the thread
+    /// count, so `kAuto` never changes results — pin one of the explicit
+    /// engines below to A/B against it.
     kAuto,
     /// Scenario-blocked kernel: scenarios are grouped into blocks of
-    /// `block_lanes` lanes and each (block × poly-range) tile evaluates all
-    /// lanes in ONE scan of the compiled program — the base value is
-    /// broadcast per factor, a per-block override-union table patches
-    /// individual lanes, and the lane accumulators advance in lockstep, so
-    /// per-scenario results stay bit-identical to the scalar paths while the
-    /// factor/coeff arrays are read once per block instead of once per
-    /// scenario.
+    /// `prov::EvalProgram::kMaxLanes` (16) lanes and each (block ×
+    /// poly-range) tile evaluates all lanes in ONE scan of the compiled
+    /// program — the base value is broadcast per factor, a per-block
+    /// override-union table patches individual lanes, and the lane
+    /// accumulators advance in lockstep, so per-scenario results stay
+    /// bit-identical to the scalar path while the factor/coeff arrays are
+    /// read once per block instead of once per scenario. A trailing ragged
+    /// block runs padded to 16 lanes; padding lanes are discarded. The
+    /// width only vectorizes to AVX-512 when the library is built with
+    /// `COBRA_ENABLE_NATIVE_ARCH` on a machine that has it.
     kBlocked,
     /// Scalar sparse engine: each scenario is a small sorted (VarId, value)
     /// override list resolved during its own scan — no per-scenario
-    /// valuation copies, but one full program read per scenario. Kept as the
-    /// A/B reference for the blocked kernel (bench_a6/bench_a7).
+    /// valuation copies, but one full program read per scenario. The
+    /// bit-identity reference for the blocked kernel.
     kSparseDelta,
-    /// Legacy engine: one full-pool `Valuation` copy per scenario per side,
-    /// then dense scans. Kept for A/B benchmarking (bench_a6/bench_a7) —
-    /// results are bit-identical to the other engines. Not streamable:
-    /// `AssignStream` rejects it.
-    kDenseCopy,
   };
 
   /// Worker threads for the scenario sweep; 0 means
@@ -399,43 +398,6 @@ struct BatchOptions {
   std::size_t num_threads = 0;
 
   Sweep sweep = Sweep::kAuto;
-
-  /// Scenario lanes per block for `Sweep::kBlocked`: 4, 8 or 16 (the
-  /// kernel's compile-time lane widths). A trailing ragged block
-  /// (num_scenarios % block_lanes != 0) runs with its real lane count padded
-  /// up to the nearest width; padding lanes are discarded, so ragged tails
-  /// are still bit-identical. The 16-lane width is compiled portably
-  /// everywhere; it only vectorizes to AVX-512 when the library is built
-  /// with `COBRA_ENABLE_NATIVE_ARCH` on a machine that has it.
-  std::size_t block_lanes = 8;
-
-  /// Memory layout the blocked kernel executes the compiled programs in.
-  enum class Layout {
-    /// Plan-time policy (default): the planner picks `kSoA` when program
-    /// weight × scenario count clears the re-layout-amortization threshold
-    /// (see `ChooseAutoLayout()` in core/batch_plan.h), `kAoS` otherwise.
-    /// Deterministic, and both layouts are bit-identical, so `kAuto` never
-    /// changes results.
-    kAuto,
-    /// The compile-time layout of `EvalProgram` itself — no image is built.
-    kAoS,
-    /// Force the cache-line-aligned `prov::EvalImage` re-layout (built once
-    /// per plan, cached on the `PlanCore`, reused by grid/stream replays).
-    kSoA,
-  };
-
-  /// Layout policy for `Sweep::kBlocked` (and the blocked resolution of
-  /// `Sweep::kAuto`). The scalar engines have no image kernels, so they
-  /// always execute `kAoS`; requesting `kSoA` with a scalar engine is
-  /// accepted and resolves to `kAoS` (the knob is a performance hint and
-  /// can never change results).
-  Layout layout = Layout::kAuto;
-
-  /// Software-prefetch distance for the SoA image kernels, in 64-byte cache
-  /// lines ahead of the factor/coeff stream cursors. 0 disables prefetching;
-  /// accepted range is 0 to 64. Ignored by the AoS and scalar paths. A pure
-  /// scheduling hint — never affects results.
-  std::size_t prefetch_distance = 8;
 
   /// Intra-program partitioning (blocked + sparse sweeps): when there are
   /// fewer scenario blocks than worker threads, each program is split into
@@ -477,10 +439,6 @@ struct BatchOptions {
 /// Human-readable engine name ("kAuto", "kBlocked", ...); "?" for values
 /// outside the enum.
 const char* SweepName(BatchOptions::Sweep sweep);
-
-/// Human-readable layout-policy name ("kAuto", "kAoS", "kSoA"); "?" for
-/// values outside the enum.
-const char* LayoutName(BatchOptions::Layout layout);
 
 }  // namespace cobra::core
 

@@ -5,23 +5,16 @@
 #include "util/status.h"
 #include "util/str.h"
 
-// Software-prefetch hint for the SoA image kernels: pull the coeff/factor
-// streams a configurable number of cache lines ahead of the running cursors.
-// A pure hint — never faults, never affects results — so the portable no-op
-// fallback is exact.
-#if defined(__GNUC__) || defined(__clang__)
-#define COBRA_PREFETCH_READ(addr) __builtin_prefetch((addr), 0, 0)
-#else
-#define COBRA_PREFETCH_READ(addr) ((void)sizeof(addr))
-#endif
-
 namespace cobra::prov {
 
 namespace {
 
+/// The blocked kernel's compile-time lane count.
+constexpr int kLanes = static_cast<int>(EvalProgram::kMaxLanes);
+
 /// The raw view of a BlockOverrides table the kernels scan: a sorted var
-/// array with a W-wide value row per var, the [lo, hi] guard band, and the
-/// optional dense row index covering [lo, hi].
+/// array with a kLanes-wide value row per var, the [lo, hi] guard band, and
+/// the optional dense row index covering [lo, hi].
 struct LaneTableView {
   const VarId* vars = nullptr;
   const double* values = nullptr;
@@ -37,193 +30,47 @@ struct LaneTableView {
 /// union's id span is small, and a binary search over the factor-sorted var
 /// array (O(log k) in the union size k) otherwise — wide scenario unions no
 /// longer pay a linear scan per factor.
-template <int W>
 inline const double* FindLaneRow(const LaneTableView& table, VarId var) {
   if (var < table.lo || var > table.hi) return nullptr;
   if (table.dense != nullptr) {
     const std::int32_t row = table.dense[var - table.lo];
-    return row < 0 ? nullptr : table.values + static_cast<std::size_t>(row) * W;
+    return row < 0 ? nullptr
+                   : table.values + static_cast<std::size_t>(row) * kLanes;
   }
   const VarId* it = std::lower_bound(table.vars, table.vars + table.rows, var);
   if (it == table.vars + table.rows || *it != var) return nullptr;
-  return table.values + static_cast<std::size_t>(it - table.vars) * W;
+  return table.values + static_cast<std::size_t>(it - table.vars) * kLanes;
 }
 
-/// The blocked inner loop at compile-time lane width W. Per factor the base
-/// value is loaded once and broadcast, overridden variables read their
-/// per-lane row, and the W accumulators advance in lockstep — each lane runs
+/// Accumulates the kLanes products of term `t` into `sum`. Per factor the
+/// base value is loaded once and broadcast, overridden variables read their
+/// per-lane row, and the accumulators advance in lockstep — each lane runs
 /// the scalar path's exact operation sequence (prod = coeff, prod *= value
 /// per factor, sum += prod), so per-lane results are bit-identical to the
-/// scalar sparse scan while one pass over poly_starts/term_starts/coeffs/
-/// factors serves W scenarios.
-template <int W>
-void RunBlockedRange(const std::uint32_t* poly_starts,
-                     const std::uint32_t* term_starts, const double* coeffs,
-                     const VarId* factors, const double* base,
-                     const LaneTableView& table, std::size_t poly_begin,
-                     std::size_t poly_end, std::size_t num_lanes, double* out,
-                     std::size_t lane_stride) {
-  for (std::size_t p = poly_begin; p < poly_end; ++p) {
-    double sum[W];
+/// scalar sparse scan while one pass over the compiled arrays serves kLanes
+/// scenarios.
+inline void AddBlockedTerm(const std::uint32_t* term_starts,
+                           const double* coeffs, const VarId* factors,
+                           const double* base, const LaneTableView& table,
+                           std::size_t t, double* sum) {
+  double prod[kLanes];
+  const double c = coeffs[t];
 #pragma omp simd
-    for (int l = 0; l < W; ++l) sum[l] = 0.0;
-    for (std::uint32_t t = poly_starts[p]; t < poly_starts[p + 1]; ++t) {
-      double prod[W];
-      const double c = coeffs[t];
+  for (int l = 0; l < kLanes; ++l) prod[l] = c;
+  for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
+    const VarId var = factors[f];
+    const double* row = FindLaneRow(table, var);
+    if (row != nullptr) {
 #pragma omp simd
-      for (int l = 0; l < W; ++l) prod[l] = c;
-      for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
-        const VarId var = factors[f];
-        const double* row = FindLaneRow<W>(table, var);
-        if (row != nullptr) {
+      for (int l = 0; l < kLanes; ++l) prod[l] *= row[l];
+    } else {
+      const double v = base[var];
 #pragma omp simd
-          for (int l = 0; l < W; ++l) prod[l] *= row[l];
-        } else {
-          const double v = base[var];
-#pragma omp simd
-          for (int l = 0; l < W; ++l) prod[l] *= v;
-        }
-      }
-#pragma omp simd
-      for (int l = 0; l < W; ++l) sum[l] += prod[l];
-    }
-    for (std::size_t l = 0; l < num_lanes; ++l) {
-      out[l * lane_stride + p] = sum[l];
+      for (int l = 0; l < kLanes; ++l) prod[l] *= v;
     }
   }
-}
-
-/// Term-range flavor of RunBlockedRange: accumulates the W partial sums for
-/// terms [term_begin, term_end) (all inside one polynomial) and writes lane
-/// l's partial to partials[l * lane_stride].
-template <int W>
-void RunBlockedTermRange(const std::uint32_t* term_starts,
-                         const double* coeffs, const VarId* factors,
-                         const double* base, const LaneTableView& table,
-                         std::size_t term_begin, std::size_t term_end,
-                         std::size_t num_lanes, double* partials,
-                         std::size_t lane_stride) {
-  double sum[W];
 #pragma omp simd
-  for (int l = 0; l < W; ++l) sum[l] = 0.0;
-  for (std::size_t t = term_begin; t < term_end; ++t) {
-    double prod[W];
-    const double c = coeffs[t];
-#pragma omp simd
-    for (int l = 0; l < W; ++l) prod[l] = c;
-    for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
-      const VarId var = factors[f];
-      const double* row = FindLaneRow<W>(table, var);
-      if (row != nullptr) {
-#pragma omp simd
-        for (int l = 0; l < W; ++l) prod[l] *= row[l];
-      } else {
-        const double v = base[var];
-#pragma omp simd
-        for (int l = 0; l < W; ++l) prod[l] *= v;
-      }
-    }
-#pragma omp simd
-    for (int l = 0; l < W; ++l) sum[l] += prod[l];
-  }
-  for (std::size_t l = 0; l < num_lanes; ++l) {
-    partials[l * lane_stride] = sum[l];
-  }
-}
-
-// Doubles / VarIds per 64-byte cache line, for prefetch-distance math.
-constexpr std::size_t kDoublesPerLine = util::kCacheLineBytes / sizeof(double);
-constexpr std::size_t kVarIdsPerLine = util::kCacheLineBytes / sizeof(VarId);
-
-/// SoA-image flavor of RunBlockedRange: identical operation sequence, but
-/// the loops advance running cursors (t over terms, f over factors) through
-/// the fused count streams instead of re-reading the boundary arrays per
-/// term, and optionally software-prefetch the coeff/factor streams `pf`
-/// cache lines ahead of the cursors. Prefetch targets may point past the end
-/// of the arrays — the hint never faults and never affects results.
-template <int W>
-void RunBlockedRangeImage(const std::uint32_t* poly_term_counts,
-                          const std::uint32_t* term_factor_counts,
-                          const double* coeffs, const VarId* factors,
-                          std::uint32_t t, std::uint32_t f, const double* base,
-                          const LaneTableView& table, std::size_t poly_begin,
-                          std::size_t poly_end, std::size_t num_lanes,
-                          double* out, std::size_t lane_stride,
-                          std::size_t pf) {
-  for (std::size_t p = poly_begin; p < poly_end; ++p) {
-    double sum[W];
-#pragma omp simd
-    for (int l = 0; l < W; ++l) sum[l] = 0.0;
-    for (std::uint32_t tc = poly_term_counts[p]; tc > 0; --tc, ++t) {
-      if (pf != 0) {
-        COBRA_PREFETCH_READ(coeffs + t + pf * kDoublesPerLine);
-        COBRA_PREFETCH_READ(factors + f + pf * kVarIdsPerLine);
-      }
-      double prod[W];
-      const double c = coeffs[t];
-#pragma omp simd
-      for (int l = 0; l < W; ++l) prod[l] = c;
-      for (std::uint32_t fc = term_factor_counts[t]; fc > 0; --fc, ++f) {
-        const VarId var = factors[f];
-        const double* row = FindLaneRow<W>(table, var);
-        if (row != nullptr) {
-#pragma omp simd
-          for (int l = 0; l < W; ++l) prod[l] *= row[l];
-        } else {
-          const double v = base[var];
-#pragma omp simd
-          for (int l = 0; l < W; ++l) prod[l] *= v;
-        }
-      }
-#pragma omp simd
-      for (int l = 0; l < W; ++l) sum[l] += prod[l];
-    }
-    for (std::size_t l = 0; l < num_lanes; ++l) {
-      out[l * lane_stride + p] = sum[l];
-    }
-  }
-}
-
-/// SoA-image flavor of RunBlockedTermRange: running factor cursor + count
-/// stream + optional prefetch, same bit-identity contract.
-template <int W>
-void RunBlockedTermRangeImage(const std::uint32_t* term_factor_counts,
-                              const double* coeffs, const VarId* factors,
-                              std::uint32_t f, const double* base,
-                              const LaneTableView& table,
-                              std::size_t term_begin, std::size_t term_end,
-                              std::size_t num_lanes, double* partials,
-                              std::size_t lane_stride, std::size_t pf) {
-  double sum[W];
-#pragma omp simd
-  for (int l = 0; l < W; ++l) sum[l] = 0.0;
-  for (std::size_t t = term_begin; t < term_end; ++t) {
-    if (pf != 0) {
-      COBRA_PREFETCH_READ(coeffs + t + pf * kDoublesPerLine);
-      COBRA_PREFETCH_READ(factors + f + pf * kVarIdsPerLine);
-    }
-    double prod[W];
-    const double c = coeffs[t];
-#pragma omp simd
-    for (int l = 0; l < W; ++l) prod[l] = c;
-    for (std::uint32_t fc = term_factor_counts[t]; fc > 0; --fc, ++f) {
-      const VarId var = factors[f];
-      const double* row = FindLaneRow<W>(table, var);
-      if (row != nullptr) {
-#pragma omp simd
-        for (int l = 0; l < W; ++l) prod[l] *= row[l];
-      } else {
-        const double v = base[var];
-#pragma omp simd
-        for (int l = 0; l < W; ++l) prod[l] *= v;
-      }
-    }
-#pragma omp simd
-    for (int l = 0; l < W; ++l) sum[l] += prod[l];
-  }
-  for (std::size_t l = 0; l < num_lanes; ++l) {
-    partials[l * lane_stride] = sum[l];
-  }
+  for (int l = 0; l < kLanes; ++l) sum[l] += prod[l];
 }
 
 }  // namespace
@@ -235,7 +82,6 @@ BlockOverrides MakeBlockOverridesSkeleton(const OverrideSpan* lanes,
       "MakeBlockOverridesSkeleton: lane count outside [1, kMaxLanes]");
   BlockOverrides block;
   block.num_lanes_ = num_lanes;
-  block.width_ = num_lanes <= 4 ? 4 : (num_lanes <= 8 ? 8 : 16);
   for (std::size_t l = 0; l < num_lanes; ++l) {
     for (std::size_t o = 0; o < lanes[l].size; ++o) {
       block.vars_.push_back(lanes[l].data[o].var);
@@ -251,7 +97,7 @@ BlockOverrides MakeBlockOverridesSkeleton(const OverrideSpan* lanes,
   // Value rows stay zero until RebindBlockOverrides() binds a base — a
   // skeleton handed to a kernel would multiply everything by 0, not crash,
   // which is why only the rebinding path may publish one.
-  block.values_.assign(block.vars_.size() * block.width_, 0.0);
+  block.values_.assign(block.vars_.size() * EvalProgram::kMaxLanes, 0.0);
   // O(1) lookup fast path: when the union's id span is small, one row-index
   // array covers it (wider unions binary-search the sorted var array).
   if (!block.vars_.empty()) {
@@ -285,9 +131,8 @@ BlockOverrides RebindBlockOverrides(const BlockOverrides& block,
   // padding lanes), then each lane patches in its own overrides.
   for (std::size_t r = 0; r < bound.vars_.size(); ++r) {
     const double v = base.values()[bound.vars_[r]];
-    for (std::size_t l = 0; l < bound.width_; ++l) {
-      bound.values_[r * bound.width_ + l] = v;
-    }
+    std::fill_n(bound.values_.begin() + r * EvalProgram::kMaxLanes,
+                EvalProgram::kMaxLanes, v);
   }
   for (std::size_t l = 0; l < num_lanes; ++l) {
     for (std::size_t o = 0; o < lanes[l].size; ++o) {
@@ -295,7 +140,7 @@ BlockOverrides RebindBlockOverrides(const BlockOverrides& block,
           std::lower_bound(bound.vars_.begin(), bound.vars_.end(),
                            lanes[l].data[o].var) -
           bound.vars_.begin();
-      bound.values_[r * bound.width_ + l] = lanes[l].data[o].value;
+      bound.values_[r * EvalProgram::kMaxLanes + l] = lanes[l].data[o].value;
     }
   }
   return bound;
@@ -479,21 +324,17 @@ void EvalProgram::EvalRangeBlocked(const Valuation& base,
       block.vars_.data(), block.values_.data(),
       block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
       block.vars_.size(), block.lo_, block.hi_};
-  if (block.width_ == 4) {
-    RunBlockedRange<4>(poly_starts_.data(), term_starts_.data(),
-                       coeffs_.data(), factors_.data(), values, table,
-                       poly_begin, poly_end, block.num_lanes_, out,
-                       lane_stride);
-  } else if (block.width_ == 8) {
-    RunBlockedRange<8>(poly_starts_.data(), term_starts_.data(),
-                       coeffs_.data(), factors_.data(), values, table,
-                       poly_begin, poly_end, block.num_lanes_, out,
-                       lane_stride);
-  } else {
-    RunBlockedRange<16>(poly_starts_.data(), term_starts_.data(),
-                        coeffs_.data(), factors_.data(), values, table,
-                        poly_begin, poly_end, block.num_lanes_, out,
-                        lane_stride);
+  for (std::size_t p = poly_begin; p < poly_end; ++p) {
+    double sum[kLanes];
+#pragma omp simd
+    for (int l = 0; l < kLanes; ++l) sum[l] = 0.0;
+    for (std::uint32_t t = poly_starts_[p]; t < poly_starts_[p + 1]; ++t) {
+      AddBlockedTerm(term_starts_.data(), coeffs_.data(), factors_.data(),
+                     values, table, t, sum);
+    }
+    for (std::size_t l = 0; l < block.num_lanes_; ++l) {
+      out[l * lane_stride + p] = sum[l];
+    }
   }
 }
 
@@ -538,18 +379,15 @@ void EvalProgram::EvalTermRangeBlocked(const Valuation& base,
       block.vars_.data(), block.values_.data(),
       block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
       block.vars_.size(), block.lo_, block.hi_};
-  if (block.width_ == 4) {
-    RunBlockedTermRange<4>(term_starts_.data(), coeffs_.data(),
-                           factors_.data(), values, table, term_begin,
-                           term_end, block.num_lanes_, partials, lane_stride);
-  } else if (block.width_ == 8) {
-    RunBlockedTermRange<8>(term_starts_.data(), coeffs_.data(),
-                           factors_.data(), values, table, term_begin,
-                           term_end, block.num_lanes_, partials, lane_stride);
-  } else {
-    RunBlockedTermRange<16>(term_starts_.data(), coeffs_.data(),
-                            factors_.data(), values, table, term_begin,
-                            term_end, block.num_lanes_, partials, lane_stride);
+  double sum[kLanes];
+#pragma omp simd
+  for (int l = 0; l < kLanes; ++l) sum[l] = 0.0;
+  for (std::size_t t = term_begin; t < term_end; ++t) {
+    AddBlockedTerm(term_starts_.data(), coeffs_.data(), factors_.data(),
+                   values, table, t, sum);
+  }
+  for (std::size_t l = 0; l < block.num_lanes_; ++l) {
+    partials[l * lane_stride] = sum[l];
   }
 }
 
@@ -664,111 +502,14 @@ std::size_t EvalProgram::DominantPoly(std::size_t min_terms) const {
 }
 
 const char* EvalLayoutName(EvalLayout layout) {
+  using enum EvalLayout;
   switch (layout) {
-    case EvalLayout::kAoS:
+    case kAoS:
       return "AoS";
-    case EvalLayout::kSoA:
+    case kSoA:
       return "SoA";
   }
   return "?";
-}
-
-EvalImage EvalImage::Build(const EvalProgram& program) {
-  EvalImage img;
-  const std::vector<std::uint32_t>& ps = program.poly_starts();
-  const std::vector<std::uint32_t>& ts = program.term_starts();
-  img.poly_starts_.assign(ps.begin(), ps.end());
-  img.term_starts_.assign(ts.begin(), ts.end());
-  img.poly_term_counts_.resize(ps.size() - 1);
-  for (std::size_t p = 0; p + 1 < ps.size(); ++p) {
-    img.poly_term_counts_[p] = ps[p + 1] - ps[p];
-  }
-  img.term_factor_counts_.resize(ts.size() - 1);
-  for (std::size_t t = 0; t + 1 < ts.size(); ++t) {
-    img.term_factor_counts_[t] = ts[t + 1] - ts[t];
-  }
-  img.coeffs_.assign(program.coeffs().begin(), program.coeffs().end());
-  img.factors_.assign(program.factors().begin(), program.factors().end());
-  img.min_valuation_size_ = program.MinValuationSize();
-  return img;
-}
-
-EvalImage EvalImage::WithLayoutTag(EvalLayout tag) const {
-  EvalImage copy = *this;
-  copy.layout_ = tag;
-  return copy;
-}
-
-void EvalImage::EvalRangeBlocked(const Valuation& base,
-                                 const BlockOverrides& block,
-                                 std::size_t poly_begin, std::size_t poly_end,
-                                 double* out, std::size_t lane_stride,
-                                 std::size_t prefetch_distance) const {
-  COBRA_CHECK_MSG(base.size() >= min_valuation_size_,
-                  "EvalImage::EvalRangeBlocked: valuation too small");
-  COBRA_CHECK_MSG(poly_begin <= poly_end && poly_end <= NumPolys(),
-                  "EvalImage::EvalRangeBlocked: bad poly range");
-  const double* values = base.values().data();
-  const LaneTableView table{
-      block.vars_.data(), block.values_.data(),
-      block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
-      block.vars_.size(), block.lo_, block.hi_};
-  // Seed the running cursors for O(1) entry at an arbitrary tile boundary.
-  const std::uint32_t t0 = poly_starts_[poly_begin];
-  const std::uint32_t f0 = term_starts_[t0];
-  if (block.width_ == 4) {
-    RunBlockedRangeImage<4>(poly_term_counts_.data(),
-                            term_factor_counts_.data(), coeffs_.data(),
-                            factors_.data(), t0, f0, values, table, poly_begin,
-                            poly_end, block.num_lanes_, out, lane_stride,
-                            prefetch_distance);
-  } else if (block.width_ == 8) {
-    RunBlockedRangeImage<8>(poly_term_counts_.data(),
-                            term_factor_counts_.data(), coeffs_.data(),
-                            factors_.data(), t0, f0, values, table, poly_begin,
-                            poly_end, block.num_lanes_, out, lane_stride,
-                            prefetch_distance);
-  } else {
-    RunBlockedRangeImage<16>(poly_term_counts_.data(),
-                             term_factor_counts_.data(), coeffs_.data(),
-                             factors_.data(), t0, f0, values, table,
-                             poly_begin, poly_end, block.num_lanes_, out,
-                             lane_stride, prefetch_distance);
-  }
-}
-
-void EvalImage::EvalTermRangeBlocked(const Valuation& base,
-                                     const BlockOverrides& block,
-                                     std::size_t term_begin,
-                                     std::size_t term_end, double* partials,
-                                     std::size_t lane_stride,
-                                     std::size_t prefetch_distance) const {
-  COBRA_CHECK_MSG(base.size() >= min_valuation_size_,
-                  "EvalImage::EvalTermRangeBlocked: valuation too small");
-  COBRA_CHECK_MSG(term_begin <= term_end && term_end <= NumTerms(),
-                  "EvalImage::EvalTermRangeBlocked: bad term range");
-  const double* values = base.values().data();
-  const LaneTableView table{
-      block.vars_.data(), block.values_.data(),
-      block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
-      block.vars_.size(), block.lo_, block.hi_};
-  const std::uint32_t f0 = term_starts_[term_begin];
-  if (block.width_ == 4) {
-    RunBlockedTermRangeImage<4>(term_factor_counts_.data(), coeffs_.data(),
-                                factors_.data(), f0, values, table, term_begin,
-                                term_end, block.num_lanes_, partials,
-                                lane_stride, prefetch_distance);
-  } else if (block.width_ == 8) {
-    RunBlockedTermRangeImage<8>(term_factor_counts_.data(), coeffs_.data(),
-                                factors_.data(), f0, values, table, term_begin,
-                                term_end, block.num_lanes_, partials,
-                                lane_stride, prefetch_distance);
-  } else {
-    RunBlockedTermRangeImage<16>(term_factor_counts_.data(), coeffs_.data(),
-                                 factors_.data(), f0, values, table,
-                                 term_begin, term_end, block.num_lanes_,
-                                 partials, lane_stride, prefetch_distance);
-  }
 }
 
 }  // namespace cobra::prov

@@ -6,7 +6,6 @@
 
 #include "prov/poly_set.h"
 #include "prov/valuation.h"
-#include "util/aligned.h"
 #include "util/status.h"
 
 namespace cobra::prov {
@@ -30,7 +29,7 @@ struct OverrideSpan {
 
 /// The per-block patch table of the scenario-blocked kernel: the union of up
 /// to `EvalProgram::kMaxLanes` scenarios' override variables, with one
-/// lane-width row of values per variable (lane l reads its own override
+/// kMaxLanes-wide row of values per variable (lane l reads its own override
 /// value, or the shared base value when lane l does not override that
 /// variable). Built once per scenario block by `MakeBlockOverrides()` and
 /// reused across every (poly-range | term-range) tile the block is scheduled
@@ -41,13 +40,11 @@ struct OverrideSpan {
 /// scenarios (large unions) no longer pay a linear scan per factor.
 class BlockOverrides {
  public:
-  /// Number of scenario lanes the block carries (1..kMaxLanes).
+  /// Number of scenario lanes the block carries (1..kMaxLanes). The kernel
+  /// always runs all kMaxLanes lanes; padding lanes replicate the base
+  /// value, so they execute the same instruction stream without affecting
+  /// real lanes.
   std::size_t num_lanes() const { return num_lanes_; }
-
-  /// Padded kernel width (4, 8 or 16): the compile-time lane count the
-  /// blocked kernel runs at. Padding lanes replicate the base value, so they
-  /// execute the same instruction stream without affecting real lanes.
-  std::size_t width() const { return width_; }
 
   /// Number of distinct variables in the block's override union.
   std::size_t union_size() const { return vars_.size(); }
@@ -62,10 +59,10 @@ class BlockOverrides {
   /// Read-only; exposed for the static verifier (verify/verify.h).
   const std::vector<VarId>& vars() const { return vars_; }
 
-  /// The value rows: union_size() rows of width() lane values, row-major
-  /// (row r holds variable vars()[r]'s per-lane values). Read-only; exposed
-  /// for the static verifier, which re-derives every row from the base
-  /// valuation and the lanes' override lists.
+  /// The value rows: union_size() rows of EvalProgram::kMaxLanes lane
+  /// values, row-major (row r holds variable vars()[r]'s per-lane values).
+  /// Read-only; exposed for the static verifier, which re-derives every row
+  /// from the base valuation and the lanes' override lists.
   const std::vector<double>& values() const { return values_; }
 
   /// Largest (hi - lo + 1) id span for which the dense row index is built;
@@ -74,7 +71,6 @@ class BlockOverrides {
 
  private:
   friend class EvalProgram;
-  friend class EvalImage;
   friend BlockOverrides MakeBlockOverridesSkeleton(const OverrideSpan* lanes,
                                                    std::size_t num_lanes);
   friend BlockOverrides RebindBlockOverrides(const BlockOverrides& block,
@@ -83,13 +79,12 @@ class BlockOverrides {
                                              std::size_t num_lanes);
 
   std::vector<VarId> vars_;     ///< Sorted union of overridden variables.
-  std::vector<double> values_;  ///< vars_.size() rows of `width_` lane values.
+  std::vector<double> values_;  ///< vars_.size() rows of kMaxLanes values.
   /// When the union spans at most kDenseIndexMaxSpan ids, dense_index_[v -
   /// lo_] is the row index of variable v (or -1 when v is not overridden) —
   /// the O(1) fast path. Empty for wider unions (binary search instead).
   std::vector<std::int32_t> dense_index_;
   std::size_t num_lanes_ = 0;
-  std::size_t width_ = 0;
   // Inclusive guard band so factors outside [lo_, hi_] skip the row lookup;
   // an empty table uses lo_ > hi_ so the guard never matches.
   VarId lo_ = kInvalidVar;
@@ -111,8 +106,8 @@ BlockOverrides MakeBlockOverridesSkeleton(const OverrideSpan* lanes,
 /// lane l reads its own override value (the same `lanes` lists the block
 /// was built from), every other slot — non-overriding lanes and padding —
 /// reads `base`. The union structure (vars, dense index, guard band, lane
-/// count, width) is reused unchanged, so rebinding is O(union × width) with
-/// no sorting and no index rebuild. Every union variable must be covered by
+/// count) is reused unchanged, so rebinding is O(union × kMaxLanes) with no
+/// sorting and no index rebuild. Every union variable must be covered by
 /// `base`.
 BlockOverrides RebindBlockOverrides(const BlockOverrides& block,
                                     const Valuation& base,
@@ -143,7 +138,9 @@ BlockOverrides MakeBlockOverrides(const Valuation& base,
 /// threads concurrently.
 class EvalProgram {
  public:
-  /// Maximum scenario lanes per block of the blocked kernel.
+  /// Scenario lanes per block of the blocked kernel — its one compiled
+  /// width. A block with fewer real lanes (a ragged tail) is padded up to
+  /// it.
   static constexpr std::size_t kMaxLanes = 16;
 
   /// Compiles `set`. The program remains valid as long as VarIds are stable.
@@ -305,121 +302,17 @@ class EvalProgram {
   std::size_t min_valuation_size_ = 0;
 };
 
-/// Memory layout a plan executes a compiled program in. `kAoS` is the
-/// compile-time layout of `EvalProgram` itself (the four flattened arrays,
-/// allocator-aligned, boundary arrays indexed per term). `kSoA` is the
-/// plan-time `EvalImage` re-layout: cache-line-aligned copies of the
-/// factor/coeff arrays plus fused sequential count streams, so the blocked
-/// kernels walk running cursors instead of re-reading boundary indices.
-/// Which layout a plan uses is chosen by `core::PlanCore` the same way
-/// `kAuto` picks engine and lane count; the tag travels with the image so
-/// the static verifier can detect a plan/image mismatch.
+/// Memory layout a plan executes a compiled program in. Every plan now
+/// executes `kAoS` — the blocked kernel reads `EvalProgram`'s own arrays.
+/// `kSoA` named a plan-time re-layout that no longer exists; the enum stays
+/// only so existing callers that report a plan's layout keep compiling.
 enum class EvalLayout : std::uint8_t {
-  kAoS = 0,  ///< EvalProgram's own arrays (no image built).
-  kSoA = 1,  ///< Plan-time aligned re-layout (EvalImage).
+  kAoS = 0,  ///< EvalProgram's own arrays.
+  kSoA = 1,  ///< Retired; never produced.
 };
 
 /// Human-readable name of a layout ("AoS" / "SoA"); "?" for corrupt values.
 const char* EvalLayoutName(EvalLayout layout);
-
-/// Plan-time structure-of-arrays execution image of an `EvalProgram`.
-///
-/// The image re-arranges the program for the scenario-blocked kernels:
-/// coefficients and factors are copied into 64-byte-aligned arrays, and the
-/// per-poly / per-term boundary arrays are augmented with *count* streams
-/// (terms per polynomial, factors per term) so the hot loops advance running
-/// cursors through four sequential streams instead of indexing boundary
-/// arrays per term. The original boundary arrays are kept for random tile
-/// entry (a tile starting at poly p seeds its cursors in O(1)). Building an
-/// image is a single O(program) pass; `PlanCore` builds it once per plan and
-/// caches it, so grid/stream replays pay the re-layout exactly once.
-///
-/// Bit-identity contract: the image kernels execute the exact operation
-/// sequence of `EvalProgram::EvalRangeBlocked()` / `EvalTermRangeBlocked()`
-/// (prod = coeff; prod *= value per factor, in compiled order; sum += prod),
-/// so per-lane results are bit-identical to the scalar engines — only the
-/// memory traffic changes. Optional software prefetch (`prefetch_distance`
-/// cache lines ahead of the coeff/factor cursors) is a pure hint and cannot
-/// affect results.
-///
-/// Immutable after Build(); holds no mutable state during evaluation, so one
-/// image may be shared by any number of threads concurrently.
-class EvalImage {
- public:
-  /// Builds the SoA image of `program`. The image holds copies of the
-  /// compiled arrays, so it stays valid independently of `program`'s
-  /// lifetime (VarIds must stay stable, as for the program itself).
-  static EvalImage Build(const EvalProgram& program);
-
-  /// Returns a copy of this image with the layout tag replaced — a
-  /// fault-injection hook for verifier tests (a tag that disagrees with the
-  /// owning plan must be reported by VerifyPlan); never used on the normal
-  /// build path, which always tags `kSoA`.
-  EvalImage WithLayoutTag(EvalLayout tag) const;
-
-  /// The image's layout tag (`kSoA` for every image built by Build()).
-  EvalLayout layout() const { return layout_; }
-
-  /// Image form of EvalProgram::EvalRangeBlocked(): same arguments, same
-  /// bit-identity contract, plus `prefetch_distance` — how many 64-byte
-  /// cache lines ahead of the coeff/factor cursors to issue software
-  /// prefetches (0 disables prefetching).
-  void EvalRangeBlocked(const Valuation& base, const BlockOverrides& block,
-                        std::size_t poly_begin, std::size_t poly_end,
-                        double* out, std::size_t lane_stride,
-                        std::size_t prefetch_distance) const;
-
-  /// Image form of EvalProgram::EvalTermRangeBlocked(): same arguments and
-  /// bit-identity contract; `prefetch_distance` as in EvalRangeBlocked().
-  void EvalTermRangeBlocked(const Valuation& base, const BlockOverrides& block,
-                            std::size_t term_begin, std::size_t term_end,
-                            double* partials, std::size_t lane_stride,
-                            std::size_t prefetch_distance) const;
-
-  /// Number of polynomials / terms and the valuation-size contract — all
-  /// equal to the source program's (the verifier cross-checks them).
-  std::size_t NumPolys() const { return poly_starts_.size() - 1; }
-  std::size_t NumTerms() const { return coeffs_.size(); }
-  std::size_t MinValuationSize() const { return min_valuation_size_; }
-
-  /// @name Re-layout export (static verifier).
-  /// The verifier re-derives every array from the source program: the
-  /// boundary/coeff/factor arrays must match the program's bitwise, and the
-  /// count streams must equal the boundary arrays' first differences.
-  /// @{
-  const util::AlignedVector<std::uint32_t>& poly_starts() const {
-    return poly_starts_;
-  }
-  const util::AlignedVector<std::uint32_t>& term_starts() const {
-    return term_starts_;
-  }
-  const util::AlignedVector<std::uint32_t>& poly_term_counts() const {
-    return poly_term_counts_;
-  }
-  const util::AlignedVector<std::uint32_t>& term_factor_counts() const {
-    return term_factor_counts_;
-  }
-  const util::AlignedVector<double>& coeffs() const { return coeffs_; }
-  const util::AlignedVector<VarId>& factors() const { return factors_; }
-  /// @}
-
- private:
-  EvalImage() = default;
-
-  EvalLayout layout_ = EvalLayout::kSoA;
-  // Boundary copies for O(1) random tile entry (cursor seeding).
-  util::AlignedVector<std::uint32_t> poly_starts_;
-  util::AlignedVector<std::uint32_t> term_starts_;
-  // Fused sequential streams: poly_term_counts_[p] terms in polynomial p,
-  // term_factor_counts_[t] factors in term t — the first differences of the
-  // boundary arrays, consumed strictly in order by the kernels.
-  util::AlignedVector<std::uint32_t> poly_term_counts_;
-  util::AlignedVector<std::uint32_t> term_factor_counts_;
-  // Cache-line-aligned copies of the program's coeff/factor arrays.
-  util::AlignedVector<double> coeffs_;
-  util::AlignedVector<VarId> factors_;
-  std::size_t min_valuation_size_ = 0;
-};
 
 }  // namespace cobra::prov
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -312,79 +313,6 @@ VerifyReport VerifyProgram(const core::EvalProgramImage& image,
   return report;
 }
 
-namespace {
-
-/// Checks one SoA execution image against the compiled program it claims to
-/// mirror: the layout tag must agree with the plan, the boundary and payload
-/// arrays must re-derive bitwise from the program, and the fused count
-/// streams must be the first differences of the boundary arrays. The image
-/// is everything the SoA kernels read, so any drift here is silent
-/// wrong-answers at sweep time.
-void VerifyPlanImage(const prov::EvalImage* image,
-                     const prov::EvalProgram& program,
-                     std::string_view artifact, VerifyReport* out) {
-  VerifyReport& report = *out;
-  if (image == nullptr) {
-    report.AddError(artifact, 0, "SoA plan is missing its execution image");
-    return;
-  }
-  if (image->layout() != prov::EvalLayout::kSoA) {
-    report.AddError(artifact, 0,
-                    util::StrFormat("image layout tag %s disagrees with the "
-                                    "plan layout SoA",
-                                    prov::EvalLayoutName(image->layout())));
-  }
-  const auto& ps = program.poly_starts();
-  const auto& ts = program.term_starts();
-  const bool boundaries_ok =
-      image->poly_starts().size() == ps.size() &&
-      std::equal(ps.begin(), ps.end(), image->poly_starts().begin()) &&
-      image->term_starts().size() == ts.size() &&
-      std::equal(ts.begin(), ts.end(), image->term_starts().begin());
-  if (!boundaries_ok) {
-    report.AddError(artifact, 0,
-                    "image boundary arrays do not re-derive from the "
-                    "compiled program");
-    return;  // The count-stream checks below would only cascade.
-  }
-  bool counts_ok = image->poly_term_counts().size() + 1 == ps.size() &&
-                   image->term_factor_counts().size() + 1 == ts.size();
-  for (std::size_t p = 0; counts_ok && p + 1 < ps.size(); ++p) {
-    counts_ok = image->poly_term_counts()[p] == ps[p + 1] - ps[p];
-  }
-  for (std::size_t t = 0; counts_ok && t + 1 < ts.size(); ++t) {
-    counts_ok = image->term_factor_counts()[t] == ts[t + 1] - ts[t];
-  }
-  if (!counts_ok) {
-    report.AddError(artifact, 0,
-                    "image count streams are not the first differences of "
-                    "the boundary arrays");
-  }
-  const auto& coeffs = program.coeffs();
-  bool payload_ok = image->coeffs().size() == coeffs.size();
-  for (std::size_t t = 0; payload_ok && t < coeffs.size(); ++t) {
-    payload_ok = SameBits(image->coeffs()[t], coeffs[t]);
-  }
-  const auto& factors = program.factors();
-  payload_ok = payload_ok && image->factors().size() == factors.size() &&
-               std::equal(factors.begin(), factors.end(),
-                          image->factors().begin());
-  if (!payload_ok) {
-    report.AddError(artifact, 0,
-                    "image coefficient/factor arrays do not re-derive "
-                    "bitwise from the compiled program");
-  }
-  if (image->MinValuationSize() != program.MinValuationSize()) {
-    report.AddError(artifact, 0,
-                    util::StrFormat("image MinValuationSize %zu disagrees "
-                                    "with the program (%zu)",
-                                    image->MinValuationSize(),
-                                    program.MinValuationSize()));
-  }
-}
-
-}  // namespace
-
 VerifyReport VerifyPlan(const core::BatchPlan& plan,
                         const core::CompiledSession& session,
                         const core::ScenarioSet* scenarios) {
@@ -404,56 +332,21 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
   const std::size_t pool_size = session.pool_size();
 
   // Engine and lanes: kAuto must have been resolved at planning time; the
-  // blocked kernel only compiles 4-, 8- and 16-lane widths.
+  // blocked kernel compiles one width, kMaxLanes, and the scalar engine
+  // runs one lane.
   if (plan.engine() == core::BatchOptions::Sweep::kAuto) {
     report.AddError("plan", 0, "engine is unresolved kAuto");
   }
   const bool blocked = plan.engine() == core::BatchOptions::Sweep::kBlocked;
-  if (blocked) {
-    if (plan.lanes() != 4 && plan.lanes() != 8 && plan.lanes() != 16) {
-      report.AddError("plan", 0,
-                      util::StrFormat("blocked engine with %zu lanes "
-                                      "(compiled widths are 4, 8 and 16)",
-                                      plan.lanes()));
-    }
-  } else if (plan.lanes() != 1) {
+  const std::size_t want_lanes = blocked ? prov::EvalProgram::kMaxLanes : 1;
+  if (plan.lanes() != want_lanes) {
     report.AddError("plan", 0,
-                    util::StrFormat("scalar engine with %zu lanes (want 1)",
-                                    plan.lanes()));
+                    util::StrFormat("%s engine with %zu lanes (want %zu)",
+                                    blocked ? "blocked" : "scalar",
+                                    plan.lanes(), want_lanes));
   }
   if (plan.num_threads() == 0) {
     report.AddError("plan", 0, "num_threads is 0");
-  }
-
-  // Layout and execution images: the layout must be AoS for the scalar
-  // engines (they have no image kernels), the prefetch knob must be inside
-  // the validated range, and the SoA images must exist exactly when the
-  // plan says so — with the matching layout tag and arrays that re-derive
-  // from the session's compiled programs (the kernels read nothing else).
-  const prov::EvalLayout layout = plan.layout();
-  if (!blocked && layout != prov::EvalLayout::kAoS) {
-    report.AddError("plan", 0,
-                    util::StrFormat("scalar engine with %s layout (want AoS)",
-                                    prov::EvalLayoutName(layout)));
-  }
-  if (plan.options().prefetch_distance > 64) {
-    report.AddError("plan", 0,
-                    util::StrFormat("prefetch distance %zu out of range "
-                                    "(accepted: 0 to 64 cache lines)",
-                                    plan.options().prefetch_distance));
-  }
-  if (layout == prov::EvalLayout::kSoA) {
-    VerifyPlanImage(plan.core()->full_image().get(),
-                    session.sweep_full_program(), "plan full image", &report);
-    VerifyPlanImage(plan.core()->compressed_image().get(),
-                    session.compressed_program(), "plan compressed image",
-                    &report);
-  } else {
-    if (plan.core()->full_image() != nullptr ||
-        plan.core()->compressed_image() != nullptr) {
-      report.AddError("plan", 0,
-                      "AoS plan carries SoA execution images");
-    }
   }
 
   // Scenario blocks: the sweep schedules num_blocks × slices tiles, so a
@@ -552,11 +445,6 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
                                           "%zu)",
                                           table.num_lanes(), want));
         }
-        if (table.width() != 4 && table.width() != 8 && table.width() != 16) {
-          report.AddError("plan block", b,
-                          util::StrFormat("table width %zu (want 4, 8 or 16)",
-                                          table.width()));
-        }
 
         // Union table: sorted ascending, duplicate-free (the per-factor
         // binary search relies on it), inside the pool, and resolved via
@@ -631,7 +519,6 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
             plan.core()->block_skeletons()[b];
         if (skeleton.vars() != vars ||
             skeleton.num_lanes() != table.num_lanes() ||
-            skeleton.width() != table.width() ||
             skeleton.uses_dense_index() != table.uses_dense_index()) {
           report.AddError("plan block", b,
                           "overlay table structure disagrees with the "
@@ -644,16 +531,17 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
         // (or corrupted after binding).
         if (union_ok && plan.base().size() >= pool_size) {
           const std::vector<double>& values = table.values();
-          bool rows_ok = values.size() == vars.size() * table.width();
+          const std::size_t width = prov::EvalProgram::kMaxLanes;
+          bool rows_ok = values.size() == vars.size() * width;
           if (!rows_ok) {
             report.AddError("plan block", b,
                             util::StrFormat("value table holds %zu entries "
                                             "(want %zu rows of width %zu)",
                                             values.size(), vars.size(),
-                                            table.width()));
+                                            width));
           }
           for (std::size_t r = 0; rows_ok && r < vars.size(); ++r) {
-            for (std::size_t l = 0; rows_ok && l < table.width(); ++l) {
+            for (std::size_t l = 0; rows_ok && l < width; ++l) {
               double expected = plan.base().values()[vars[r]];
               if (l < table.num_lanes() &&
                   b * lanes + l < plan.compiled().size()) {
@@ -668,7 +556,7 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
                   expected = it->value;
                 }
               }
-              if (!SameBits(values[r * table.width() + l], expected)) {
+              if (!SameBits(values[r * width + l], expected)) {
                 report.AddError(
                     "plan block", b,
                     util::StrFormat("value row %zu lane %zu does not rebind "
@@ -689,9 +577,7 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
   }
 
   // Tile schedules partition the (scenario-block × poly-range) space
-  // exactly once per side. The dense-copy full side scans full_program;
-  // the sparse/blocked full side scans the meta-indirected program — both
-  // have the same shape, so verifying against sweep_full_program is exact.
+  // exactly once per side; the full side scans the meta-indirected program.
   VerifySchedule(plan.full_schedule(), session.sweep_full_program(),
                  "plan full schedule", &report);
   VerifySchedule(plan.compressed_schedule(), session.compressed_program(),
@@ -728,8 +614,11 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
         continue;
       }
       // Re-lower the deltas (last value wins per variable, sorted by id)
-      // and demand the compiled list matches bit for bit.
-      std::vector<prov::VarOverride> expected;
+      // and demand the compiled list matches bit for bit. The re-lowering
+      // goes through a last-value map rather than the planner's sort-merge,
+      // so the cross-check does not share the planner's algorithm.
+      std::unordered_map<prov::VarId, double> last;
+      last.reserve(scenario.deltas.size());
       for (const core::Scenario::Delta& delta : scenario.deltas) {
         const prov::VarId id = pool.Find(delta.var);
         if (id == prov::kInvalidVar || id >= pool_size) {
@@ -737,18 +626,14 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
                           util::StrFormat("delta variable \"%s\" does not "
                                           "resolve in the frozen pool",
                                           delta.var.c_str()));
-          expected.clear();
+          last.clear();
           break;
         }
-        bool found = false;
-        for (prov::VarOverride& existing : expected) {
-          if (existing.var == id) {
-            existing.value = delta.value;
-            found = true;
-          }
-        }
-        if (!found) expected.push_back({id, delta.value});
+        last[id] = delta.value;
       }
+      std::vector<prov::VarOverride> expected;
+      expected.reserve(last.size());
+      for (const auto& [var, value] : last) expected.push_back({var, value});
       std::sort(expected.begin(), expected.end(),
                 [](const prov::VarOverride& a, const prov::VarOverride& b) {
                   return a.var < b.var;

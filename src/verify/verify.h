@@ -133,13 +133,9 @@ VerifyReport VerifyProgram(const core::EvalProgramImage& image,
 
 /// Statically verifies a compiled `BatchPlan` against the session it will
 /// execute on. Checks: the plan's origin is `session`; the resolved engine
-/// is never `kAuto`; lane counts are 4, 8 or 16 for the blocked engine and
-/// 1 for the scalar engines; the resolved layout is AoS for the scalar
-/// engines and, when it is SoA, both execution images exist, carry the SoA
-/// layout tag and re-derive bitwise from the session's compiled programs
-/// (boundary arrays, first-difference count streams, coefficients and
-/// factors); the prefetch distance is within the validated 0..64 range;
-/// the block count and per-block override-union
+/// is never `kAuto`; the lane count is 16 (`EvalProgram::kMaxLanes`) for
+/// the blocked engine and 1 for the scalar engine; the block count and
+/// per-block override-union
 /// tables are consistent with the scenario count; every compiled override
 /// list is sorted, duplicate-free and within the frozen pool; the base
 /// valuation is pool-sized; and each side's tile schedule partitions the

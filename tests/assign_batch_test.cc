@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "core/compiled_session.h"
 #include "core/scenario.h"
 #include "core/session.h"
 #include "data/example_db.h"
@@ -129,22 +130,21 @@ TEST_F(AssignBatchTest, ThreadCountDoesNotChangeResults) {
   Load(&session);
   session.SetBound(10);
   session.Compress().ValueOrDie();
-  ScenarioSet scenarios = MakeScenarios(session, 7);
+  ScenarioSet scenarios = MakeScenarios(session, 17);
 
   BatchOptions one;
   one.num_threads = 1;
   BatchOptions four;
   four.num_threads = 4;
-  four.sweep = BatchOptions::Sweep::kSparseDelta;  // 7 scalar tasks
+  four.sweep = BatchOptions::Sweep::kSparseDelta;  // 17 scalar tasks
   BatchOptions blocks;
   blocks.num_threads = 4;
-  blocks.sweep = BatchOptions::Sweep::kBlocked;  // pin: kAuto may pick sparse
-  blocks.block_lanes = 4;  // 7 scenarios -> 2 blocked tiles
+  blocks.sweep = BatchOptions::Sweep::kBlocked;  // 17 scenarios -> 2 blocks
   BatchAssignReport a = session.AssignBatch(scenarios, one).ValueOrDie();
   BatchAssignReport b = session.AssignBatch(scenarios, four).ValueOrDie();
   BatchAssignReport c = session.AssignBatch(scenarios, blocks).ValueOrDie();
   EXPECT_EQ(a.num_threads, 1u);
-  EXPECT_EQ(b.num_threads, 4u);  // clamped to 7 scenario tasks, 4 < 7
+  EXPECT_EQ(b.num_threads, 4u);  // clamped to 17 scenario tasks, 4 < 17
   EXPECT_EQ(c.num_threads, 2u);  // clamped to 2 scenario blocks
   ASSERT_EQ(a.reports.size(), b.reports.size());
   ASSERT_EQ(a.reports.size(), c.reports.size());
@@ -227,53 +227,6 @@ TEST_F(AssignBatchTest, RecompressionRefreshesCachedPrograms) {
   ExpectIdentical(sequential, tight);
 }
 
-// The blocked kernel only exists at the compile-time lane widths 4, 8 and
-// 16: any other `block_lanes` (0 would divide by zero in the block count,
-// 24 exceeds kMaxLanes) must be rejected up front with InvalidArgument, and
-// all accepted widths must keep producing sequential-identical results.
-TEST_F(AssignBatchTest, BlockLanesOutsideSupportedWidthsRejected) {
-  Session session;
-  Load(&session);
-  session.SetBound(10);
-  session.Compress().ValueOrDie();
-  ScenarioSet scenarios = MakeScenarios(session, 5);
-
-  for (std::size_t lanes : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                            std::size_t{5}, std::size_t{12},
-                            std::size_t{24}}) {
-    BatchOptions options;
-    options.sweep = BatchOptions::Sweep::kBlocked;
-    options.block_lanes = lanes;
-    util::Result<BatchAssignReport> result =
-        session.AssignBatch(scenarios, options);
-    ASSERT_FALSE(result.ok()) << "block_lanes=" << lanes;
-    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
-    EXPECT_NE(result.status().message().find("block_lanes"),
-              std::string::npos);
-  }
-
-  std::vector<ResultDelta> sequential = SequentialDeltas(&session, scenarios);
-  for (std::size_t lanes :
-       {std::size_t{4}, std::size_t{8}, std::size_t{16}}) {
-    BatchOptions options;
-    options.sweep = BatchOptions::Sweep::kBlocked;
-    options.block_lanes = lanes;
-    util::Result<BatchAssignReport> result =
-        session.AssignBatch(scenarios, options);
-    ASSERT_TRUE(result.ok()) << "block_lanes=" << lanes;
-    ExpectIdentical(sequential, *result);
-  }
-
-  // The knob is a blocked-kernel parameter: the scalar engines ignore it.
-  for (BatchOptions::Sweep sweep :
-       {BatchOptions::Sweep::kSparseDelta, BatchOptions::Sweep::kDenseCopy}) {
-    BatchOptions options;
-    options.sweep = sweep;
-    options.block_lanes = 3;
-    EXPECT_TRUE(session.AssignBatch(scenarios, options).ok());
-  }
-}
-
 TEST_F(AssignBatchTest, DuplicateScenarioNamesRejectedAtAddTime) {
   // Duplicates are now refused at the authoring seam, before any planning:
   // the set stays duplicate-free by construction.
@@ -316,29 +269,38 @@ TEST_F(AssignBatchTest, AddHandleStaysValidAcrossLaterAdds) {
   EXPECT_EQ(first.index(), 0u);
 }
 
+// The dense-copy reference is a loop of per-scenario Assign() calls on the
+// snapshot: copy the default valuation, apply the deltas in order, expand
+// and evaluate both programs densely. The sparse engine must match it bit
+// for bit.
 TEST_F(AssignBatchTest, DenseCopySweepMatchesSparseBitForBit) {
   Session session;
   Load(&session);
   session.SetBound(10);
   session.Compress().ValueOrDie();
   ScenarioSet scenarios = MakeScenarios(session, 9);
-  // A repeated delta on one variable: last value must win in both engines.
+  // A repeated delta on one variable: last value must win in both paths.
   scenarios.Add("repeat").ValueOrDie().Set("Business", 1.4).Set("Business", 0.6);
 
+  std::shared_ptr<const CompiledSession> snapshot =
+      session.Snapshot().ValueOrDie();
   BatchOptions sparse;
   sparse.sweep = BatchOptions::Sweep::kSparseDelta;
-  BatchOptions dense;
-  dense.sweep = BatchOptions::Sweep::kDenseCopy;
-  BatchAssignReport a = session.AssignBatch(scenarios, sparse).ValueOrDie();
-  BatchAssignReport b = session.AssignBatch(scenarios, dense).ValueOrDie();
-  ASSERT_EQ(a.reports.size(), b.reports.size());
-  for (std::size_t i = 0; i < a.reports.size(); ++i) {
-    const auto& ra = a.reports[i].delta.rows;
-    const auto& rb = b.reports[i].delta.rows;
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t r = 0; r < ra.size(); ++r) {
-      EXPECT_EQ(ra[r].full, rb[r].full) << "scenario " << i << " row " << r;
-      EXPECT_EQ(ra[r].compressed, rb[r].compressed)
+  BatchAssignReport batch =
+      snapshot->AssignBatch(scenarios, sparse).ValueOrDie();
+  ASSERT_EQ(batch.reports.size(), scenarios.size());
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    prov::Valuation meta = snapshot->default_meta_valuation();
+    for (const Scenario::Delta& delta : scenarios.scenario(i).deltas) {
+      meta.Set(snapshot->pool().Find(delta.var), delta.value);
+    }
+    const ResultDelta want = snapshot->Assign(meta, 1).ValueOrDie().delta;
+    const auto& got = batch.reports[i].delta.rows;
+    ASSERT_EQ(got.size(), want.rows.size());
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r].full, want.rows[r].full)
+          << "scenario " << i << " row " << r;
+      EXPECT_EQ(got[r].compressed, want.rows[r].compressed)
           << "scenario " << i << " row " << r;
     }
   }

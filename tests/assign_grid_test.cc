@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -99,7 +100,7 @@ TEST(AssignGridTest, CellsBitIdenticalToPerBaseAssignBatchAcrossEngines) {
 
   for (BatchOptions::Sweep sweep :
        {BatchOptions::Sweep::kAuto, BatchOptions::Sweep::kBlocked,
-        BatchOptions::Sweep::kSparseDelta, BatchOptions::Sweep::kDenseCopy}) {
+        BatchOptions::Sweep::kSparseDelta}) {
     BatchOptions options;
     options.sweep = sweep;
     snapshot->ClearPlanCache();
@@ -274,10 +275,14 @@ TEST(AssignGridTest, RandomizedBasesMatchPerBaseBatchesForEveryEngine) {
   ASSERT_FALSE(meta.empty());
 
   util::Rng rng(0x6B1D5EEDULL);
-  for (int iteration = 0; iteration < 6; ++iteration) {
+  // Scenario counts around the 16-lane block boundaries: the blocked
+  // engine's last block carries 1, 15 or 16 real lanes.
+  const std::size_t kCounts[] = {1, 15, 16, 17, 31, 33};
+  for (std::size_t iteration = 0; iteration < std::size(kCounts);
+       ++iteration) {
     util::Rng it = rng.Fork(static_cast<std::uint64_t>(iteration));
     ScenarioSet scenarios;
-    const std::size_t n = static_cast<std::size_t>(it.NextInRange(1, 17));
+    const std::size_t n = kCounts[iteration];
     for (std::size_t s = 0; s < n; ++s) {
       auto handle = scenarios.Add("s" + std::to_string(s)).ValueOrDie();
       const std::size_t overrides =
@@ -300,16 +305,33 @@ TEST(AssignGridTest, RandomizedBasesMatchPerBaseBatchesForEveryEngine) {
       bases.push_back(std::move(base));
     }
 
+    // Every engine at 1, 3 and 8 threads matches its per-base batches and
+    // the single-threaded scalar grid, cell for cell.
+    BatchOptions scalar;
+    scalar.sweep = BatchOptions::Sweep::kSparseDelta;
+    scalar.num_threads = 1;
+    const GridAssignReport reference =
+        snapshot->AssignGrid(scenarios, bases, scalar).ValueOrDie();
     for (BatchOptions::Sweep sweep :
          {BatchOptions::Sweep::kAuto, BatchOptions::Sweep::kBlocked,
           BatchOptions::Sweep::kSparseDelta}) {
-      BatchOptions options;
-      options.sweep = sweep;
-      options.num_threads = static_cast<std::size_t>(it.NextInRange(1, 4));
-      snapshot->ClearPlanCache();
-      GridAssignReport grid =
-          snapshot->AssignGrid(scenarios, bases, options).ValueOrDie();
-      ExpectGridMatchesBatches(*snapshot, grid, scenarios, bases, options);
+      for (std::size_t threads : {1u, 3u, 8u}) {
+        BatchOptions options;
+        options.sweep = sweep;
+        options.num_threads = threads;
+        snapshot->ClearPlanCache();
+        GridAssignReport grid =
+            snapshot->AssignGrid(scenarios, bases, options).ValueOrDie();
+        ExpectGridMatchesBatches(*snapshot, grid, scenarios, bases, options);
+        ASSERT_EQ(grid.full_values.size(), reference.full_values.size());
+        for (std::size_t c = 0; c < grid.full_values.size(); ++c) {
+          EXPECT_EQ(grid.full_values[c], reference.full_values[c])
+              << SweepName(sweep) << " threads " << threads << " cell " << c;
+          EXPECT_EQ(grid.compressed_values[c],
+                    reference.compressed_values[c])
+              << SweepName(sweep) << " threads " << threads << " cell " << c;
+        }
+      }
     }
   }
 }

@@ -1,6 +1,6 @@
 // Tests for the immutable CompiledSession serving layer: snapshot identity
-// with the Session wrappers, sparse-override equivalence against the dense
-// copy-based engine (including exponent-expanded factors and variables
+// with the Session wrappers, sparse and blocked equivalence against
+// sequential Assign() (including exponent-expanded factors and variables
 // outside the abstraction), intra-program partitioning determinism, and
 // lock-free concurrent serving (N threads x M scenarios must reproduce the
 // sequential results exactly). The concurrency test is the one the TSan CI
@@ -169,24 +169,16 @@ TEST(CompiledSessionTest, SparseOverridesMatchSequentialWithExponents) {
   ExpectBitIdentical(sequential,
                      snapshot->AssignBatch(scenarios, sparse).ValueOrDie());
 
-  BatchOptions dense;
-  dense.sweep = BatchOptions::Sweep::kDenseCopy;
+  // The blocked kernel must reproduce the same bits; 7 scenarios fill 7 of
+  // the 16 lanes, so the padding lanes are exercised too.
+  BatchOptions blocked;
+  blocked.sweep = BatchOptions::Sweep::kBlocked;
   ExpectBitIdentical(sequential,
-                     snapshot->AssignBatch(scenarios, dense).ValueOrDie());
-
-  // The blocked kernel must reproduce the same bits for both lane widths;
-  // 7 scenarios leave a ragged tail at either width.
-  for (std::size_t lanes : {4u, 8u}) {
-    BatchOptions blocked;
-    blocked.sweep = BatchOptions::Sweep::kBlocked;
-    blocked.block_lanes = lanes;
-    ExpectBitIdentical(
-        sequential, snapshot->AssignBatch(scenarios, blocked).ValueOrDie());
-  }
+                     snapshot->AssignBatch(scenarios, blocked).ValueOrDie());
 }
 
-// Blocked-sweep property check at batch scale: scenario counts chosen to
-// cover exact-multiple and ragged tails for both lane widths, across thread
+// Blocked-sweep property check at batch scale: scenario counts chosen so
+// the last 16-lane block carries 1, 15 or 16 real lanes, across thread
 // counts that exercise the (block × range) tiling, must all be bit-identical
 // to the sequential path.
 TEST(CompiledSessionTest, BlockedSweepBitIdenticalAcrossLaneAndThreadCounts) {
@@ -195,7 +187,7 @@ TEST(CompiledSessionTest, BlockedSweepBitIdenticalAcrossLaneAndThreadCounts) {
   const std::vector<MetaVar>& meta = session.meta_vars();
   ASSERT_FALSE(meta.empty());
 
-  for (std::size_t count : {1u, 4u, 5u, 8u, 13u, 16u}) {
+  for (std::size_t count : {1u, 15u, 16u, 17u, 31u, 33u}) {
     ScenarioSet scenarios;
     for (std::size_t i = 0; i < count; ++i) {
       auto s = scenarios.Add("s" + std::to_string(i)).ValueOrDie();
@@ -207,34 +199,15 @@ TEST(CompiledSessionTest, BlockedSweepBitIdenticalAcrossLaneAndThreadCounts) {
     std::vector<ResultDelta> sequential =
         SequentialDeltas(&session, scenarios);
     auto snapshot = session.Snapshot().ValueOrDie();
-    for (std::size_t lanes : {4u, 8u}) {
-      for (std::size_t threads : {1u, 3u, 8u}) {
-        BatchOptions options;
-        options.sweep = BatchOptions::Sweep::kBlocked;
-        options.block_lanes = lanes;
-        options.num_threads = threads;
-        options.partition_min_terms = 1;  // force range tiling when spare
-        ExpectBitIdentical(
-            sequential,
-            snapshot->AssignBatch(scenarios, options).ValueOrDie());
-      }
+    for (std::size_t threads : {1u, 3u, 8u}) {
+      BatchOptions options;
+      options.sweep = BatchOptions::Sweep::kBlocked;
+      options.num_threads = threads;
+      options.partition_min_terms = 1;  // force range tiling when spare
+      ExpectBitIdentical(
+          sequential, snapshot->AssignBatch(scenarios, options).ValueOrDie());
     }
   }
-}
-
-TEST(CompiledSessionTest, BlockedRejectsBadLaneCount) {
-  Session session;
-  LoadPaperSession(&session);
-  auto snapshot = session.Snapshot().ValueOrDie();
-  ScenarioSet scenarios;
-  scenarios.Add("s").ValueOrDie().Set("Business", 1.1);
-  BatchOptions options;
-  options.sweep = BatchOptions::Sweep::kBlocked;  // the lane knob's engine
-  options.block_lanes = 3;
-  util::Result<BatchAssignReport> result =
-      snapshot->AssignBatch(scenarios, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(CompiledSessionTest, PartitionedSweepIsDeterministic) {
@@ -358,13 +331,12 @@ TEST(CompiledSessionTest, SnapshotSharesPoolAndFreezesItsSize) {
 
   // A variable interned after the snapshot resolves in the shared pool but
   // is outside the snapshot's frozen world: scenario compilation rejects it
-  // instead of silently ignoring it (sparse) or aborting (dense).
+  // instead of silently ignoring it.
   session.mutable_pool()->Intern("late_var");
   ScenarioSet scenarios;
   scenarios.Add("late").ValueOrDie().Set("late_var", 2.0);
   for (BatchOptions::Sweep sweep :
-       {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta,
-        BatchOptions::Sweep::kDenseCopy}) {
+       {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta}) {
     BatchOptions options;
     options.sweep = sweep;
     util::Result<BatchAssignReport> result =
@@ -421,15 +393,14 @@ TEST(CompiledSessionConcurrencyTest, ManyThreadsMatchSequential) {
   pool.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t]() {
-      // Alternate sweep engines, lane widths, and thread counts across
-      // workers so the blocked, sparse, dense, and partitioned paths all
-      // run concurrently.
+      // Alternate sweep engines and thread counts across workers so the
+      // blocked, sparse, adaptive and partitioned paths all run
+      // concurrently.
       BatchOptions options;
       options.num_threads = 1 + t % 3;
       options.sweep = t % 3 == 0   ? BatchOptions::Sweep::kBlocked
                       : t % 3 == 1 ? BatchOptions::Sweep::kSparseDelta
-                                   : BatchOptions::Sweep::kDenseCopy;
-      options.block_lanes = t % 2 == 0 ? 8 : 4;
+                                   : BatchOptions::Sweep::kAuto;
       options.partition_min_terms = t % 4 == 0 ? 1 : 1024;
       for (std::size_t i = 0; i < kIterations; ++i) {
         results[t].push_back(

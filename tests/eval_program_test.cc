@@ -320,7 +320,7 @@ std::vector<VarOverride> RandomOverrides(util::Rng* rng,
 }
 
 // The blocked kernel's contract: for every lane count (including ragged
-// counts that pad up to the 4-, 8- or 16-wide kernel), every lane's results
+// counts that pad up to the 16-wide kernel), every lane's results
 // are bit-identical to the scalar sparse path with that lane's override
 // list — including lanes with empty lists and overrides of variables that
 // never appear in the program.
@@ -347,8 +347,8 @@ TEST(EvalProgramBlockedTest, BlockedLanesBitIdenticalToScalarRandomized) {
       }
       BlockOverrides block = MakeBlockOverrides(base, spans, num_lanes);
       EXPECT_EQ(block.num_lanes(), num_lanes);
-      EXPECT_EQ(block.width(),
-                num_lanes <= 4 ? 4u : (num_lanes <= 8 ? 8u : 16u));
+      EXPECT_EQ(block.values().size(),
+                block.union_size() * EvalProgram::kMaxLanes);
 
       const std::size_t polys = program.NumPolys();
       std::vector<double> blocked(num_lanes * polys, -1.0);
@@ -368,11 +368,12 @@ TEST(EvalProgramBlockedTest, BlockedLanesBitIdenticalToScalarRandomized) {
   }
 }
 
-// The SoA execution image is a pure memory re-layout: for randomized
-// programs, lane counts (all three kernel widths), poly sub-ranges and
-// prefetch distances, the image kernels must stay bit-identical to both
-// the AoS blocked kernel and the scalar sparse path.
-TEST(EvalProgramBlockedTest, SoAImageBitIdenticalToAoSRandomized) {
+// Tiles enter the blocked kernels at arbitrary boundaries: for randomized
+// programs and lane counts (ragged and full), a random poly sub-range and a
+// random term slice of one polynomial must stay bit-identical to the scalar
+// sparse path, and the range kernel must leave polys outside its range
+// untouched.
+TEST(EvalProgramBlockedTest, BlockedSubRangesBitIdenticalToScalarRandomized) {
   util::Rng rng(20260808);
   for (int trial = 0; trial < 25; ++trial) {
     VarPool pool;
@@ -380,18 +381,12 @@ TEST(EvalProgramBlockedTest, SoAImageBitIdenticalToAoSRandomized) {
     const std::size_t num_polys = 1 + rng.NextBelow(12);
     PolySet set = RandomPolySet(&rng, &pool, num_vars, num_polys);
     EvalProgram program(set);
-    const EvalImage image = EvalImage::Build(program);
-    EXPECT_EQ(image.layout(), EvalLayout::kSoA);
-    EXPECT_EQ(image.NumPolys(), program.NumPolys());
-    EXPECT_EQ(image.NumTerms(), program.NumTerms());
-    EXPECT_EQ(image.MinValuationSize(), program.MinValuationSize());
-
     Valuation base(pool);
     for (std::size_t v = 0; v < pool.size(); ++v) {
       base.Set(static_cast<VarId>(v), rng.NextDoubleInRange(0.25, 2.0));
     }
 
-    for (std::size_t num_lanes : {1u, 3u, 4u, 6u, 8u, 11u, 16u}) {
+    for (std::size_t num_lanes : {1u, 3u, 6u, 11u, 15u, 16u}) {
       std::vector<std::vector<VarOverride>> lane_lists(num_lanes);
       OverrideSpan spans[EvalProgram::kMaxLanes];
       for (std::size_t l = 0; l < num_lanes; ++l) {
@@ -400,56 +395,47 @@ TEST(EvalProgramBlockedTest, SoAImageBitIdenticalToAoSRandomized) {
       }
       BlockOverrides block = MakeBlockOverrides(base, spans, num_lanes);
 
-      // A random sub-range exercises the image's O(1) cursor seeding from
-      // the retained boundary arrays (not just poly 0).
       const std::size_t polys = program.NumPolys();
       const std::size_t begin = rng.NextBelow(polys);
       const std::size_t end = begin + 1 + rng.NextBelow(polys - begin);
-      const std::size_t prefetch = rng.NextBelow(3) * 8;  // 0, 8 or 16
-
-      std::vector<double> aos(num_lanes * polys, -1.0);
-      program.EvalRangeBlocked(base, block, begin, end, aos.data(), polys);
-      std::vector<double> soa(num_lanes * polys, -1.0);
-      image.EvalRangeBlocked(base, block, begin, end, soa.data(), polys,
-                             prefetch);
+      std::vector<double> blocked(num_lanes * polys, -1.0);
+      program.EvalRangeBlocked(base, block, begin, end, blocked.data(),
+                               polys);
       for (std::size_t l = 0; l < num_lanes; ++l) {
-        for (std::size_t p = begin; p < end; ++p) {
-          EXPECT_EQ(soa[l * polys + p], aos[l * polys + p])
+        std::vector<double> want;
+        program.EvalWithOverrides(base, lane_lists[l].data(),
+                                  lane_lists[l].size(), &want);
+        for (std::size_t p = 0; p < polys; ++p) {
+          EXPECT_EQ(blocked[l * polys + p],
+                    p >= begin && p < end ? want[p] : -1.0)
               << "trial " << trial << " lanes " << num_lanes << " lane " << l
-              << " poly " << p << " prefetch " << prefetch;
+              << " poly " << p;
         }
       }
 
-      // Term-range kernel: whole-program partials must agree bitwise too.
-      const std::size_t terms = program.NumTerms();
-      if (terms == 0) continue;
-      std::vector<double> aos_partials(num_lanes * terms, -1.0);
-      program.EvalTermRangeBlocked(base, block, 0, terms,
-                                   aos_partials.data(), terms);
-      std::vector<double> soa_partials(num_lanes * terms, -1.0);
-      image.EvalTermRangeBlocked(base, block, 0, terms, soa_partials.data(),
-                                 terms, prefetch);
-      for (std::size_t i = 0; i < aos_partials.size(); ++i) {
-        EXPECT_EQ(soa_partials[i], aos_partials[i])
-            << "trial " << trial << " lanes " << num_lanes << " partial "
-            << i;
+      // Term-range kernel: a random slice of one polynomial's terms.
+      const std::size_t poly = rng.NextBelow(polys);
+      const std::uint32_t first = program.poly_starts()[poly];
+      const std::uint32_t last = program.poly_starts()[poly + 1];
+      if (first == last) continue;
+      const std::uint32_t term_begin =
+          first + static_cast<std::uint32_t>(rng.NextBelow(last - first));
+      const std::uint32_t term_end =
+          term_begin + 1 +
+          static_cast<std::uint32_t>(rng.NextBelow(last - term_begin));
+      double partials[EvalProgram::kMaxLanes];
+      program.EvalTermRangeBlocked(base, block, term_begin, term_end,
+                                   partials, 1);
+      for (std::size_t l = 0; l < num_lanes; ++l) {
+        EXPECT_EQ(partials[l],
+                  program.EvalTermRangeWithOverrides(
+                      base, lane_lists[l].data(), lane_lists[l].size(),
+                      term_begin, term_end))
+            << "trial " << trial << " lanes " << num_lanes << " lane " << l
+            << " terms [" << term_begin << ", " << term_end << ")";
       }
     }
   }
-}
-
-TEST(EvalProgramBlockedTest, ImageWithLayoutTagOnlyChangesTheTag) {
-  VarPool pool;
-  PolySet set = Parse("P = 2 * x + 3 * y\n", &pool);
-  EvalProgram program(set);
-  const EvalImage image = EvalImage::Build(program);
-  const EvalImage tagged = image.WithLayoutTag(EvalLayout::kAoS);
-  EXPECT_EQ(tagged.layout(), EvalLayout::kAoS);
-  EXPECT_EQ(std::string(EvalLayoutName(tagged.layout())), "AoS");
-  EXPECT_EQ(std::string(EvalLayoutName(image.layout())), "SoA");
-  EXPECT_EQ(tagged.coeffs().size(), image.coeffs().size());
-  EXPECT_EQ(tagged.factors().size(), image.factors().size());
-  EXPECT_EQ(tagged.MinValuationSize(), image.MinValuationSize());
 }
 
 // The override-union lookup has two O(log k)-or-better paths: a dense

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/apply.h"
 #include "core/profile.h"
 #include "prov/parser.h"
@@ -92,6 +94,10 @@ struct CutCase {
   std::size_t p1_variables;  // #distinct vars in compressed P1
   std::size_t total_monomials;  // P1 + P2
 };
+
+// Without a printer gtest lists the raw bytes of the case, `name`'s address
+// included, so the listed test names would change from one run to the next.
+void PrintTo(const CutCase& c, std::ostream* os) { *os << c.name; }
 
 class Example4Cuts : public ::testing::TestWithParam<CutCase> {};
 

@@ -110,8 +110,7 @@ TEST(SnapshotTest, PackageRoundTripIsBitIdentical) {
   // Batched results are bit-identical under every sweep engine.
   ScenarioSet scenarios = ExampleScenarios();
   for (BatchOptions::Sweep sweep :
-       {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta,
-        BatchOptions::Sweep::kDenseCopy}) {
+       {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta}) {
     BatchOptions options;
     options.sweep = sweep;
     ExpectBatchBitIdentical(
@@ -410,11 +409,9 @@ TEST(SnapshotTest, RandomizedRoundTripIsBitIdenticalAcrossEngines) {
     }
 
     for (BatchOptions::Sweep sweep :
-         {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta,
-          BatchOptions::Sweep::kDenseCopy}) {
+         {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta}) {
       BatchOptions options;
       options.sweep = sweep;
-      options.block_lanes = it.NextBool(0.5) ? 4 : 8;
       // Exercise the partitioning/splitting schedulers now and then.
       if (it.NextBool(0.3)) options.partition_min_terms = 1;
       if (it.NextBool(0.3)) options.split_min_terms = 1;

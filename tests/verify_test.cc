@@ -449,7 +449,7 @@ class VerifyPlanTest : public ::testing::Test {
 TEST_F(VerifyPlanTest, CleanPlansVerifyCleanAcrossEngines) {
   for (BatchOptions::Sweep sweep :
        {BatchOptions::Sweep::kAuto, BatchOptions::Sweep::kBlocked,
-        BatchOptions::Sweep::kSparseDelta, BatchOptions::Sweep::kDenseCopy}) {
+        BatchOptions::Sweep::kSparseDelta}) {
     BatchOptions options;
     options.sweep = sweep;
     std::shared_ptr<const core::BatchPlan> plan =
@@ -461,125 +461,38 @@ TEST_F(VerifyPlanTest, CleanPlansVerifyCleanAcrossEngines) {
 }
 
 TEST_F(VerifyPlanTest, RaggedBlockedPlanVerifiesClean) {
-  // 4 scenarios at 8 lanes: one ragged block whose table carries the real
-  // lane count — the lane/block consistency checks must accept it.
+  // 4 scenarios in one 16-lane block whose table carries the real lane
+  // count — the lane/block consistency checks must accept it, and so must
+  // they for 17 scenarios, whose second block carries one real lane.
   BatchOptions options;
   options.sweep = BatchOptions::Sweep::kBlocked;
-  options.block_lanes = 8;
   std::shared_ptr<const core::BatchPlan> plan =
       snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
   EXPECT_TRUE(VerifyPlan(*plan, *snapshot_, &scenarios_).ok());
 
-  options.block_lanes = 4;
-  ScenarioSet five = scenarios_;
-  five.Add("fifth").ValueOrDie().Set("Business", 1.01);
-  plan = snapshot_->PlanBatch(five, options).ValueOrDie();
-  EXPECT_TRUE(VerifyPlan(*plan, *snapshot_, &five).ok());
+  ScenarioSet seventeen = scenarios_;
+  for (std::size_t i = scenarios_.size(); i < 17; ++i) {
+    seventeen.Add("extra-" + std::to_string(i))
+        .ValueOrDie()
+        .Set("Business", 1.0 + 0.01 * static_cast<double>(i));
+  }
+  plan = snapshot_->PlanBatch(seventeen, options).ValueOrDie();
+  EXPECT_EQ(plan->num_blocks(), 2u);
+  EXPECT_EQ(plan->block_tables().back().num_lanes(), 1u);
+  EXPECT_TRUE(VerifyPlan(*plan, *snapshot_, &seventeen).ok());
 }
 
 TEST_F(VerifyPlanTest, SixteenLanePlanVerifiesClean) {
-  // 16 is a compiled kernel width: the plan builds, executes and verifies.
+  // 16 is the kernel's compiled width: the plan builds, executes and
+  // verifies.
   BatchOptions options;
   options.sweep = BatchOptions::Sweep::kBlocked;
-  options.block_lanes = 16;
   std::shared_ptr<const core::BatchPlan> plan =
       snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
   EXPECT_EQ(plan->lanes(), 16u);
   const VerifyReport report = VerifyPlan(*plan, *snapshot_, &scenarios_);
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_TRUE(snapshot_->Execute(*plan).ok());
-}
-
-TEST_F(VerifyPlanTest, TwelveLanesAreRejectedAtValidation) {
-  // 12 is not a compiled width; the refusal names the knob and the
-  // accepted values.
-  BatchOptions options;
-  options.sweep = BatchOptions::Sweep::kBlocked;
-  options.block_lanes = 12;
-  util::Result<core::BatchAssignReport> result =
-      snapshot_->AssignBatch(scenarios_, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().message(),
-            "AssignBatch: invalid BatchOptions.block_lanes = 12 (accepted: "
-            "4, 8 or 16; kAuto picks the lane count itself and the scalar "
-            "engines ignore the knob)");
-}
-
-TEST_F(VerifyPlanTest, PrefetchDistanceOutOfRangeIsRejectedAtValidation) {
-  BatchOptions options;
-  options.prefetch_distance = 65;
-  util::Result<core::BatchAssignReport> result =
-      snapshot_->AssignBatch(scenarios_, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().message(),
-            "AssignBatch: invalid BatchOptions.prefetch_distance = 65 "
-            "(accepted: 0 to 64 cache lines ahead of the SoA kernels' "
-            "factor/coeff cursors; 0 disables prefetching)");
-}
-
-TEST_F(VerifyPlanTest, SoAPlanVerifiesCleanAndTagDisagreementIsDetected) {
-  BatchOptions options;
-  options.sweep = BatchOptions::Sweep::kBlocked;
-  options.layout = BatchOptions::Layout::kSoA;
-  std::shared_ptr<const core::BatchPlan> plan =
-      snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
-  ASSERT_EQ(plan->layout(), prov::EvalLayout::kSoA);
-  EXPECT_TRUE(VerifyPlan(*plan, *snapshot_, &scenarios_).ok());
-
-  // Re-tag the full image as AoS without touching its arrays: the layout
-  // invariant must catch the disagreement.
-  auto retagged = std::make_shared<const prov::EvalImage>(
-      plan->core()->full_image()->WithLayoutTag(prov::EvalLayout::kAoS));
-  std::shared_ptr<const core::BatchPlan> tampered = core::BatchPlan::FromParts(
-      plan->core()->WithImages(retagged, plan->core()->compressed_image()),
-      std::make_shared<core::PlanBaseOverlay>(plan->overlay()));
-  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(HasFindingContaining(
-      report, "image layout tag AoS disagrees with the plan layout SoA"))
-      << report.ToString();
-}
-
-TEST_F(VerifyPlanTest, SwappedImagesDoNotReDeriveFromThePrograms) {
-  // Splice the compressed image into the full slot (and vice versa): each
-  // image is internally consistent but no longer mirrors the program its
-  // slot claims, so the re-derivation check must fire.
-  BatchOptions options;
-  options.sweep = BatchOptions::Sweep::kBlocked;
-  options.layout = BatchOptions::Layout::kSoA;
-  std::shared_ptr<const core::BatchPlan> plan =
-      snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
-  std::shared_ptr<const core::BatchPlan> tampered = core::BatchPlan::FromParts(
-      plan->core()->WithImages(plan->core()->compressed_image(),
-                               plan->core()->full_image()),
-      std::make_shared<core::PlanBaseOverlay>(plan->overlay()));
-  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(HasFindingContaining(report, "do not re-derive"))
-      << report.ToString();
-}
-
-TEST_F(VerifyPlanTest, AoSPlanCarryingImagesIsDetected) {
-  BatchOptions soa;
-  soa.sweep = BatchOptions::Sweep::kBlocked;
-  soa.layout = BatchOptions::Layout::kSoA;
-  std::shared_ptr<const core::BatchPlan> donor =
-      snapshot_->PlanBatch(scenarios_, soa).ValueOrDie();
-
-  BatchOptions aos;
-  aos.sweep = BatchOptions::Sweep::kBlocked;
-  aos.layout = BatchOptions::Layout::kAoS;
-  std::shared_ptr<const core::BatchPlan> plan =
-      snapshot_->PlanBatch(scenarios_, aos).ValueOrDie();
-  std::shared_ptr<const core::BatchPlan> tampered = core::BatchPlan::FromParts(
-      plan->core()->WithImages(donor->core()->full_image(),
-                               donor->core()->compressed_image()),
-      std::make_shared<core::PlanBaseOverlay>(plan->overlay()));
-  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(HasFindingContaining(report,
-                                   "AoS plan carries SoA execution images"))
-      << report.ToString();
 }
 
 TEST_F(VerifyPlanTest, ForeignPlanIsRejected) {
