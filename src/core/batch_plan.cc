@@ -303,6 +303,24 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
   core->compressed_schedule_ =
       MakeSchedule(compressed, threads, core->num_blocks_, options);
 
+  // Per block and side, the terms the block's override union touches: the
+  // only terms the blocked kernel re-evaluates per lane. They depend on the
+  // unions alone, so every overlay, grid base and replay of this core
+  // reuses them. One scratch bitmap serves every block.
+  if (core->engine_ == BatchOptions::Sweep::kBlocked) {
+    std::vector<std::uint64_t> scratch;
+    const std::pair<ProgramSchedule*, const prov::VarTermIndex*> sides[] = {
+        {&core->full_schedule_, &session->sweep_full_term_index()},
+        {&core->compressed_schedule_, &session->compressed_term_index()}};
+    for (const auto& [schedule, index] : sides) {
+      schedule->touched_terms.resize(core->num_blocks_);
+      for (std::size_t b = 0; b < core->num_blocks_; ++b) {
+        index->TouchedTerms(core->block_skeletons_[b].vars(), &scratch,
+                            &schedule->touched_terms[b]);
+      }
+    }
+  }
+
   return std::shared_ptr<const PlanCore>(std::move(core));
 }
 
@@ -330,6 +348,16 @@ std::shared_ptr<const PlanBaseOverlay> PlanCore::MakeOverlay(
       }
       overlay->block_tables.push_back(prov::RebindBlockOverrides(
           block_skeletons_[b], overlay->base, spans, count));
+    }
+    // What the kernel adds for every untouched term, per side. The programs
+    // belong to the origin session; without it the products stay empty (see
+    // the header).
+    if (const std::shared_ptr<const CompiledSession> session =
+            session_.lock()) {
+      overlay->full_products =
+          session->sweep_full_program().TermProducts(overlay->base);
+      overlay->compressed_products =
+          session->compressed_program().TermProducts(overlay->base);
     }
   }
   return std::shared_ptr<const PlanBaseOverlay>(std::move(overlay));

@@ -77,9 +77,10 @@ struct CompiledScenario {
 /// The tile schedule for one compiled program: whole-polynomial ranges,
 /// plus (when one polynomial dominates and whole-poly splitting could not
 /// fill the requested partitions) term-range slices of that polynomial
-/// whose partial sums are reduced in fixed slice order after the sweep.
-/// Derived once at planning time from the program shape, the thread budget
-/// and the partitioning knobs; execution only reads it.
+/// whose partial sums are reduced in fixed slice order after the sweep, and
+/// the per-block touched-term sets of the blocked kernel. Derived once at
+/// planning time from the program shape, the thread budget, the
+/// partitioning knobs and the scenario blocks; execution only reads it.
 struct ProgramSchedule {
   /// Whole-poly [begin, end) ranges; every polynomial not term-split is
   /// covered by exactly one range.
@@ -94,6 +95,14 @@ struct ProgramSchedule {
   /// Absolute term bounds of the split polynomial's slices (empty when
   /// split_poly == num_polys).
   std::vector<std::uint32_t> term_bounds;
+
+  /// Blocked engine only (empty otherwise): per scenario block, the
+  /// ascending ids of this program's terms that contain a variable of the
+  /// block's override union, built from the block skeleton's union through
+  /// the session's var→term index. The kernel re-evaluates only these per
+  /// lane; every other term adds its base product (PlanBaseOverlay) to all
+  /// lanes. Base-invariant, so every overlay of the core reuses them.
+  std::vector<std::vector<std::uint32_t>> touched_terms;
 
   std::size_t term_slices() const {
     return term_bounds.empty() ? 0 : term_bounds.size() - 1;
@@ -125,9 +134,10 @@ BatchOptions::Sweep ChooseAutoEngine(std::size_t program_weight,
 /// The cheap per-base half of a plan: the pool-sized base valuation the
 /// scenarios apply on top of, its content fingerprint, and — for the
 /// blocked engine — the block patch tables with value rows bound to that
-/// base. Materialized from a `PlanCore` in O(pool + union sizes): no
-/// scenario lowering, no sorting, no index builds. Immutable once published
-/// inside a `BatchPlan`.
+/// base plus every term's product under it, per program side. Materialized
+/// from a `PlanCore` in O(pool + union sizes + program size): no scenario
+/// lowering, no sorting, no index builds. Immutable once published inside a
+/// `BatchPlan`.
 struct PlanBaseOverlay {
   /// The shared base valuation both program sides evaluate under,
   /// pool-sized (the kernels index it with any factor id the programs
@@ -141,6 +151,13 @@ struct PlanBaseOverlay {
   /// core's engine is kBlocked). Structurally identical to the core's
   /// skeletons; only the value rows differ per base.
   std::vector<prov::BlockOverrides> block_tables;
+
+  /// `EvalProgram::TermProducts(base)` of the sweep-side full program and
+  /// of the compressed program (empty unless the core's engine is
+  /// kBlocked): what the blocked kernel adds, in every lane, for a term the
+  /// block's overrides do not touch. 8 bytes per term per side.
+  std::vector<double> full_products;
+  std::vector<double> compressed_products;
 };
 
 /// The base-independent core of a plan: everything derived from the
@@ -148,9 +165,9 @@ struct PlanBaseOverlay {
 /// sorted override lists, the resolved engine/lane/thread choice, the
 /// per-block override-union *skeletons* (sorted unions + dense row indexes,
 /// values unbound), and the (scenario-block × poly-range) tile schedules
-/// for both program sides. This is the expensive half of planning; a grid
-/// sweep or a per-user-defaults serving tier compiles it once and stamps
-/// out a `PlanBaseOverlay` per base.
+/// for both program sides with each block's touched-term set. This is the
+/// expensive half of planning; a grid sweep or a per-user-defaults serving
+/// tier compiles it once and stamps out a `PlanBaseOverlay` per base.
 ///
 /// A core is deeply immutable after construction and references its origin
 /// session through a weak_ptr (plans live in the session's own cache, so a
@@ -172,9 +189,12 @@ class PlanCore {
 
   /// Materializes the per-base half: copies `base_meta_valuation` pool-sized
   /// and (for the blocked engine) rebinds every block skeleton's value rows
-  /// to it. A caller that already fingerprinted the base (the overlay cache
-  /// keys on it before materializing) may pass the digest; null recomputes
-  /// it.
+  /// to it and forms both programs' per-term base products. A caller that
+  /// already fingerprinted the base (the overlay cache keys on it before
+  /// materializing) may pass the digest; null recomputes it. Never fails:
+  /// once the origin session is gone the products stay empty, and a plan
+  /// with such an overlay is refused by `Execute` and `VerifyPlan` anyway,
+  /// as is every plan of a destroyed session.
   std::shared_ptr<const PlanBaseOverlay> MakeOverlay(
       const prov::Valuation& base_meta_valuation,
       const BaseFingerprint* precomputed_fingerprint = nullptr) const;

@@ -111,6 +111,8 @@ CompiledSession::Artifacts::Artifacts(
       full_program(full),
       sweep_full_program(full_program.RemapFactors(remap)),
       compressed_program(abstraction.compressed),
+      sweep_full_index(sweep_full_program),
+      compressed_index(compressed_program),
       full_monomials(full.TotalMonomials()),
       compressed_monomials(abstraction.compressed.TotalMonomials()) {}
 
@@ -127,6 +129,8 @@ CompiledSession::Artifacts::Artifacts(
       full_program(std::move(full)),
       sweep_full_program(full_program.RemapFactors(remap)),
       compressed_program(std::move(compressed)),
+      sweep_full_index(sweep_full_program),
+      compressed_index(compressed_program),
       full_monomials(full_program.NumTerms()),
       compressed_monomials(compressed_program.NumTerms()) {}
 
@@ -533,22 +537,24 @@ util::Result<BatchAssignReport> CompiledSession::Execute(
   std::size_t used_threads = 1;
   auto sweep = [&](const prov::EvalProgram& program,
                    const ProgramSchedule& schedule,
+                   const std::vector<double>& base_products,
                    std::vector<std::vector<double>>* out) {
     const std::size_t polys = program.NumPolys();
     std::vector<double> flat(n * polys, 0.0);
-    SweepPlanProgram(core, overlay, program, schedule, flat.data(),
-                     &used_threads);
+    SweepPlanProgram(core, overlay, program, schedule, base_products,
+                     flat.data(), &used_threads);
     for (std::size_t i = 0; i < n; ++i) {
       (*out)[i].assign(flat.begin() + i * polys,
                        flat.begin() + (i + 1) * polys);
     }
   };
   util::Timer timer;
-  sweep(artifacts_->sweep_full_program, plan.full_schedule(), &full_values);
+  sweep(artifacts_->sweep_full_program, plan.full_schedule(),
+        overlay.full_products, &full_values);
   batch.full_sweep_seconds = timer.ElapsedSeconds();
   timer.Reset();
   sweep(artifacts_->compressed_program, plan.compressed_schedule(),
-        &compressed_values);
+        overlay.compressed_products, &compressed_values);
   batch.compressed_sweep_seconds = timer.ElapsedSeconds();
   batch.num_threads = used_threads;
 
@@ -576,6 +582,7 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
                                        const PlanBaseOverlay& overlay,
                                        const prov::EvalProgram& program,
                                        const ProgramSchedule& schedule,
+                                       std::span<const double> base_products,
                                        double* flat,
                                        std::size_t* used_threads,
                                        const std::uint8_t* block_mask) const {
@@ -584,7 +591,9 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
   // nothing pool-sized is copied per scenario. The blocked engine
   // additionally groups scenarios into blocks of `lanes` lanes: one scan of
   // the compiled arrays serves the whole block, with the overlay's
-  // per-block override-union table patching individual lanes. Work runs as
+  // per-block override-union table patching individual lanes, and only the
+  // block's touched terms are multiplied out per lane — every other term
+  // adds its base product to all lanes. Work runs as
   // the core's (scenario-block × poly-range | term-range) tiles; disjoint
   // tiles touch disjoint output cells, so the sweep is race-free and the
   // merged result is schedule-independent. A blocked tile writes `lanes`
@@ -620,13 +629,16 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
     const std::size_t i0 = block * lanes;
     if (use_blocks) {
       const prov::BlockOverrides& table = block_tables[block];
+      const std::vector<std::uint32_t>& touched =
+          schedule.touched_terms[block];
       if (s < ranges.size()) {
-        program.EvalRangeBlocked(base, table, ranges[s].first,
-                                 ranges[s].second, flat + i0 * polys, polys);
+        program.EvalRangeBlocked(base, table, touched, base_products,
+                                 ranges[s].first, ranges[s].second,
+                                 flat + i0 * polys, polys);
       } else {
         const std::size_t k = s - ranges.size();
-        program.EvalTermRangeBlocked(base, table, term_bounds[k],
-                                     term_bounds[k + 1],
+        program.EvalTermRangeBlocked(base, table, touched, base_products,
+                                     term_bounds[k], term_bounds[k + 1],
                                      partials.data() + i0 * term_slices + k,
                                      term_slices);
       }
@@ -746,13 +758,13 @@ util::Result<GridAssignReport> CompiledSession::AssignGrid(
 
     util::Timer timer;
     SweepPlanProgram(*core, *overlay, artifacts_->sweep_full_program,
-                     core->full_schedule(),
+                     core->full_schedule(), overlay->full_products,
                      grid.full_values.data() + b * n * polys_full,
                      &used_threads);
     grid.full_sweep_seconds += timer.ElapsedSeconds();
     timer.Reset();
     SweepPlanProgram(*core, *overlay, artifacts_->compressed_program,
-                     core->compressed_schedule(),
+                     core->compressed_schedule(), overlay->compressed_products,
                      grid.compressed_values.data() + b * n * polys_comp,
                      &used_threads);
     grid.compressed_sweep_seconds += timer.ElapsedSeconds();
@@ -1030,7 +1042,8 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
     std::size_t used_threads = 1;
     timer.Reset();
     SweepPlanProgram(core, *overlay, compressed, core.compressed_schedule(),
-                     comp_flat.data(), &used_threads);
+                     overlay->compressed_products, comp_flat.data(),
+                     &used_threads);
     summary.compressed_sweep_seconds += timer.ElapsedSeconds();
 
     // Fixed-order metric pass: aggregates and early-exit decisions walk
@@ -1096,7 +1109,8 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
     timer.Reset();
     if (query.kind == StreamQuery::Kind::kAll) {
       SweepPlanProgram(core, *overlay, sweep_full, core.full_schedule(),
-                       full_flat.data(), &used_threads);
+                       overlay->full_products, full_flat.data(),
+                       &used_threads);
       summary.full_rows_computed += count;
     } else {
       const std::size_t lanes = core.lanes();
@@ -1119,7 +1133,8 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
       summary.full_rows_skipped += count - rows_run;
       if (any) {
         SweepPlanProgram(core, *overlay, sweep_full, core.full_schedule(),
-                         full_flat.data(), &used_threads, mask.data());
+                         overlay->full_products, full_flat.data(),
+                         &used_threads, mask.data());
       }
       // Report rows the consumer may read: only surviving blocks' rows.
       for (std::size_t i = 0; i < count; ++i) {

@@ -395,6 +395,17 @@ class CompiledSession
     return artifacts_->sweep_full_program;
   }
 
+  /// Var→term indexes of `sweep_full_program()` and `compressed_program()`:
+  /// the planner maps each scenario block's override union through them to
+  /// the terms the blocked kernel re-evaluates per lane. Derived at
+  /// construction (never serialized), like the sweep-side program.
+  const prov::VarTermIndex& sweep_full_term_index() const {
+    return artifacts_->sweep_full_index;
+  }
+  const prov::VarTermIndex& compressed_term_index() const {
+    return artifacts_->compressed_index;
+  }
+
   /// mapping[v] = the variable that replaced v (identity off the trees),
   /// extended by identity to the pool size.
   const std::vector<prov::VarId>& leaf_to_meta() const {
@@ -584,7 +595,8 @@ class CompiledSession
   struct Artifacts {
     // Declaration order is initialization order: `frozen_pool_size` must
     // precede `remap` (extended to the frozen size), which must precede
-    // `sweep_full_program` (built from `full_program` + `remap`).
+    // `sweep_full_program` (built from `full_program` + `remap`); the two
+    // indexes follow the programs they index.
     std::shared_ptr<const prov::VarPool> pool;
     std::size_t frozen_pool_size = 0;  ///< pool->size() at creation.
     std::vector<std::string> labels;
@@ -593,6 +605,8 @@ class CompiledSession
     prov::EvalProgram full_program;
     prov::EvalProgram sweep_full_program;
     prov::EvalProgram compressed_program;
+    prov::VarTermIndex sweep_full_index;
+    prov::VarTermIndex compressed_index;
     std::size_t full_monomials = 0;
     std::size_t compressed_monomials = 0;
 
@@ -600,9 +614,9 @@ class CompiledSession
               std::shared_ptr<const prov::VarPool> pool);
 
     /// Deserialization path: assembles the artifacts from pre-built pieces
-    /// (FromSnapshot). `sweep_full_program` is re-derived from
-    /// `full_program` and `remap` exactly as the compiling constructor
-    /// does, and the monomial counts from the programs' term counts.
+    /// (FromSnapshot). `sweep_full_program` and the two var→term indexes
+    /// are re-derived exactly as the compiling constructor derives them,
+    /// and the monomial counts from the programs' term counts.
     Artifacts(std::shared_ptr<const prov::VarPool> pool,
               std::size_t frozen_pool_size, std::vector<std::string> labels,
               std::vector<MetaVar> meta_vars, std::vector<prov::VarId> remap,
@@ -637,9 +651,13 @@ class CompiledSession
   /// whose byte is 0 is skipped entirely (its rows in `flat` are left
   /// untouched) — the streaming early-exit hook. Computed blocks run the
   /// identical kernel path, so masking never perturbs surviving rows.
+  /// The side is passed explicitly and must agree: `program`, its
+  /// `schedule` (which carries the side's touched-term sets) and the
+  /// overlay's `base_products` for that same program.
   void SweepPlanProgram(const PlanCore& core, const PlanBaseOverlay& overlay,
                         const prov::EvalProgram& program,
-                        const ProgramSchedule& schedule, double* flat,
+                        const ProgramSchedule& schedule,
+                        std::span<const double> base_products, double* flat,
                         std::size_t* used_threads,
                         const std::uint8_t* block_mask = nullptr) const;
 

@@ -1,6 +1,7 @@
 #include "prov/eval_program.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/status.h"
 #include "util/str.h"
@@ -42,35 +43,68 @@ inline const double* FindLaneRow(const LaneTableView& table, VarId var) {
   return table.values + static_cast<std::size_t>(it - table.vars) * kLanes;
 }
 
-/// Accumulates the kLanes products of term `t` into `sum`. Per factor the
-/// base value is loaded once and broadcast, overridden variables read their
-/// per-lane row, and the accumulators advance in lockstep — each lane runs
-/// the scalar path's exact operation sequence (prod = coeff, prod *= value
-/// per factor, sum += prod), so per-lane results are bit-identical to the
-/// scalar sparse scan while one pass over the compiled arrays serves kLanes
-/// scenarios.
-inline void AddBlockedTerm(const std::uint32_t* term_starts,
-                           const double* coeffs, const VarId* factors,
-                           const double* base, const LaneTableView& table,
-                           std::size_t t, double* sum) {
+/// Everything the blocked kernel's per-term paths read: the program's
+/// compiled arrays, the shared base valuation, every term's product under
+/// that base, and the block's lane table.
+struct KernelView {
+  const std::uint32_t* term_starts = nullptr;
+  const double* coeffs = nullptr;
+  const VarId* factors = nullptr;
+  const double* base = nullptr;
+  const double* base_products = nullptr;
+  LaneTableView table;
+};
+
+/// Accumulates the kLanes products of touched term `t` into `sum`. Per
+/// factor the base value is loaded once and broadcast, overridden variables
+/// read their per-lane row, and the accumulators advance in lockstep — each
+/// lane runs the scalar path's exact operation sequence (prod = coeff,
+/// prod *= value per factor, sum += prod), so per-lane results are
+/// bit-identical to the scalar sparse scan while one pass over the compiled
+/// arrays serves kLanes scenarios.
+inline void AddBlockedTerm(const KernelView& k, std::size_t t, double* sum) {
   double prod[kLanes];
-  const double c = coeffs[t];
+  const double c = k.coeffs[t];
 #pragma omp simd
   for (int l = 0; l < kLanes; ++l) prod[l] = c;
-  for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
-    const VarId var = factors[f];
-    const double* row = FindLaneRow(table, var);
+  for (std::uint32_t f = k.term_starts[t]; f < k.term_starts[t + 1]; ++f) {
+    const VarId var = k.factors[f];
+    const double* row = FindLaneRow(k.table, var);
     if (row != nullptr) {
 #pragma omp simd
       for (int l = 0; l < kLanes; ++l) prod[l] *= row[l];
     } else {
-      const double v = base[var];
+      const double v = k.base[var];
 #pragma omp simd
       for (int l = 0; l < kLanes; ++l) prod[l] *= v;
     }
   }
 #pragma omp simd
   for (int l = 0; l < kLanes; ++l) sum[l] += prod[l];
+}
+
+/// Accumulates terms [t, end) into the kLanes lane sums, in term order.
+/// The ascending touched ids from `*next` on take the per-lane factor path;
+/// every other term adds its base product to all lanes, which is exactly
+/// the product each lane's factor path would form, since no lane overrides
+/// any of that term's variables. `*next` advances past the touched ids
+/// consumed. A touched list that is not ascending can only cost speed or
+/// correctness of the sums, never an out-of-bounds read.
+inline void AddTermSpan(const KernelView& k, std::uint32_t t,
+                        std::uint32_t end, const std::uint32_t** next,
+                        const std::uint32_t* touched_end, double* sum) {
+  const std::uint32_t* n = *next;
+  while (t < end) {
+    while (n != touched_end && *n < t) ++n;
+    const std::uint32_t stop = n != touched_end && *n < end ? *n : end;
+    for (; t < stop; ++t) {
+      const double p = k.base_products[t];
+#pragma omp simd
+      for (int l = 0; l < kLanes; ++l) sum[l] += p;
+    }
+    if (t < end) AddBlockedTerm(k, t++, sum);
+  }
+  *next = n;
 }
 
 }  // namespace
@@ -312,6 +346,8 @@ void EvalProgram::EvalRangeWithOverrides(const Valuation& base,
 
 void EvalProgram::EvalRangeBlocked(const Valuation& base,
                                    const BlockOverrides& block,
+                                   std::span<const std::uint32_t> touched_terms,
+                                   std::span<const double> base_products,
                                    std::size_t poly_begin,
                                    std::size_t poly_end, double* out,
                                    std::size_t lane_stride) const {
@@ -319,19 +355,25 @@ void EvalProgram::EvalRangeBlocked(const Valuation& base,
                   "EvalProgram::EvalRangeBlocked: valuation too small");
   COBRA_CHECK_MSG(poly_begin <= poly_end && poly_end <= NumPolys(),
                   "EvalProgram::EvalRangeBlocked: bad poly range");
-  const double* values = base.values().data();
-  const LaneTableView table{
-      block.vars_.data(), block.values_.data(),
-      block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
-      block.vars_.size(), block.lo_, block.hi_};
+  COBRA_CHECK_MSG(base_products.size() == NumTerms(),
+                  "EvalProgram::EvalRangeBlocked: base products do not cover "
+                  "the terms");
+  const KernelView k{
+      term_starts_.data(), coeffs_.data(), factors_.data(),
+      base.values().data(), base_products.data(),
+      {block.vars_.data(), block.values_.data(),
+       block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
+       block.vars_.size(), block.lo_, block.hi_}};
+  const std::uint32_t* touched = touched_terms.data();
+  const std::uint32_t* touched_end = touched + touched_terms.size();
+  const std::uint32_t* next =
+      std::lower_bound(touched, touched_end, poly_starts_[poly_begin]);
   for (std::size_t p = poly_begin; p < poly_end; ++p) {
     double sum[kLanes];
 #pragma omp simd
     for (int l = 0; l < kLanes; ++l) sum[l] = 0.0;
-    for (std::uint32_t t = poly_starts_[p]; t < poly_starts_[p + 1]; ++t) {
-      AddBlockedTerm(term_starts_.data(), coeffs_.data(), factors_.data(),
-                     values, table, t, sum);
-    }
+    AddTermSpan(k, poly_starts_[p], poly_starts_[p + 1], &next, touched_end,
+                sum);
     for (std::size_t l = 0; l < block.num_lanes_; ++l) {
       out[l * lane_stride + p] = sum[l];
     }
@@ -365,30 +407,52 @@ double EvalProgram::EvalTermRangeWithOverrides(const Valuation& base,
   return sum;
 }
 
-void EvalProgram::EvalTermRangeBlocked(const Valuation& base,
-                                       const BlockOverrides& block,
-                                       std::size_t term_begin,
-                                       std::size_t term_end, double* partials,
-                                       std::size_t lane_stride) const {
+void EvalProgram::EvalTermRangeBlocked(
+    const Valuation& base, const BlockOverrides& block,
+    std::span<const std::uint32_t> touched_terms,
+    std::span<const double> base_products, std::size_t term_begin,
+    std::size_t term_end, double* partials, std::size_t lane_stride) const {
   COBRA_CHECK_MSG(base.size() >= min_valuation_size_,
                   "EvalProgram::EvalTermRangeBlocked: valuation too small");
   COBRA_CHECK_MSG(term_begin <= term_end && term_end <= NumTerms(),
                   "EvalProgram::EvalTermRangeBlocked: bad term range");
-  const double* values = base.values().data();
-  const LaneTableView table{
-      block.vars_.data(), block.values_.data(),
-      block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
-      block.vars_.size(), block.lo_, block.hi_};
+  COBRA_CHECK_MSG(base_products.size() == NumTerms(),
+                  "EvalProgram::EvalTermRangeBlocked: base products do not "
+                  "cover the terms");
+  const KernelView k{
+      term_starts_.data(), coeffs_.data(), factors_.data(),
+      base.values().data(), base_products.data(),
+      {block.vars_.data(), block.values_.data(),
+       block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
+       block.vars_.size(), block.lo_, block.hi_}};
+  const std::uint32_t* touched = touched_terms.data();
+  const std::uint32_t* touched_end = touched + touched_terms.size();
+  const std::uint32_t* next = std::lower_bound(
+      touched, touched_end, static_cast<std::uint32_t>(term_begin));
   double sum[kLanes];
 #pragma omp simd
   for (int l = 0; l < kLanes; ++l) sum[l] = 0.0;
-  for (std::size_t t = term_begin; t < term_end; ++t) {
-    AddBlockedTerm(term_starts_.data(), coeffs_.data(), factors_.data(),
-                   values, table, t, sum);
-  }
+  AddTermSpan(k, static_cast<std::uint32_t>(term_begin),
+              static_cast<std::uint32_t>(term_end), &next, touched_end, sum);
   for (std::size_t l = 0; l < block.num_lanes_; ++l) {
     partials[l * lane_stride] = sum[l];
   }
+}
+
+std::vector<double> EvalProgram::TermProducts(
+    const Valuation& valuation) const {
+  COBRA_CHECK_MSG(valuation.size() >= min_valuation_size_,
+                  "EvalProgram::TermProducts: valuation too small");
+  const double* values = valuation.values().data();
+  std::vector<double> products(coeffs_.size());
+  for (std::size_t t = 0; t < coeffs_.size(); ++t) {
+    double prod = coeffs_[t];
+    for (std::uint32_t f = term_starts_[t]; f < term_starts_[t + 1]; ++f) {
+      prod *= values[factors_[f]];
+    }
+    products[t] = prod;
+  }
+  return products;
 }
 
 EvalProgram EvalProgram::RemapFactors(const std::vector<VarId>& remap) const {
@@ -499,6 +563,88 @@ std::size_t EvalProgram::DominantPoly(std::size_t min_terms) const {
   if (best == n || best_weight * 2.0 <= total) return n;
   const std::size_t terms = poly_starts_[best + 1] - poly_starts_[best];
   return terms >= min_terms ? best : n;
+}
+
+VarTermIndex::VarTermIndex(const EvalProgram& program)
+    : num_terms_(program.NumTerms()) {
+  const std::size_t num_vars = program.MinValuationSize();
+  const std::vector<std::uint32_t>& term_starts = program.term_starts();
+  const std::vector<VarId>& factors = program.factors();
+  // Visits every (variable, term) pair once: last_term[v] remembers the
+  // last term that reported v, so a variable repeated inside one term — an
+  // exponent, or two leaves remapped to one meta-variable, not necessarily
+  // adjacent — is reported once. Terms are visited in ascending order, so
+  // each variable's postings come out ascending.
+  constexpr std::uint32_t kNoTerm = ~std::uint32_t{0};
+  std::vector<std::uint32_t> last_term;
+  auto for_each_pair = [&](auto&& visit) {
+    last_term.assign(num_vars, kNoTerm);
+    for (std::uint32_t t = 0; t < num_terms_; ++t) {
+      for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
+        const VarId var = factors[f];
+        if (last_term[var] != t) {
+          last_term[var] = t;
+          visit(var, t);
+        }
+      }
+    }
+  };
+  offsets_.assign(num_vars + 1, 0);
+  for_each_pair([&](VarId var, std::uint32_t) { ++offsets_[var + 1]; });
+  for (std::size_t v = 0; v < num_vars; ++v) offsets_[v + 1] += offsets_[v];
+  postings_.resize(offsets_.back());
+  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for_each_pair(
+      [&](VarId var, std::uint32_t t) { postings_[cursor[var]++] = t; });
+}
+
+std::span<const std::uint32_t> VarTermIndex::Terms(VarId var) const {
+  if (static_cast<std::size_t>(var) + 1 >= offsets_.size()) return {};
+  return {postings_.data() + offsets_[var],
+          postings_.data() + offsets_[var + 1]};
+}
+
+void VarTermIndex::TouchedTerms(std::span<const VarId> vars,
+                                std::vector<std::uint64_t>* scratch,
+                                std::vector<std::uint32_t>* out) const {
+  out->clear();
+  std::vector<std::uint64_t>& seen = *scratch;
+  const std::size_t words = (num_terms_ + 63) / 64;
+  if (seen.size() < words) seen.resize(words, 0);
+  // Mark every posting in the bitmap, counting the distinct terms.
+  std::size_t count = 0;
+  for (VarId var : vars) {
+    for (std::uint32_t t : Terms(var)) {
+      const std::uint64_t bit = std::uint64_t{1} << (t % 64);
+      count += (seen[t / 64] & bit) == 0 ? 1 : 0;
+      seen[t / 64] |= bit;
+    }
+  }
+  // Emit ascending into an exactly-sized list and leave the bitmap clear: a
+  // dense set is read back off the bitmap in one pass over its words, a
+  // sparse one is collected by a second walk over its postings and sorted —
+  // neither sorts a near-full set nor sweeps a near-empty bitmap.
+  out->reserve(count);
+  if (count * 64 >= num_terms_) {
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = seen[w]; bits != 0; bits &= bits - 1) {
+        out->push_back(static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      }
+      seen[w] = 0;
+    }
+    return;
+  }
+  for (VarId var : vars) {
+    for (std::uint32_t t : Terms(var)) {
+      const std::uint64_t bit = std::uint64_t{1} << (t % 64);
+      if ((seen[t / 64] & bit) != 0) {
+        seen[t / 64] &= ~bit;
+        out->push_back(t);
+      }
+    }
+  }
+  std::sort(out->begin(), out->end());
 }
 
 const char* EvalLayoutName(EvalLayout layout) {

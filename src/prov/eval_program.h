@@ -2,6 +2,7 @@
 #define COBRA_PROV_EVAL_PROGRAM_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "prov/poly_set.h"
@@ -197,17 +198,33 @@ class EvalProgram {
                               std::size_t poly_begin, std::size_t poly_end,
                               double* out) const;
 
-  /// Scenario-blocked kernel: evaluates polynomials [poly_begin, poly_end)
-  /// for all of `block`'s scenario lanes in ONE scan of the compiled arrays.
-  /// Per factor, the shared base value is loaded once and broadcast across
-  /// lanes; variables in the block's patch table instead read their per-lane
-  /// row. Lane l writes `out[l * lane_stride + p]` for each p in the range.
-  /// Each lane performs exactly the scalar path's operation sequence
-  /// (prod = coeff; prod *= value per factor; sum += prod), so per-lane
-  /// results are bit-identical to EvalRangeWithOverrides() with that lane's
-  /// override list — the lanes only amortize the program scan and vectorize
-  /// the multiplies. Aborts on an undersized base or bad range.
+  /// Returns every term's product under `valuation`, in term order:
+  /// entry t is coeff × value[f1] × value[f2] … over term t's factors in
+  /// compiled order — the scalar path's own operation sequence, so it is
+  /// bit-identical to the product any evaluation path forms for a term none
+  /// of whose variables is overridden. Aborts on an undersized valuation.
+  std::vector<double> TermProducts(const Valuation& valuation) const;
+
+  /// Touched-term scenario-blocked kernel: evaluates polynomials
+  /// [poly_begin, poly_end) for all of `block`'s scenario lanes in ONE scan
+  /// of the compiled arrays. `touched_terms` lists, ascending, the terms
+  /// that contain a variable of the block's override union (built with
+  /// VarTermIndex::TouchedTerms from `block.vars()`); `base_products` is
+  /// TermProducts(base). A touched term runs the per-lane factor path: per
+  /// factor the shared base value is loaded once and broadcast, variables
+  /// in the block's patch table read their per-lane row. Every other term
+  /// adds its base product to all lanes — in each lane that is exactly the
+  /// product the factor path would form, because no lane overrides any of
+  /// its variables. Lane l writes `out[l * lane_stride + p]` for each p in
+  /// the range. Each lane therefore performs the scalar path's operation
+  /// sequence (prod = coeff; prod *= value per factor; sum += prod), so
+  /// per-lane results are bit-identical to EvalRangeWithOverrides() with
+  /// that lane's override list. Listing every term as touched is the
+  /// no-skip special case. Aborts on an undersized base, a bad range, or
+  /// products that do not cover NumTerms().
   void EvalRangeBlocked(const Valuation& base, const BlockOverrides& block,
+                        std::span<const std::uint32_t> touched_terms,
+                        std::span<const double> base_products,
                         std::size_t poly_begin, std::size_t poly_end,
                         double* out, std::size_t lane_stride) const;
 
@@ -227,9 +244,11 @@ class EvalProgram {
                                     std::size_t term_end) const;
 
   /// Blocked form of EvalTermRangeWithOverrides(): lane l's partial sum is
-  /// written to `partials[l * lane_stride]`. Same bit-identity contract as
-  /// EvalRangeBlocked() against the scalar term-range scan.
+  /// written to `partials[l * lane_stride]`. Same inputs and bit-identity
+  /// contract as EvalRangeBlocked() against the scalar term-range scan.
   void EvalTermRangeBlocked(const Valuation& base, const BlockOverrides& block,
+                            std::span<const std::uint32_t> touched_terms,
+                            std::span<const double> base_products,
                             std::size_t term_begin, std::size_t term_end,
                             double* partials, std::size_t lane_stride) const;
 
@@ -300,6 +319,37 @@ class EvalProgram {
   // Variable ids, with exponents expanded (x^3 appears three times).
   std::vector<VarId> factors_;
   std::size_t min_valuation_size_ = 0;
+};
+
+/// The var→term index of one compiled program: for every variable id, the
+/// ascending, distinct terms whose factors include it (a term with x^3, or
+/// with x twice after a leaf→meta remap, lists x once). A CSR over the ids
+/// [0, program.MinValuationSize()): one offset per id plus one flat posting
+/// array. Built once per compiled program and immutable afterwards; the
+/// planner maps a scenario block's override union through it to the terms
+/// the blocked kernel must re-evaluate per lane.
+class VarTermIndex {
+ public:
+  explicit VarTermIndex(const EvalProgram& program);
+
+  /// The terms containing `var`, ascending; empty for ids the program never
+  /// references.
+  std::span<const std::uint32_t> Terms(VarId var) const;
+
+  /// Writes to `out` the ascending, duplicate-free ids of the terms that
+  /// contain at least one of `vars` — a scenario block's touched set —
+  /// reserving exactly that many entries, so a fresh `out` is allocated at
+  /// its final size. `scratch` is a bitmap the caller keeps across calls
+  /// (sized here on first use; all bits clear on entry and on return), so a
+  /// planner building one set per block pays no per-block clearing.
+  void TouchedTerms(std::span<const VarId> vars,
+                    std::vector<std::uint64_t>* scratch,
+                    std::vector<std::uint32_t>* out) const;
+
+ private:
+  std::vector<std::uint32_t> offsets_;  ///< Terms(v) = postings_[o[v], o[v+1]).
+  std::vector<std::uint32_t> postings_;
+  std::size_t num_terms_ = 0;
 };
 
 /// Memory layout a plan executes a compiled program in. Every plan now

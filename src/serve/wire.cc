@@ -380,11 +380,14 @@ util::Result<WireResponse> DecodeResponse(std::string_view payload) {
 
 namespace {
 
-/// Writes all of `data`, retrying on EINTR and partial writes.
+/// Writes all of `data` to socket `fd`, retrying on EINTR and partial
+/// writes. MSG_NOSIGNAL turns a write to a closed peer into EPIPE instead of
+/// SIGPIPE, which would kill a process that never ignored that signal.
 util::Status WriteAll(int fd, const char* data, std::size_t size) {
   std::size_t written = 0;
   while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
+    const ssize_t n =
+        ::send(fd, data + written, size - written, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EPIPE || errno == ECONNRESET) {

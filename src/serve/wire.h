@@ -129,9 +129,10 @@ std::string EncodeResponse(const WireResponse& response);
 util::Result<WireRequest> DecodeRequest(std::string_view payload);
 util::Result<WireResponse> DecodeResponse(std::string_view payload);
 
-/// Writes one frame (length prefix + payload) to `fd`, handling partial
-/// writes and EINTR. Fails with InvalidArgument if payload exceeds
-/// kMaxFrameBytes, Unavailable if the peer closed, IoError otherwise.
+/// Writes one frame (length prefix + payload) to socket `fd`, handling
+/// partial writes and EINTR. Fails with InvalidArgument if payload exceeds
+/// kMaxFrameBytes, Unavailable if the peer closed (never raising SIGPIPE),
+/// IoError otherwise — including when `fd` is not a socket.
 util::Status WriteFrame(int fd, std::string_view payload);
 
 /// Reads one frame from `fd`. On a clean close at a frame boundary sets

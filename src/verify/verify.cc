@@ -286,6 +286,102 @@ std::size_t VerifyProgramArrays(const std::vector<std::uint32_t>& poly_starts,
   return max_factor_plus_one;
 }
 
+/// Audits one program side's touched-term data. Blocked engine: every
+/// block's touched set must list, ascending, exactly the terms with a factor
+/// in that block's override union — found here by scanning the factors, not
+/// through the var→term index the planner used, so the index is checked
+/// too — and every base product must recompute bit for bit from the overlay
+/// base (the kernel adds it, unchecked, for every untouched term). Scalar
+/// engine: neither may be present.
+void VerifyTouchedSide(const core::BatchPlan& plan,
+                       const prov::EvalProgram& program,
+                       const core::ProgramSchedule& schedule,
+                       const std::vector<double>& products,
+                       const char* side, bool blocked,
+                       VerifyReport* report) {
+  if (!blocked) {
+    if (!schedule.touched_terms.empty() || !products.empty()) {
+      report->AddError("plan", 0,
+                       util::StrFormat("%s side: touched-term sets or base "
+                                       "products on a scalar engine",
+                                       side));
+    }
+    return;
+  }
+  const std::vector<prov::BlockOverrides>& skeletons =
+      plan.core()->block_skeletons();
+  const std::vector<std::uint32_t>& term_starts = program.term_starts();
+  const std::vector<prov::VarId>& factors = program.factors();
+  if (schedule.touched_terms.size() != skeletons.size()) {
+    report->AddError("plan", 0,
+                     util::StrFormat("%s side: %zu touched-term sets for "
+                                     "%zu blocks",
+                                     side, schedule.touched_terms.size(),
+                                     skeletons.size()));
+  } else {
+    for (std::size_t b = 0; b < skeletons.size(); ++b) {
+      const std::vector<prov::VarId>& vars = skeletons[b].vars();
+      const std::vector<std::uint32_t>& listed = schedule.touched_terms[b];
+      std::size_t next = 0;
+      bool ok = true;
+      for (std::uint32_t t = 0; ok && t < program.NumTerms(); ++t) {
+        bool touched = false;
+        for (std::uint32_t f = term_starts[t];
+             !touched && f < term_starts[t + 1]; ++f) {
+          touched = std::binary_search(vars.begin(), vars.end(), factors[f]);
+        }
+        const bool has = next < listed.size() && listed[next] == t;
+        if (has) ++next;
+        if (touched != has) {
+          report->AddError(
+              "plan block", b,
+              util::StrFormat(touched ? "%s side: touched set misses term "
+                                        "%u, which has a factor in the "
+                                        "block's override union"
+                                      : "%s side: touched set lists term "
+                                        "%u, which has no factor in the "
+                                        "block's override union",
+                              side, t));
+          ok = false;
+        }
+      }
+      if (ok && next != listed.size()) {
+        report->AddError("plan block", b,
+                         util::StrFormat("%s side: touched set is not "
+                                         "strictly ascending inside the "
+                                         "program's %zu terms",
+                                         side, program.NumTerms()));
+      }
+    }
+  }
+
+  if (products.size() != program.NumTerms()) {
+    report->AddError("plan overlay", 0,
+                     util::StrFormat("%s side: %zu base products for %zu "
+                                     "terms",
+                                     side, products.size(),
+                                     program.NumTerms()));
+    return;
+  }
+  // An undersized base is already a finding; re-deriving would read past it.
+  if (plan.base().size() < program.MinValuationSize()) return;
+  const std::vector<double>& base = plan.base().values();
+  for (std::size_t t = 0; t < program.NumTerms(); ++t) {
+    double product = program.coeffs()[t];
+    for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
+      product *= base[factors[f]];
+    }
+    if (!SameBits(products[t], product)) {
+      report->AddError("plan overlay", t,
+                       util::StrFormat("%s side: base product of term %zu "
+                                       "does not re-derive from the overlay "
+                                       "base",
+                                       side, t));
+      return;
+    }
+  }
+}
+
 }  // namespace
 
 VerifyReport VerifyProgram(const prov::EvalProgram& program,
@@ -582,6 +678,16 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
                  "plan full schedule", &report);
   VerifySchedule(plan.compressed_schedule(), session.compressed_program(),
                  "plan compressed schedule", &report);
+
+  // Touched-term sets and base products, per side: a set missing a term
+  // serves the base value for an overridden variable, and a stale product
+  // serves another base's answer, both silently.
+  VerifyTouchedSide(plan, session.sweep_full_program(), plan.full_schedule(),
+                    plan.overlay().full_products, "full", blocked, &report);
+  VerifyTouchedSide(plan, session.compressed_program(),
+                    plan.compressed_schedule(),
+                    plan.overlay().compressed_products, "compressed", blocked,
+                    &report);
 
   // Fingerprint and lowering cross-check against the scenario set the plan
   // claims to serve (available at the plan-cache insert boundary).

@@ -10,6 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -319,6 +322,24 @@ std::vector<VarOverride> RandomOverrides(util::Rng* rng,
   return overrides;
 }
 
+/// The blocked kernel's per-program inputs for one block: the touched-term
+/// set built through the program's var→term index from the block's override
+/// union (exactly as the planner builds it), and every term's product under
+/// the base.
+struct KernelInputs {
+  std::vector<std::uint32_t> touched;
+  std::vector<double> products;
+};
+
+KernelInputs InputsFor(const EvalProgram& program, const BlockOverrides& block,
+                       const Valuation& base) {
+  KernelInputs in;
+  std::vector<std::uint64_t> scratch;
+  VarTermIndex(program).TouchedTerms(block.vars(), &scratch, &in.touched);
+  in.products = program.TermProducts(base);
+  return in;
+}
+
 // The blocked kernel's contract: for every lane count (including ragged
 // counts that pad up to the 16-wide kernel), every lane's results
 // are bit-identical to the scalar sparse path with that lane's override
@@ -352,7 +373,9 @@ TEST(EvalProgramBlockedTest, BlockedLanesBitIdenticalToScalarRandomized) {
 
       const std::size_t polys = program.NumPolys();
       std::vector<double> blocked(num_lanes * polys, -1.0);
-      program.EvalRangeBlocked(base, block, 0, polys, blocked.data(), polys);
+      const KernelInputs in = InputsFor(program, block, base);
+      program.EvalRangeBlocked(base, block, in.touched, in.products, 0, polys,
+                               blocked.data(), polys);
 
       for (std::size_t l = 0; l < num_lanes; ++l) {
         std::vector<double> want;
@@ -368,73 +391,238 @@ TEST(EvalProgramBlockedTest, BlockedLanesBitIdenticalToScalarRandomized) {
   }
 }
 
-// Tiles enter the blocked kernels at arbitrary boundaries: for randomized
-// programs and lane counts (ragged and full), a random poly sub-range and a
-// random term slice of one polynomial must stay bit-identical to the scalar
-// sparse path, and the range kernel must leave polys outside its range
-// untouched.
+/// Bitwise double equality: bit-identity is the contract, so -0.0 vs +0.0
+/// or two NaN payloads must not pass as equal.
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// A random program built straight from compiled arrays, so it holds what
+/// the leaf→meta-remapped full-side program holds and the parser never
+/// emits: a variable repeated non-adjacently inside one term, next to x^k
+/// runs, constant (factor-free) terms and empty polynomials.
+EvalProgram RandomCompiledProgram(util::Rng* rng, std::size_t num_vars,
+                                  std::size_t num_polys) {
+  std::vector<std::uint32_t> poly_starts = {0};
+  std::vector<std::uint32_t> term_starts = {0};
+  std::vector<double> coeffs;
+  std::vector<VarId> factors;
+  for (std::size_t p = 0; p < num_polys; ++p) {
+    const std::size_t terms = rng->NextBool(0.15) ? 0 : 1 + rng->NextBelow(12);
+    for (std::size_t t = 0; t < terms; ++t) {
+      coeffs.push_back(rng->NextDoubleInRange(-3.0, 3.0));
+      const std::size_t distinct = rng->NextBelow(5);  // 0: constant term
+      for (std::size_t f = 0; f < distinct; ++f) {
+        const VarId var = static_cast<VarId>(rng->NextBelow(num_vars));
+        const std::size_t power =
+            rng->NextBool(0.25)
+                ? static_cast<std::size_t>(rng->NextInRange(2, 3))
+                : 1;
+        for (std::size_t e = 0; e < power; ++e) factors.push_back(var);
+      }
+      term_starts.push_back(static_cast<std::uint32_t>(factors.size()));
+    }
+    poly_starts.push_back(static_cast<std::uint32_t>(coeffs.size()));
+  }
+  return EvalProgram::FromParts(std::move(poly_starts), std::move(term_starts),
+                                std::move(coeffs), std::move(factors))
+      .ValueOrDie();
+}
+
+// The touched-term kernel against the scalar engine, bit for bit: random
+// programs with repeated factors, constant terms and empty polynomials;
+// every lane count 1-16; override lists that include variables outside
+// every term and values equal to the base value; random poly sub-ranges
+// (polys outside the range stay untouched) and random term slices. Every
+// block's touched set comes from the var→term index, which must equal a
+// brute-force scan of the factors, and listing every term as touched (the
+// no-skip special case) must give the same bits.
 TEST(EvalProgramBlockedTest, BlockedSubRangesBitIdenticalToScalarRandomized) {
   util::Rng rng(20260808);
+  std::size_t constant_terms = 0;
+  std::size_t repeated_factors = 0;
+  std::size_t empty_polys = 0;
+  std::size_t base_valued_overrides = 0;
+  std::size_t touched_total = 0;
+  std::size_t untouched_total = 0;
   for (int trial = 0; trial < 25; ++trial) {
-    VarPool pool;
     const std::size_t num_vars = 4 + rng.NextBelow(16);
-    const std::size_t num_polys = 1 + rng.NextBelow(12);
-    PolySet set = RandomPolySet(&rng, &pool, num_vars, num_polys);
-    EvalProgram program(set);
-    Valuation base(pool);
-    for (std::size_t v = 0; v < pool.size(); ++v) {
+    const EvalProgram program =
+        RandomCompiledProgram(&rng, num_vars, 1 + rng.NextBelow(12));
+    const std::vector<std::uint32_t>& poly_starts = program.poly_starts();
+    const std::vector<std::uint32_t>& term_starts = program.term_starts();
+    const std::vector<VarId>& factors = program.factors();
+    for (std::size_t p = 0; p < program.NumPolys(); ++p) {
+      empty_polys += poly_starts[p] == poly_starts[p + 1] ? 1 : 0;
+    }
+    for (std::size_t t = 0; t < program.NumTerms(); ++t) {
+      constant_terms += term_starts[t] == term_starts[t + 1] ? 1 : 0;
+      for (std::uint32_t f = term_starts[t] + 1; f < term_starts[t + 1]; ++f) {
+        repeated_factors += std::count(factors.begin() + term_starts[t],
+                                       factors.begin() + f, factors[f]) > 0
+                                ? 1
+                                : 0;
+      }
+    }
+    Valuation base(num_vars);
+    for (std::size_t v = 0; v < num_vars; ++v) {
       base.Set(static_cast<VarId>(v), rng.NextDoubleInRange(0.25, 2.0));
     }
+    const VarTermIndex index(program);
+    const std::vector<double> products = program.TermProducts(base);
+    std::vector<std::uint32_t> all_terms(program.NumTerms());
+    for (std::size_t t = 0; t < all_terms.size(); ++t) {
+      all_terms[t] = static_cast<std::uint32_t>(t);
+    }
+    std::vector<std::uint64_t> scratch;
 
-    for (std::size_t num_lanes : {1u, 3u, 6u, 11u, 15u, 16u}) {
+    for (std::size_t num_lanes = 1; num_lanes <= EvalProgram::kMaxLanes;
+         ++num_lanes) {
       std::vector<std::vector<VarOverride>> lane_lists(num_lanes);
       OverrideSpan spans[EvalProgram::kMaxLanes];
       for (std::size_t l = 0; l < num_lanes; ++l) {
-        lane_lists[l] = RandomOverrides(&rng, pool.size());
+        lane_lists[l] = RandomOverrides(&rng, num_vars);
+        for (VarOverride& ov : lane_lists[l]) {
+          if (rng.NextBool(0.2)) {
+            ov.value = base.Get(ov.var);
+            ++base_valued_overrides;
+          }
+        }
         spans[l] = {lane_lists[l].data(), lane_lists[l].size()};
       }
-      BlockOverrides block = MakeBlockOverrides(base, spans, num_lanes);
+      const BlockOverrides block = MakeBlockOverrides(base, spans, num_lanes);
+
+      std::vector<std::uint32_t> touched;
+      index.TouchedTerms(block.vars(), &scratch, &touched);
+      std::vector<std::uint32_t> brute;
+      for (std::uint32_t t = 0; t < program.NumTerms(); ++t) {
+        for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
+          if (std::binary_search(block.vars().begin(), block.vars().end(),
+                                 factors[f])) {
+            brute.push_back(t);
+            break;
+          }
+        }
+      }
+      ASSERT_EQ(touched, brute) << "trial " << trial << " lanes " << num_lanes;
+      touched_total += touched.size();
+      untouched_total += program.NumTerms() - touched.size();
 
       const std::size_t polys = program.NumPolys();
       const std::size_t begin = rng.NextBelow(polys);
       const std::size_t end = begin + 1 + rng.NextBelow(polys - begin);
-      std::vector<double> blocked(num_lanes * polys, -1.0);
-      program.EvalRangeBlocked(base, block, begin, end, blocked.data(),
-                               polys);
-      for (std::size_t l = 0; l < num_lanes; ++l) {
-        std::vector<double> want;
-        program.EvalWithOverrides(base, lane_lists[l].data(),
-                                  lane_lists[l].size(), &want);
-        for (std::size_t p = 0; p < polys; ++p) {
-          EXPECT_EQ(blocked[l * polys + p],
-                    p >= begin && p < end ? want[p] : -1.0)
-              << "trial " << trial << " lanes " << num_lanes << " lane " << l
-              << " poly " << p;
+      for (const std::vector<std::uint32_t>* list : {&touched, &all_terms}) {
+        std::vector<double> blocked(num_lanes * polys, -1.0);
+        program.EvalRangeBlocked(base, block, *list, products, begin, end,
+                                 blocked.data(), polys);
+        for (std::size_t l = 0; l < num_lanes; ++l) {
+          std::vector<double> want(polys, -1.0);
+          program.EvalRangeWithOverrides(base, lane_lists[l].data(),
+                                         lane_lists[l].size(), begin, end,
+                                         want.data());
+          for (std::size_t p = 0; p < polys; ++p) {
+            EXPECT_TRUE(SameBits(blocked[l * polys + p], want[p]))
+                << "trial " << trial << " lanes " << num_lanes << " lane " << l
+                << " poly " << p << " [" << begin << ", " << end << ") "
+                << (list == &touched ? "touched" : "all terms") << ": "
+                << blocked[l * polys + p] << " vs " << want[p];
+          }
         }
       }
 
       // Term-range kernel: a random slice of one polynomial's terms.
       const std::size_t poly = rng.NextBelow(polys);
-      const std::uint32_t first = program.poly_starts()[poly];
-      const std::uint32_t last = program.poly_starts()[poly + 1];
+      const std::uint32_t first = poly_starts[poly];
+      const std::uint32_t last = poly_starts[poly + 1];
       if (first == last) continue;
       const std::uint32_t term_begin =
           first + static_cast<std::uint32_t>(rng.NextBelow(last - first));
       const std::uint32_t term_end =
           term_begin + 1 +
           static_cast<std::uint32_t>(rng.NextBelow(last - term_begin));
-      double partials[EvalProgram::kMaxLanes];
-      program.EvalTermRangeBlocked(base, block, term_begin, term_end,
-                                   partials, 1);
-      for (std::size_t l = 0; l < num_lanes; ++l) {
-        EXPECT_EQ(partials[l],
-                  program.EvalTermRangeWithOverrides(
-                      base, lane_lists[l].data(), lane_lists[l].size(),
-                      term_begin, term_end))
-            << "trial " << trial << " lanes " << num_lanes << " lane " << l
-            << " terms [" << term_begin << ", " << term_end << ")";
+      for (const std::vector<std::uint32_t>* list : {&touched, &all_terms}) {
+        double partials[EvalProgram::kMaxLanes];
+        program.EvalTermRangeBlocked(base, block, *list, products, term_begin,
+                                     term_end, partials, 1);
+        for (std::size_t l = 0; l < num_lanes; ++l) {
+          const double want = program.EvalTermRangeWithOverrides(
+              base, lane_lists[l].data(), lane_lists[l].size(), term_begin,
+              term_end);
+          EXPECT_TRUE(SameBits(partials[l], want))
+              << "trial " << trial << " lanes " << num_lanes << " lane " << l
+              << " terms [" << term_begin << ", " << term_end << ") "
+              << (list == &touched ? "touched" : "all terms");
+        }
       }
     }
+  }
+  // The random inputs must actually exercise every case named above.
+  EXPECT_GT(constant_terms, 0u);
+  EXPECT_GT(repeated_factors, 0u);
+  EXPECT_GT(empty_polys, 0u);
+  EXPECT_GT(base_valued_overrides, 0u);
+  EXPECT_GT(touched_total, 0u);
+  EXPECT_GT(untouched_total, 0u);
+}
+
+// The var→term index lists a term once per variable however often the
+// variable repeats inside it (x^3, or non-adjacent as after a leaf→meta
+// remap), nothing for ids the program never references, and maps a union
+// to its ascending touched set with the scratch bitmap left clear. Term
+// products are each term's scalar product.
+TEST(VarTermIndexTest, ListsEachTermOncePerVariable) {
+  // P0 = 2*x0^3*x1 + 3*x2*x0, P1 = 5, P2 = 1*x1*x2*x1.
+  const EvalProgram program =
+      EvalProgram::FromParts({0, 2, 3, 4}, {0, 4, 6, 6, 9},
+                             {2.0, 3.0, 5.0, 1.0}, {0, 0, 0, 1, 2, 0, 1, 2, 1})
+          .ValueOrDie();
+  const VarTermIndex index(program);
+  auto terms = [&](VarId var) {
+    const std::span<const std::uint32_t> list = index.Terms(var);
+    return std::vector<std::uint32_t>(list.begin(), list.end());
+  };
+  EXPECT_EQ(terms(0), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(terms(1), (std::vector<std::uint32_t>{0, 3}));
+  EXPECT_EQ(terms(2), (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_TRUE(index.Terms(3).empty());
+  EXPECT_TRUE(index.Terms(1000).empty());
+
+  std::vector<std::uint64_t> scratch;
+  std::vector<std::uint32_t> touched;
+  const std::vector<VarId> union_a = {0, 7};
+  index.TouchedTerms(union_a, &scratch, &touched);
+  EXPECT_EQ(touched, (std::vector<std::uint32_t>{0, 1}));
+  const std::vector<VarId> union_b = {1, 2};
+  index.TouchedTerms(union_b, &scratch, &touched);
+  EXPECT_EQ(touched, (std::vector<std::uint32_t>{0, 1, 3}));
+  index.TouchedTerms({}, &scratch, &touched);
+  EXPECT_TRUE(touched.empty());
+  for (std::uint64_t word : scratch) EXPECT_EQ(word, 0u);
+
+  // A set under 1/64 of the terms takes the other emission path (collect
+  // and sort instead of reading the bitmap back): 200 terms x_i, union
+  // {150, 5}.
+  std::vector<std::uint32_t> starts(201);
+  std::vector<VarId> single(200);
+  for (std::uint32_t t = 0; t <= 200; ++t) starts[t] = t;
+  for (std::uint32_t t = 0; t < 200; ++t) single[t] = t;
+  const EvalProgram wide =
+      EvalProgram::FromParts({0, 200}, starts, std::vector<double>(200, 1.0),
+                             single)
+          .ValueOrDie();
+  const std::vector<VarId> sparse_union = {150, 5};
+  VarTermIndex(wide).TouchedTerms(sparse_union, &scratch, &touched);
+  EXPECT_EQ(touched, (std::vector<std::uint32_t>{5, 150}));
+  for (std::uint64_t word : scratch) EXPECT_EQ(word, 0u);
+
+  Valuation base(3);
+  base.Set(0, 1.5);
+  base.Set(1, 0.75);
+  base.Set(2, 1.25);
+  const std::vector<double> products = program.TermProducts(base);
+  ASSERT_EQ(products.size(), 4u);
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(products[t],
+              program.EvalTermRangeWithOverrides(base, nullptr, 0, t, t + 1))
+        << "term " << t;
   }
 }
 
@@ -469,7 +657,9 @@ TEST(EvalProgramBlockedTest, WideUnionBinarySearchMatchesScalar) {
 
   const std::size_t polys = program.NumPolys();
   std::vector<double> blocked(3 * polys, -1.0);
-  program.EvalRangeBlocked(base, wide, 0, polys, blocked.data(), polys);
+  const KernelInputs wide_in = InputsFor(program, wide, base);
+  program.EvalRangeBlocked(base, wide, wide_in.touched, wide_in.products, 0,
+                           polys, blocked.data(), polys);
   const std::vector<VarOverride>* lanes[] = {&lane0, &lane1, &lane2};
   for (std::size_t l = 0; l < 3; ++l) {
     std::vector<double> want;
@@ -488,7 +678,9 @@ TEST(EvalProgramBlockedTest, WideUnionBinarySearchMatchesScalar) {
   BlockOverrides narrow = MakeBlockOverrides(base, near_spans, 2);
   EXPECT_TRUE(narrow.uses_dense_index());
   std::vector<double> narrow_out(2 * polys, -1.0);
-  program.EvalRangeBlocked(base, narrow, 0, polys, narrow_out.data(), polys);
+  const KernelInputs narrow_in = InputsFor(program, narrow, base);
+  program.EvalRangeBlocked(base, narrow, narrow_in.touched, narrow_in.products,
+                           0, polys, narrow_out.data(), polys);
   const std::vector<VarOverride>* near_lanes[] = {&near0, &near1};
   for (std::size_t l = 0; l < 2; ++l) {
     std::vector<double> want;
@@ -512,13 +704,15 @@ TEST(EvalProgramBlockedTest, SubRangesComposeToWholeProgram) {
 
   const std::size_t polys = program.NumPolys();
   std::vector<double> whole(2 * polys, 0.0);
-  program.EvalRangeBlocked(base, block, 0, polys, whole.data(), polys);
+  const KernelInputs in = InputsFor(program, block, base);
+  program.EvalRangeBlocked(base, block, in.touched, in.products, 0, polys,
+                           whole.data(), polys);
 
   std::vector<double> pieces(2 * polys, 0.0);
   const std::vector<std::uint32_t> bounds = program.PartitionPolys(4);
   for (std::size_t r = 0; r + 1 < bounds.size(); ++r) {
-    program.EvalRangeBlocked(base, block, bounds[r], bounds[r + 1],
-                             pieces.data(), polys);
+    program.EvalRangeBlocked(base, block, in.touched, in.products, bounds[r],
+                             bounds[r + 1], pieces.data(), polys);
   }
   for (std::size_t i = 0; i < whole.size(); ++i) {
     EXPECT_EQ(pieces[i], whole[i]);
@@ -616,13 +810,14 @@ TEST(EvalProgramTermRangeTest, BlockedTermRangeMatchesScalarPartials) {
     spans[l] = {lane_lists[l].data(), lane_lists[l].size()};
   }
   BlockOverrides block = MakeBlockOverrides(base, spans, lane_lists.size());
+  const KernelInputs in = InputsFor(program, block, base);
 
   for (std::size_t p = 0; p < program.NumPolys(); ++p) {
     const std::vector<std::uint32_t> bounds = program.PartitionTerms(p, 3);
     for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
       double partials[EvalProgram::kMaxLanes];
-      program.EvalTermRangeBlocked(base, block, bounds[k], bounds[k + 1],
-                                   partials, 1);
+      program.EvalTermRangeBlocked(base, block, in.touched, in.products,
+                                   bounds[k], bounds[k + 1], partials, 1);
       for (std::size_t l = 0; l < lane_lists.size(); ++l) {
         EXPECT_EQ(partials[l],
                   program.EvalTermRangeWithOverrides(

@@ -223,6 +223,19 @@ TEST(WireTest, OversizedLengthPrefixRejectedBeforeAllocation) {
   ::close(fds[1]);
 }
 
+// Writing to a socket whose peer has closed must come back as Unavailable,
+// not raise SIGPIPE: a library user or test process that installed no
+// SIGPIPE handler would otherwise be killed. Deliberately installs none.
+TEST(ServeWireTest, WriteToClosedPeerReturnsUnavailable) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  util::Status written = WriteFrame(fds[0], EncodeRequest(ExampleBatchRequest()));
+  EXPECT_EQ(written.code(), util::StatusCode::kUnavailable)
+      << written.ToString();
+  ::close(fds[0]);
+}
+
 TEST(WireTest, WriteFrameRejectsOversizedPayload) {
   // No fd interaction: the size check precedes any write.
   std::string huge(kMaxFrameBytes + 1, 'x');

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -620,6 +621,126 @@ TEST_F(VerifyPlanTest, DroppedOverlayBlockTableIsDetected) {
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(HasFindingContaining(report, "block tables"))
       << report.ToString();
+}
+
+// The touched-term data: per block and side, the terms the blocked kernel
+// re-evaluates per lane, and per side the base products it adds for every
+// other term. A dropped touched term or a stale product changes answers
+// without any crash, so each must be caught, naming the block and the side.
+// The plan below has two blocks (17 scenarios at 16 lanes), so the finding's
+// offset proves which block is named.
+
+/// The first finding whose message contains `needle`, or null.
+const Finding* FindingContaining(const VerifyReport& report,
+                                 const std::string& needle) {
+  for (const Finding& finding : report.findings()) {
+    if (finding.message.find(needle) != std::string::npos) return &finding;
+  }
+  return nullptr;
+}
+
+/// `plan` with one side's schedule edited by `mutate`. The plan core has no
+/// parts API (only the planner builds one), so this edits a private copy
+/// through the const accessor — well-defined, because the copy itself is
+/// not a const object.
+std::shared_ptr<const core::BatchPlan> WithEditedSchedule(
+    const core::BatchPlan& plan, bool full_side,
+    const std::function<void(core::ProgramSchedule*)>& mutate) {
+  auto core = std::make_shared<core::PlanCore>(*plan.core());
+  const core::ProgramSchedule& schedule =
+      full_side ? core->full_schedule() : core->compressed_schedule();
+  mutate(const_cast<core::ProgramSchedule*>(&schedule));
+  return core::BatchPlan::FromParts(
+      core, std::make_shared<core::PlanBaseOverlay>(plan.overlay()));
+}
+
+ScenarioSet SeventeenScenarios() {
+  ScenarioSet scenarios = ExampleScenarios();
+  for (std::size_t i = scenarios.size(); i < 17; ++i) {
+    scenarios.Add("extra-" + std::to_string(i))
+        .ValueOrDie()
+        .Set("Business", 1.0 + 0.01 * static_cast<double>(i));
+  }
+  return scenarios;
+}
+
+TEST_F(VerifyPlanTest, ClearedTouchedTermIsDetected) {
+  BatchOptions options;
+  options.sweep = BatchOptions::Sweep::kBlocked;
+  const ScenarioSet scenarios = SeventeenScenarios();
+  std::shared_ptr<const core::BatchPlan> plan =
+      snapshot_->PlanBatch(scenarios, options).ValueOrDie();
+  ASSERT_EQ(plan->num_blocks(), 2u);
+  ASSERT_TRUE(VerifyPlan(*plan, *snapshot_, &scenarios).ok());
+  const std::vector<std::uint32_t>& listed =
+      plan->full_schedule().touched_terms[1];
+  ASSERT_FALSE(listed.empty());
+  const std::uint32_t dropped = listed.front();
+  std::shared_ptr<const core::BatchPlan> tampered = WithEditedSchedule(
+      *plan, /*full_side=*/true, [](core::ProgramSchedule* schedule) {
+        schedule->touched_terms[1].erase(schedule->touched_terms[1].begin());
+      });
+  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios);
+  ASSERT_FALSE(report.ok());
+  const Finding* finding = FindingContaining(
+      report, "full side: touched set misses term " + std::to_string(dropped));
+  ASSERT_NE(finding, nullptr) << report.ToString();
+  EXPECT_EQ(finding->artifact, "plan block");
+  EXPECT_EQ(finding->offset, 1u);
+}
+
+TEST_F(VerifyPlanTest, ExtraTouchedTermIsDetected) {
+  BatchOptions options;
+  options.sweep = BatchOptions::Sweep::kBlocked;
+  const ScenarioSet scenarios = SeventeenScenarios();
+  std::shared_ptr<const core::BatchPlan> plan =
+      snapshot_->PlanBatch(scenarios, options).ValueOrDie();
+  ASSERT_EQ(plan->num_blocks(), 2u);
+  // Block 1 overrides only Business, so some compressed term is untouched.
+  const std::vector<std::uint32_t>& listed =
+      plan->compressed_schedule().touched_terms[1];
+  std::uint32_t extra = 0;
+  while (extra < snapshot_->compressed_program().NumTerms() &&
+         std::binary_search(listed.begin(), listed.end(), extra)) {
+    ++extra;
+  }
+  ASSERT_LT(extra, snapshot_->compressed_program().NumTerms());
+  std::shared_ptr<const core::BatchPlan> tampered = WithEditedSchedule(
+      *plan, /*full_side=*/false, [extra](core::ProgramSchedule* schedule) {
+        std::vector<std::uint32_t>& terms = schedule->touched_terms[1];
+        terms.insert(std::lower_bound(terms.begin(), terms.end(), extra),
+                     extra);
+      });
+  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios);
+  ASSERT_FALSE(report.ok());
+  const Finding* finding = FindingContaining(
+      report,
+      "compressed side: touched set lists term " + std::to_string(extra));
+  ASSERT_NE(finding, nullptr) << report.ToString();
+  EXPECT_EQ(finding->artifact, "plan block");
+  EXPECT_EQ(finding->offset, 1u);
+}
+
+TEST_F(VerifyPlanTest, FlippedBaseProductBitIsDetected) {
+  BatchOptions options;
+  options.sweep = BatchOptions::Sweep::kBlocked;
+  std::shared_ptr<const core::BatchPlan> plan =
+      snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
+  auto bad = std::make_shared<core::PlanBaseOverlay>(plan->overlay());
+  ASSERT_GT(bad->full_products.size(), 2u);
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &bad->full_products[2], sizeof bits);
+  bits ^= 1;  // the lowest mantissa bit: a one-ulp change
+  std::memcpy(&bad->full_products[2], &bits, sizeof bits);
+  std::shared_ptr<const core::BatchPlan> tampered =
+      core::BatchPlan::FromParts(plan->core(), bad);
+  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
+  ASSERT_FALSE(report.ok());
+  const Finding* finding = FindingContaining(
+      report, "full side: base product of term 2 does not re-derive");
+  ASSERT_NE(finding, nullptr) << report.ToString();
+  EXPECT_EQ(finding->artifact, "plan overlay");
+  EXPECT_EQ(finding->offset, 2u);
 }
 
 TEST_F(VerifyPlanTest, UndersizedOverlayBaseIsDetected) {
