@@ -620,31 +620,16 @@ void VarTermIndex::TouchedTerms(std::span<const VarId> vars,
       seen[t / 64] |= bit;
     }
   }
-  // Emit ascending into an exactly-sized list and leave the bitmap clear: a
-  // dense set is read back off the bitmap in one pass over its words, a
-  // sparse one is collected by a second walk over its postings and sorted —
-  // neither sorts a near-full set nor sweeps a near-empty bitmap.
+  // Read the bitmap back word by word, which emits the set ascending into
+  // an exactly-sized list and leaves the bitmap clear.
   out->reserve(count);
-  if (count * 64 >= num_terms_) {
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::uint64_t bits = seen[w]; bits != 0; bits &= bits - 1) {
-        out->push_back(static_cast<std::uint32_t>(
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
-      }
-      seen[w] = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = seen[w]; bits != 0; bits &= bits - 1) {
+      out->push_back(static_cast<std::uint32_t>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
     }
-    return;
+    seen[w] = 0;
   }
-  for (VarId var : vars) {
-    for (std::uint32_t t : Terms(var)) {
-      const std::uint64_t bit = std::uint64_t{1} << (t % 64);
-      if ((seen[t / 64] & bit) != 0) {
-        seen[t / 64] &= ~bit;
-        out->push_back(t);
-      }
-    }
-  }
-  std::sort(out->begin(), out->end());
 }
 
 const char* EvalLayoutName(EvalLayout layout) {

@@ -597,9 +597,8 @@ TEST(VarTermIndexTest, ListsEachTermOncePerVariable) {
   EXPECT_TRUE(touched.empty());
   for (std::uint64_t word : scratch) EXPECT_EQ(word, 0u);
 
-  // A set under 1/64 of the terms takes the other emission path (collect
-  // and sort instead of reading the bitmap back): 200 terms x_i, union
-  // {150, 5}.
+  // A set spread over several bitmap words comes out ascending whatever the
+  // union's order: 200 terms x_i, union {150, 5}.
   std::vector<std::uint32_t> starts(201);
   std::vector<VarId> single(200);
   for (std::uint32_t t = 0; t <= 200; ++t) starts[t] = t;
@@ -608,8 +607,8 @@ TEST(VarTermIndexTest, ListsEachTermOncePerVariable) {
       EvalProgram::FromParts({0, 200}, starts, std::vector<double>(200, 1.0),
                              single)
           .ValueOrDie();
-  const std::vector<VarId> sparse_union = {150, 5};
-  VarTermIndex(wide).TouchedTerms(sparse_union, &scratch, &touched);
+  const std::vector<VarId> spread_union = {150, 5};
+  VarTermIndex(wide).TouchedTerms(spread_union, &scratch, &touched);
   EXPECT_EQ(touched, (std::vector<std::uint32_t>{5, 150}));
   for (std::uint64_t word : scratch) EXPECT_EQ(word, 0u);
 
