@@ -10,7 +10,9 @@
 //
 //   (a) bit-identity — the first COBRA_A11_PREFIX streamed rows equal
 //       materializing that prefix and running AssignBatch over it, bit for
-//       bit (the streamed path is the same sweep kernel, re-chunked);
+//       bit (the streamed path is the same sweep kernel, re-chunked), and
+//       the names the stream asks of the source on demand — the consumer's
+//       per-block names and the top-k entries' names — equal Generate's;
 //   (b) flat memory — the peak-RSS delta of streaming the full space is a
 //       window, not the space: materializing the same source must cost
 //       more than 2x the streaming delta (gated only when materializing
@@ -186,6 +188,7 @@ int main() {
   const std::size_t hwm_before_stream = PeakRssBytes();
   std::vector<std::vector<double>> prefix_full;
   std::vector<std::vector<double>> prefix_comp;
+  std::vector<std::string> prefix_names;
   auto capture = [&](const core::StreamBlockView& view) {
     for (std::size_t i = 0;
          i < view.count && view.begin + i < prefix; ++i) {
@@ -193,6 +196,7 @@ int main() {
                                view.full + (i + 1) * view.num_groups);
       prefix_comp.emplace_back(view.compressed + i * view.num_groups,
                                view.compressed + (i + 1) * view.num_groups);
+      prefix_names.push_back((*view.names)[i]);
     }
     return true;
   };
@@ -257,6 +261,7 @@ int main() {
   double max_diff = 0.0;
   bool bits_identical = prefix_full.size() == prefix_set.size();
   for (std::size_t i = 0; i < prefix_set.size() && bits_identical; ++i) {
+    if (prefix_names[i] != prefix_set.scenario(i).name) bits_identical = false;
     const auto& rows = batch.reports[i].delta.rows;
     for (std::size_t g = 0; g < rows.size(); ++g) {
       if (!SameBits(prefix_full[i][g], rows[g].full) ||
@@ -267,9 +272,19 @@ int main() {
                           std::fabs(prefix_full[i][g] - rows[g].full));
     }
   }
-  std::printf("prefix check: %s (%zu rows vs materialized AssignBatch)\n",
-              bits_identical ? "IDENTICAL" : "MISMATCH",
-              prefix_set.size());
+  // The kept entries' names, asked of the source on demand, against the
+  // names Generate gives the same ordinals.
+  bool names_identical = true;
+  for (const core::StreamEntry& entry : top.entries) {
+    core::ScenarioSet one;
+    source->Generate(entry.index, 1, &one).CheckOK();
+    if (entry.name != one.scenario(0).name) names_identical = false;
+  }
+  bits_identical = bits_identical && names_identical;
+  std::printf("prefix check: %s (%zu rows and names vs materialized "
+              "AssignBatch, %zu top-k names vs Generate)\n",
+              bits_identical ? "IDENTICAL" : "MISMATCH", prefix_set.size(),
+              top.entries.size());
 
   // (5) Memory: materializing the whole space dwarfs the streaming delta.
   const std::size_t hwm_before_mat = PeakRssBytes();

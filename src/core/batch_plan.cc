@@ -1,5 +1,7 @@
 #include "core/batch_plan.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -101,7 +103,50 @@ util::Status ValidateSweepOptions(const BatchOptions& options) {
   return util::Status::OK();
 }
 
+/// Checks a lowered window's shape before anything indexes with it: the
+/// offsets must bound the override array, and every list must be strictly
+/// ascending inside the frozen pool (the kernels binary-search it and index
+/// the base with its ids). A source's `Lower` may be user code, so this is
+/// an input check, not an assertion.
+util::Status CheckLowered(const LoweredScenarios& lowered,
+                          std::size_t frozen_pool_size) {
+  const std::vector<std::size_t>& offsets = lowered.offsets;
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != lowered.overrides.size()) {
+    return util::Status::InvalidArgument(
+        "AssignBatch: lowered scenarios' offsets do not bound their "
+        "override array");
+  }
+  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
+    if (offsets[i] > offsets[i + 1]) {
+      return util::Status::InvalidArgument(util::StrFormat(
+          "AssignBatch: lowered scenario %zu has a negative extent", i));
+    }
+    for (std::size_t o = offsets[i]; o < offsets[i + 1]; ++o) {
+      const prov::VarId var = lowered.overrides[o].var;
+      if (var >= frozen_pool_size ||
+          (o > offsets[i] && lowered.overrides[o - 1].var >= var)) {
+        return util::Status::InvalidArgument(util::StrFormat(
+            "AssignBatch: lowered scenario %zu is not a strictly ascending "
+            "override list inside the frozen pool (%zu variables)",
+            i, frozen_pool_size));
+      }
+    }
+  }
+  return util::Status::OK();
+}
+
 }  // namespace
+
+std::size_t DefaultSweepThreads() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int cpus = CPU_COUNT(&mask);
+    if (cpus > 0) return static_cast<std::size_t>(cpus);
+  }
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 
 std::string PlanFingerprint::ToHex() const {
   char buf[33];
@@ -129,6 +174,18 @@ PlanFingerprint FingerprintScenarios(const ScenarioSet& scenarios) {
       hash.Feed(bits);
     }
   }
+  return {hash.lo(), hash.hi()};
+}
+
+PlanFingerprint FingerprintWindow(const SourceFingerprint& source,
+                                  std::uint64_t begin, std::uint64_t count) {
+  // Its own seed pair, so a window key can never equal a scenario-set key
+  // by feeding the same words.
+  util::Hash128 hash(0xa4093822299f31d0ULL, 0x082efa98ec4e6c89ULL);
+  hash.Feed(source.lo);
+  hash.Feed(source.hi);
+  hash.Feed(begin);
+  hash.Feed(count);
   return {hash.lo(), hash.hi()};
 }
 
@@ -179,10 +236,7 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
   if (session == nullptr) {
     return util::Status::InvalidArgument("BatchPlan: null session");
   }
-
-  // Options are validated here, once, and never mid-sweep.
   COBRA_RETURN_IF_ERROR(ValidateSweepOptions(options));
-
   if (scenarios.empty()) {
     return util::Status::InvalidArgument("AssignBatch: empty scenario set");
   }
@@ -196,66 +250,54 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
       }
     }
   }
+  LoweredScenarios lowered;
+  COBRA_RETURN_IF_ERROR(
+      LowerScenarios(scenarios.scenarios(), session->resolver(), &lowered));
+  const PlanFingerprint fingerprint = precomputed_fingerprint != nullptr
+                                          ? *precomputed_fingerprint
+                                          : FingerprintScenarios(scenarios);
+  return Create(std::move(session), std::move(lowered), fingerprint, options,
+                scenarios.Names());
+}
 
-  const prov::VarPool& pool = session->pool();
+util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
+    std::shared_ptr<const CompiledSession> session, LoweredScenarios lowered,
+    const PlanFingerprint& fingerprint, const BatchOptions& options,
+    std::vector<std::string> names) {
+  if (session == nullptr) {
+    return util::Status::InvalidArgument("BatchPlan: null session");
+  }
+
+  // Options are validated here, once, and never mid-sweep.
+  COBRA_RETURN_IF_ERROR(ValidateSweepOptions(options));
+
   const std::size_t frozen_pool_size = session->pool_size();
+  COBRA_RETURN_IF_ERROR(CheckLowered(lowered, frozen_pool_size));
+  const std::size_t n = lowered.size();
+  if (n == 0) {
+    return util::Status::InvalidArgument("AssignBatch: empty scenario set");
+  }
+  if (!names.empty() && names.size() != n) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "AssignBatch: %zu scenario names for %zu lowered scenarios",
+        names.size(), n));
+  }
 
   auto core = std::shared_ptr<PlanCore>(new PlanCore());
   core->session_ = session;
-  core->fingerprint_ = precomputed_fingerprint != nullptr
-                           ? *precomputed_fingerprint
-                           : FingerprintScenarios(scenarios);
+  core->fingerprint_ = fingerprint;
   core->frozen_pool_size_ = frozen_pool_size;
-  core->scenario_names_ = scenarios.Names();
+  core->scenario_names_ = std::move(names);
+  core->lowered_ = std::move(lowered);
 
-  // Lower every scenario to a sorted, duplicate-free (VarId, value) list.
   std::size_t max_override_width = 0;
-  core->compiled_.reserve(scenarios.size());
-  for (const Scenario& scenario : scenarios.scenarios()) {
-    CompiledScenario compiled;
-    std::vector<prov::VarOverride>& overrides = compiled.overrides;
-    overrides.reserve(scenario.deltas.size());
-    for (const Scenario::Delta& delta : scenario.deltas) {
-      prov::VarId id = pool.Find(delta.var);
-      if (id == prov::kInvalidVar) {
-        return util::Status::InvalidArgument(util::StrFormat(
-            "AssignBatch scenario \"%s\": unknown variable: %s",
-            scenario.name.c_str(), delta.var.c_str()));
-      }
-      if (id >= frozen_pool_size) {
-        // The pool is shared with the (still-mutable) authoring session;
-        // names interned after this snapshot was taken are not part of its
-        // frozen world.
-        return util::Status::InvalidArgument(util::StrFormat(
-            "AssignBatch scenario \"%s\": variable %s was interned after "
-            "this snapshot was taken",
-            scenario.name.c_str(), delta.var.c_str()));
-      }
-      overrides.push_back({id, delta.value});
-    }
-    // Deltas apply in order, so a repeated variable keeps its last value. A
-    // stable sort keeps each variable's deltas in input order; collapsing
-    // every run to its last entry leaves the duplicate-free list the kernels
-    // need, in O(d log d) for d deltas.
-    std::stable_sort(overrides.begin(), overrides.end(),
-                     [](const prov::VarOverride& a,
-                        const prov::VarOverride& b) { return a.var < b.var; });
-    std::size_t kept = 0;
-    for (const prov::VarOverride& ov : overrides) {
-      if (kept > 0 && overrides[kept - 1].var == ov.var) {
-        overrides[kept - 1].value = ov.value;
-      } else {
-        overrides[kept++] = ov;
-      }
-    }
-    overrides.resize(kept);
-    max_override_width = std::max(max_override_width, overrides.size());
-    core->compiled_.push_back(std::move(compiled));
+  for (std::size_t i = 0; i < n; ++i) {
+    max_override_width =
+        std::max(max_override_width, core->lowered_.scenario(i).size());
   }
 
   const prov::EvalProgram& sweep_full = session->sweep_full_program();
   const prov::EvalProgram& compressed = session->compressed_program();
-  const std::size_t n = scenarios.size();
 
   // Resolve the engine. The kAuto policy reads only the program shapes, the
   // scenario count and the override width — never the thread count — so the
@@ -271,10 +313,8 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
                      ? prov::EvalProgram::kMaxLanes
                      : 1;
 
-  std::size_t threads = options.num_threads;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  const std::size_t threads =
+      options.num_threads == 0 ? DefaultSweepThreads() : options.num_threads;
   core->num_threads_ = threads;
   core->num_blocks_ = (n + core->lanes_ - 1) / core->lanes_;
 
@@ -287,12 +327,7 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
     core->block_skeletons_.reserve(core->num_blocks_);
     for (std::size_t b = 0; b < core->num_blocks_; ++b) {
       prov::OverrideSpan spans[prov::EvalProgram::kMaxLanes];
-      const std::size_t count = std::min(core->lanes_, n - b * core->lanes_);
-      for (std::size_t l = 0; l < count; ++l) {
-        const std::vector<prov::VarOverride>& ov =
-            core->compiled_[b * core->lanes_ + l].overrides;
-        spans[l] = {ov.data(), ov.size()};
-      }
+      const std::size_t count = core->LaneSpans(b, spans);
       core->block_skeletons_.push_back(
           prov::MakeBlockOverridesSkeleton(spans, count));
     }
@@ -324,42 +359,34 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
   return std::shared_ptr<const PlanCore>(std::move(core));
 }
 
-std::shared_ptr<const PlanBaseOverlay> PlanCore::MakeOverlay(
-    const prov::Valuation& base_meta_valuation,
-    const BaseFingerprint* precomputed_fingerprint) const {
-  auto overlay = std::make_shared<PlanBaseOverlay>();
-  overlay->base = base_meta_valuation;
-  overlay->base.Resize(frozen_pool_size_);
-  overlay->base_fingerprint =
-      precomputed_fingerprint != nullptr
-          ? *precomputed_fingerprint
-          : FingerprintBase(base_meta_valuation, frozen_pool_size_);
+std::size_t PlanCore::LaneSpans(std::size_t block,
+                                prov::OverrideSpan* spans) const {
+  const std::size_t first = block * lanes_;
+  const std::size_t count = std::min(lanes_, lowered_.size() - first);
+  for (std::size_t l = 0; l < count; ++l) {
+    const std::span<const prov::VarOverride> ov = lowered_.scenario(first + l);
+    spans[l] = {ov.data(), ov.size()};
+  }
+  return count;
+}
 
+std::shared_ptr<const PlanBaseOverlay> PlanCore::MakeOverlay(
+    std::shared_ptr<const BaseState> base) const {
+  COBRA_CHECK_MSG(base != nullptr && base->values.size() >= frozen_pool_size_,
+                  "PlanCore::MakeOverlay: null or undersized base state");
+  auto overlay = std::make_shared<PlanBaseOverlay>();
   if (engine_ == BatchOptions::Sweep::kBlocked) {
-    const std::size_t n = num_scenarios();
     overlay->block_tables.reserve(block_skeletons_.size());
     for (std::size_t b = 0; b < block_skeletons_.size(); ++b) {
       prov::OverrideSpan spans[prov::EvalProgram::kMaxLanes];
-      const std::size_t count = std::min(lanes_, n - b * lanes_);
-      for (std::size_t l = 0; l < count; ++l) {
-        const std::vector<prov::VarOverride>& ov =
-            compiled_[b * lanes_ + l].overrides;
-        spans[l] = {ov.data(), ov.size()};
-      }
+      const std::size_t count = LaneSpans(b, spans);
       overlay->block_tables.push_back(prov::RebindBlockOverrides(
-          block_skeletons_[b], overlay->base, spans, count));
+          block_skeletons_[b], base->values, spans, count));
     }
-    // What the kernel adds for every untouched term, per side. The programs
-    // belong to the origin session; without it the products stay empty (see
-    // the header).
-    if (const std::shared_ptr<const CompiledSession> session =
-            session_.lock()) {
-      overlay->full_products =
-          session->sweep_full_program().TermProducts(overlay->base);
-      overlay->compressed_products =
-          session->compressed_program().TermProducts(overlay->base);
-    }
+    overlay->full_products = base->full_products;
+    overlay->compressed_products = base->compressed_products;
   }
+  overlay->base = std::move(base);
   return std::shared_ptr<const PlanBaseOverlay>(std::move(overlay));
 }
 
@@ -407,34 +434,25 @@ util::Result<std::shared_ptr<const StreamPlan>> StreamPlan::Create(
                      ? prov::EvalProgram::kMaxLanes
                      : 1;
   if (plan->resolved_.num_threads == 0) {
-    plan->resolved_.num_threads =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    plan->resolved_.num_threads = DefaultSweepThreads();
   }
   return std::shared_ptr<const StreamPlan>(std::move(plan));
 }
 
-util::Result<std::shared_ptr<const PlanCore>> StreamPlan::LowerChunk(
-    const ScenarioSet& chunk) const {
+util::Result<std::shared_ptr<const PlanCore>> StreamPlan::PlanChunk(
+    LoweredScenarios window, std::uint64_t begin) const {
   std::shared_ptr<const CompiledSession> session = session_.lock();
   if (session == nullptr) {
     return util::Status::FailedPrecondition(
         "AssignStream: the plan's origin session has been destroyed");
   }
   // The pinned options make this exactly the per-chunk slice of batch
-  // planning: scenario lowering, block-override skeletons and tile
-  // schedules for this window only.
-  return PlanCore::Create(std::move(session), chunk, resolved_);
-}
-
-util::Result<std::shared_ptr<const BatchPlan>> BatchPlan::Create(
-    std::shared_ptr<const CompiledSession> session,
-    const ScenarioSet& scenarios, const prov::Valuation& base_meta_valuation,
-    const BatchOptions& options,
-    const PlanFingerprint* precomputed_fingerprint) {
-  util::Result<std::shared_ptr<const PlanCore>> core = PlanCore::Create(
-      std::move(session), scenarios, options, precomputed_fingerprint);
-  if (!core.ok()) return core.status();
-  return FromParts(*core, (*core)->MakeOverlay(base_meta_valuation));
+  // planning: block-override skeletons and tile schedules for this window
+  // only.
+  const PlanFingerprint fingerprint =
+      FingerprintWindow(source_fingerprint_, begin, window.size());
+  return PlanCore::Create(std::move(session), std::move(window), fingerprint,
+                          resolved_);
 }
 
 std::shared_ptr<const BatchPlan> BatchPlan::FromParts(

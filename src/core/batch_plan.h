@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,7 +26,8 @@ class CompiledSession;
 /// never be replayed for the mutated set. The fingerprint is computed from
 /// the raw set without resolving variable names against the pool, which is
 /// what makes a warm plan-cache hit cheap: one pass over the bytes instead
-/// of recompiling every scenario.
+/// of recompiling every scenario. A streamed chunk's core carries
+/// `FingerprintWindow` instead.
 struct PlanFingerprint {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -68,11 +70,18 @@ struct BaseFingerprint {
 BaseFingerprint FingerprintBase(const prov::Valuation& base,
                                 std::size_t pool_size);
 
-/// One scenario lowered to pool ids: a sorted, duplicate-free override list
-/// (later deltas on the same variable keep the last value).
-struct CompiledScenario {
-  std::vector<prov::VarOverride> overrides;
-};
+/// The plan fingerprint of window `[begin, begin + count)` of a source: a
+/// 128-bit hash of the source's spec fingerprint and the window bounds.
+/// Equal specs generate equal windows, so a streamed chunk is keyed without
+/// hashing a single scenario.
+PlanFingerprint FingerprintWindow(const SourceFingerprint& source,
+                                  std::uint64_t begin, std::uint64_t count);
+
+/// The worker count `BatchOptions::num_threads = 0` stands for: the number
+/// of CPUs in the calling thread's affinity mask, or
+/// `std::thread::hardware_concurrency()` where the mask cannot be read;
+/// never 0.
+std::size_t DefaultSweepThreads();
 
 /// The tile schedule for one compiled program: whole-polynomial ranges,
 /// plus (when one polynomial dominates and whole-poly splitting could not
@@ -131,43 +140,60 @@ BatchOptions::Sweep ChooseAutoEngine(std::size_t program_weight,
                                      std::size_t num_scenarios,
                                      std::size_t max_override_width);
 
-/// The cheap per-base half of a plan: the pool-sized base valuation the
-/// scenarios apply on top of, its content fingerprint, and — for the
-/// blocked engine — the block patch tables with value rows bound to that
-/// base plus every term's product under it, per program side. Materialized
-/// from a `PlanCore` in O(pool + union sizes + program size): no scenario
-/// lowering, no sorting, no index builds. Immutable once published inside a
-/// `BatchPlan`.
-struct PlanBaseOverlay {
-  /// The shared base valuation both program sides evaluate under,
-  /// pool-sized (the kernels index it with any factor id the programs
-  /// carry).
-  prov::Valuation base{0};
+/// Everything about one base valuation that every plan on it shares: the
+/// pool-sized base, its content fingerprint, and each term's product under
+/// it for both program sides. Built by `CompiledSession::MakeBaseState` and
+/// immutable afterwards. A session builds one for its default base when it
+/// is constructed, and every overlay, grid base and stream call on that base
+/// references it, so no call re-hashes or copies the default base.
+struct BaseState {
+  /// The base valuation both program sides evaluate under, pool-sized (the
+  /// kernels index it with any factor id the programs carry).
+  prov::Valuation values{0};
 
-  /// FingerprintBase(base, frozen pool size) — the overlay's cache key.
-  BaseFingerprint base_fingerprint;
+  /// FingerprintBase(values, frozen pool size) — the overlay cache key.
+  BaseFingerprint fingerprint;
 
-  /// Per-block override-union tables bound to `base` (empty unless the
-  /// core's engine is kBlocked). Structurally identical to the core's
-  /// skeletons; only the value rows differ per base.
-  std::vector<prov::BlockOverrides> block_tables;
-
-  /// `EvalProgram::TermProducts(base)` of the sweep-side full program and
-  /// of the compressed program (empty unless the core's engine is
-  /// kBlocked): what the blocked kernel adds, in every lane, for a term the
-  /// block's overrides do not touch. 8 bytes per term per side.
+  /// `EvalProgram::TermProducts(values)` of the sweep-side full program and
+  /// of the compressed program: what the blocked kernel adds, in every
+  /// lane, for a term the block's overrides do not touch. 8 bytes per term
+  /// per side.
   std::vector<double> full_products;
   std::vector<double> compressed_products;
 };
 
+/// The cheap per-base half of a plan: a reference to the shared
+/// `BaseState` and — for the blocked engine — the block patch tables with
+/// value rows bound to that base. Materialized from a `PlanCore` in
+/// O(union sizes): no scenario lowering, no sorting, no index builds, no
+/// base copy. Immutable once published inside a `BatchPlan`.
+struct PlanBaseOverlay {
+  /// The shared per-base state; never null in an overlay `MakeOverlay`
+  /// built.
+  std::shared_ptr<const BaseState> base;
+
+  /// Per-block override-union tables bound to `base->values` (empty unless
+  /// the core's engine is kBlocked). Structurally identical to the core's
+  /// skeletons; only the value rows differ per base.
+  std::vector<prov::BlockOverrides> block_tables;
+
+  /// Views of `base`'s term products, per side, that the blocked kernel
+  /// adds for untouched terms (empty unless the core's engine is kBlocked —
+  /// a scalar plan carries no products). They point into `*base`, which
+  /// keeps them alive; re-point them when replacing `base`.
+  std::span<const double> full_products;
+  std::span<const double> compressed_products;
+};
+
 /// The base-independent core of a plan: everything derived from the
-/// (scenario set, options, session) triple alone — scenario lowering into
-/// sorted override lists, the resolved engine/lane/thread choice, the
-/// per-block override-union *skeletons* (sorted unions + dense row indexes,
-/// values unbound), and the (scenario-block × poly-range) tile schedules
-/// for both program sides with each block's touched-term set. This is the
-/// expensive half of planning; a grid sweep or a per-user-defaults serving
-/// tier compiles it once and stamps out a `PlanBaseOverlay` per base.
+/// (lowered scenarios, options, session) triple alone — the scenarios'
+/// sorted override lists in one flat `LoweredScenarios` array, the resolved
+/// engine/lane/thread choice, the per-block override-union *skeletons*
+/// (sorted unions + dense row indexes, values unbound), and the
+/// (scenario-block × poly-range) tile schedules for both program sides with
+/// each block's touched-term set. This is the expensive half of planning; a
+/// grid sweep or a per-user-defaults serving tier compiles it once and
+/// stamps out a `PlanBaseOverlay` per base.
 ///
 /// A core is deeply immutable after construction and references its origin
 /// session through a weak_ptr (plans live in the session's own cache, so a
@@ -175,29 +201,36 @@ struct PlanBaseOverlay {
 /// batch immortal).
 class PlanCore {
  public:
-  /// Compiles the base-independent half. Validates `options` (naming the
-  /// offending field and the accepted values) and the scenario set
-  /// (non-empty, unique names, every delta variable known to the snapshot)
-  /// once, here — execution never re-validates. `session` must be non-null.
-  /// A caller that already fingerprinted the set (the plan cache keys on it
-  /// before planning) may pass the digest to skip the second content pass;
-  /// null recomputes it.
+  /// Compiles the base-independent half of a named scenario set: validates
+  /// the set (non-empty, unique names), lowers it through the session's
+  /// resolver (every delta variable must be known to the snapshot), and
+  /// builds the core from the lowered form, keeping the names. A caller
+  /// that already fingerprinted the set (the plan cache keys on it before
+  /// planning) may pass the digest to skip the second content pass; null
+  /// recomputes it.
   static util::Result<std::shared_ptr<const PlanCore>> Create(
       std::shared_ptr<const CompiledSession> session,
       const ScenarioSet& scenarios, const BatchOptions& options,
       const PlanFingerprint* precomputed_fingerprint = nullptr);
 
-  /// Materializes the per-base half: copies `base_meta_valuation` pool-sized
-  /// and (for the blocked engine) rebinds every block skeleton's value rows
-  /// to it and forms both programs' per-term base products. A caller that
-  /// already fingerprinted the base (the overlay cache keys on it before
-  /// materializing) may pass the digest; null recomputes it. Never fails:
-  /// once the origin session is gone the products stay empty, and a plan
-  /// with such an overlay is refused by `Execute` and `VerifyPlan` anyway,
-  /// as is every plan of a destroyed session.
+  /// Compiles the base-independent half from an already-lowered window —
+  /// the path every core takes. Validates `options` (naming the offending
+  /// field and the accepted values) and the window (non-empty; every list
+  /// strictly ascending inside the frozen pool) once, here — execution never
+  /// re-validates. `names` is empty (a streamed chunk, named on demand by its
+  /// source) or holds one name per scenario. `session` must be non-null.
+  static util::Result<std::shared_ptr<const PlanCore>> Create(
+      std::shared_ptr<const CompiledSession> session, LoweredScenarios lowered,
+      const PlanFingerprint& fingerprint, const BatchOptions& options,
+      std::vector<std::string> names = {});
+
+  /// Materializes the per-base half on the shared `base` (non-null, built
+  /// by the origin session, so pool-sized — checked, as the kernels index it
+  /// with every factor id): for the blocked engine, rebinds every block
+  /// skeleton's value rows to `base->values` and points the overlay at its
+  /// term products. Never copies the base.
   std::shared_ptr<const PlanBaseOverlay> MakeOverlay(
-      const prov::Valuation& base_meta_valuation,
-      const BaseFingerprint* precomputed_fingerprint = nullptr) const;
+      std::shared_ptr<const BaseState> base) const;
 
   /// The session this core was built against, or null if that session has
   /// since been destroyed (see the class comment). The weak_ptr makes the
@@ -221,7 +254,7 @@ class PlanCore {
   /// Worker threads the sweep will use (the resolved `num_threads`).
   std::size_t num_threads() const { return num_threads_; }
 
-  std::size_t num_scenarios() const { return scenario_names_.size(); }
+  std::size_t num_scenarios() const { return lowered_.size(); }
 
   /// Scenario blocks of the sweep (== ceil(scenarios / lanes)).
   std::size_t num_blocks() const { return num_blocks_; }
@@ -233,11 +266,19 @@ class PlanCore {
            (full_schedule_.slices() + compressed_schedule_.slices());
   }
 
+  /// One name per scenario for a core planned from a `ScenarioSet`; empty
+  /// for a streamed chunk, whose source names entries on demand.
   const std::vector<std::string>& scenario_names() const {
     return scenario_names_;
   }
 
-  const std::vector<CompiledScenario>& compiled() const { return compiled_; }
+  /// The scenarios' sorted, duplicate-free override lists.
+  const LoweredScenarios& lowered() const { return lowered_; }
+
+  /// Scenario `i`'s override list.
+  std::span<const prov::VarOverride> overrides(std::size_t i) const {
+    return lowered_.scenario(i);
+  }
 
   /// Per-block override-union skeletons (empty unless engine() ==
   /// kBlocked): the base-invariant structure of the block tables, value
@@ -255,12 +296,12 @@ class PlanCore {
     return compressed_schedule_;
   }
 
-  /// The pool size frozen into this core (== the origin session's
-  /// pool_size()); overlays size their base valuation to it.
-  std::size_t frozen_pool_size() const { return frozen_pool_size_; }
-
  private:
   PlanCore() = default;
+
+  /// Fills `spans` with block `block`'s lanes' override lists and returns
+  /// the lane count (a ragged tail block has fewer than `lanes_`).
+  std::size_t LaneSpans(std::size_t block, prov::OverrideSpan* spans) const;
 
   std::weak_ptr<const CompiledSession> session_;
   PlanFingerprint fingerprint_;
@@ -268,9 +309,9 @@ class PlanCore {
   std::size_t lanes_ = 1;
   std::size_t num_threads_ = 1;
   std::size_t num_blocks_ = 0;
-  std::size_t frozen_pool_size_ = 0;
+  std::size_t frozen_pool_size_ = 0;  ///< The origin session's pool_size().
   std::vector<std::string> scenario_names_;
-  std::vector<CompiledScenario> compiled_;
+  LoweredScenarios lowered_;
   std::vector<prov::BlockOverrides> block_skeletons_;
   ProgramSchedule full_schedule_;
   ProgramSchedule compressed_schedule_;
@@ -280,11 +321,11 @@ class PlanCore {
 /// `ScenarioSource` that does NOT depend on the scenarios themselves —
 /// the resolved engine/lane/thread choice (made once, from the program
 /// shapes, the source's size and its `max_deltas()` bound) and the
-/// streaming window. The per-scenario half (lowering to sorted override
-/// lists, block-override skeletons, tile schedules) is deferred to
-/// `LowerChunk`, which compiles one window-sized `PlanCore` at a time as
-/// the source streams — so plan memory, like sweep memory, is bounded by
-/// `BatchOptions::stream_block_scenarios` and never by `size()`.
+/// streaming window. The per-scenario half (block-override skeletons, tile
+/// schedules) is deferred to `PlanChunk`, which compiles one window-sized
+/// `PlanCore` at a time from the source's lowered window — so plan memory,
+/// like sweep memory, is bounded by `BatchOptions::stream_block_scenarios`
+/// and never by `size()`.
 ///
 /// Engine/lane decisions are pinned at Create time: every chunk's core is
 /// compiled with the same resolved engine, so a streamed sweep behaves like
@@ -299,12 +340,14 @@ class StreamPlan {
       std::shared_ptr<const CompiledSession> session,
       const ScenarioSource& source, const BatchOptions& options);
 
-  /// Compiles the per-scenario plan half for one generated window — sorted
-  /// override lists, block-override skeletons, tile schedules — under the
-  /// pinned engine. Fails with `FailedPrecondition` when the origin session
-  /// has been destroyed.
-  util::Result<std::shared_ptr<const PlanCore>> LowerChunk(
-      const ScenarioSet& chunk) const;
+  /// Compiles the per-scenario plan half for the source's lowered window
+  /// starting at ordinal `begin` — block-override skeletons, tile schedules
+  /// — under the pinned engine. The core carries no names, and its
+  /// fingerprint is `FingerprintWindow` of the source spec and the window.
+  /// Fails with `FailedPrecondition` when the origin session has been
+  /// destroyed.
+  util::Result<std::shared_ptr<const PlanCore>> PlanChunk(
+      LoweredScenarios window, std::uint64_t begin) const;
 
   /// The session this plan was built against, or null if destroyed.
   std::shared_ptr<const CompiledSession> session() const {
@@ -350,9 +393,9 @@ class StreamPlan {
 /// plan-once / execute-many half of the batched serving path.
 ///
 /// Internally a plan is a pair: a shared, base-independent `PlanCore`
-/// (scenario lowering, engine/lane resolution, override-union skeletons,
+/// (lowered scenarios, engine/lane resolution, override-union skeletons,
 /// tile schedules) plus a cheap `PlanBaseOverlay` binding one base
-/// valuation (pool-sized base + per-block value rows). The plan cache keys
+/// (a shared `BaseState` + per-block value rows). The plan cache keys
 /// cores on the scenario fingerprint and options alone and attaches one
 /// overlay per distinct base, so replaying the same scenario set against a
 /// different base — the grid / per-user-defaults workload — reuses the
@@ -367,14 +410,6 @@ class StreamPlan {
 /// origin is gone or different.
 class BatchPlan {
  public:
-  /// Compiles a full plan (core + overlay) in one call — the single-base
-  /// convenience path. See `PlanCore::Create` for the validation contract.
-  static util::Result<std::shared_ptr<const BatchPlan>> Create(
-      std::shared_ptr<const CompiledSession> session,
-      const ScenarioSet& scenarios,
-      const prov::Valuation& base_meta_valuation, const BatchOptions& options,
-      const PlanFingerprint* precomputed_fingerprint = nullptr);
-
   /// Pairs an existing core with an overlay (both non-null) — the grid /
   /// overlay-cache path. The overlay should have been produced by
   /// `core->MakeOverlay()`; `VerifyPlan` audits the pairing.
@@ -409,12 +444,10 @@ class BatchPlan {
   const std::vector<std::string>& scenario_names() const {
     return core_->scenario_names();
   }
-  const std::vector<CompiledScenario>& compiled() const {
-    return core_->compiled();
-  }
+  const LoweredScenarios& lowered() const { return core_->lowered(); }
 
   /// The pool-sized base meta valuation scenarios apply on top of.
-  const prov::Valuation& base() const { return overlay_->base; }
+  const prov::Valuation& base() const { return overlay_->base->values; }
 
   /// Per-block override-union tables bound to base() (empty unless
   /// engine() == kBlocked).

@@ -136,13 +136,31 @@ CompiledSession::Artifacts::Artifacts(
 
 CompiledSession::CompiledSession(std::shared_ptr<const Artifacts> artifacts,
                                  prov::Valuation default_meta)
-    : artifacts_(std::move(artifacts)),
-      default_meta_(std::move(default_meta)),
-      default_full_(0) {
-  default_meta_.Resize(artifacts_->frozen_pool_size);
-  default_full_ = ExpandValuation(default_meta_);
-  default_base_fingerprint_ =
-      FingerprintBase(default_meta_, artifacts_->frozen_pool_size);
+    : artifacts_(std::move(artifacts)), default_full_(0) {
+  default_base_ = MakeBaseState(default_meta);
+  default_full_ = ExpandValuation(default_base_->values);
+}
+
+std::shared_ptr<const BaseState> CompiledSession::MakeBaseState(
+    const prov::Valuation& base,
+    const BaseFingerprint* precomputed_fingerprint) const {
+  auto state = std::make_shared<BaseState>();
+  state->values = PoolSized(base);
+  state->fingerprint =
+      precomputed_fingerprint != nullptr
+          ? *precomputed_fingerprint
+          : FingerprintBase(state->values, artifacts_->frozen_pool_size);
+  state->full_products =
+      artifacts_->sweep_full_program.TermProducts(state->values);
+  state->compressed_products =
+      artifacts_->compressed_program.TermProducts(state->values);
+  return state;
+}
+
+std::shared_ptr<const BaseState> CompiledSession::BaseStateFor(
+    const prov::Valuation& base, const BaseFingerprint& fingerprint) const {
+  if (fingerprint == default_base_->fingerprint) return default_base_;
+  return MakeBaseState(base, &fingerprint);
 }
 
 util::Result<std::shared_ptr<const CompiledSession>> CompiledSession::Create(
@@ -319,7 +337,7 @@ util::Result<AssignReport> CompiledSession::Assign(
 
 util::Result<AssignReport> CompiledSession::Assign(
     std::size_t timing_reps) const {
-  return Assign(default_meta_, timing_reps);
+  return Assign(default_base_->values, timing_reps);
 }
 
 util::Result<AssignReport> CompiledSession::AssignAgainstBase(
@@ -394,7 +412,8 @@ util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatchImpl(
   // Plan outside any lock: compilation is the expensive part, and two
   // threads racing to plan the same set merely duplicate work once. On a
   // core hit only the cheap per-base overlay is materialized — no scenario
-  // re-lowering, no union sorting, no schedule derivation.
+  // re-lowering, no union sorting, no schedule derivation — and on the
+  // default base not even the base is copied.
   if (core == nullptr) {
     util::Result<std::shared_ptr<const PlanCore>> fresh = PlanCore::Create(
         shared_from_this(), scenarios, options, &key.scenarios);
@@ -402,7 +421,8 @@ util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatchImpl(
     core = *fresh;
   }
   std::shared_ptr<const BatchPlan> plan = BatchPlan::FromParts(
-      core, core->MakeOverlay(base_meta_valuation, &base_fingerprint));
+      core,
+      core->MakeOverlay(BaseStateFor(base_meta_valuation, base_fingerprint)));
 
   // Trust boundary: verify the freshly compiled plan before it enters the
   // cache (and gets replayed indefinitely). Always in debug builds, opt-in
@@ -460,8 +480,9 @@ util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatch(
 util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatch(
     const ScenarioSet& scenarios, const BatchOptions& options,
     bool* cache_hit) const {
-  return PlanBatchImpl(scenarios, default_meta_, default_base_fingerprint_,
-                       options, cache_hit, nullptr);
+  return PlanBatchImpl(scenarios, default_base_->values,
+                       default_base_->fingerprint, options, cache_hit,
+                       nullptr);
 }
 
 CompiledSession::PlanCacheStats CompiledSession::plan_cache_stats() const {
@@ -537,7 +558,7 @@ util::Result<BatchAssignReport> CompiledSession::Execute(
   std::size_t used_threads = 1;
   auto sweep = [&](const prov::EvalProgram& program,
                    const ProgramSchedule& schedule,
-                   const std::vector<double>& base_products,
+                   std::span<const double> base_products,
                    std::vector<std::vector<double>>* out) {
     const std::size_t polys = program.NumPolys();
     std::vector<double> flat(n * polys, 0.0);
@@ -603,10 +624,9 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
   const bool use_blocks = core.engine() == BatchOptions::Sweep::kBlocked;
   const std::size_t lanes = core.lanes();
   const std::size_t num_blocks = core.num_blocks();
-  const std::vector<CompiledScenario>& compiled = core.compiled();
   const std::vector<prov::BlockOverrides>& block_tables =
       overlay.block_tables;
-  const prov::Valuation& base = overlay.base;
+  const prov::Valuation& base = overlay.base->values;
   const std::size_t polys = program.NumPolys();
 
   const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges =
@@ -643,7 +663,7 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
                                      term_slices);
       }
     } else {
-      const std::vector<prov::VarOverride>& ov = compiled[i0].overrides;
+      const std::span<const prov::VarOverride> ov = core.overrides(i0);
       if (s < ranges.size()) {
         program.EvalRangeWithOverrides(base, ov.data(), ov.size(),
                                        ranges[s].first, ranges[s].second,
@@ -752,7 +772,9 @@ util::Result<GridAssignReport> CompiledSession::AssignGrid(
           }
         }
       }
-      if (overlay == nullptr) overlay = core->MakeOverlay(bases[b], &fp);
+      if (overlay == nullptr) {
+        overlay = core->MakeOverlay(BaseStateFor(bases[b], fp));
+      }
       grid.overlay_seconds += overlay_timer.ElapsedSeconds();
     }
 
@@ -805,13 +827,13 @@ util::Result<BatchAssignReport> CompiledSession::AssignBatch(
 
 util::Result<BatchAssignReport> CompiledSession::AssignBatch(
     const ScenarioSet& scenarios, const BatchOptions& options) const {
-  // Routed through the default-base fingerprint precomputed at construction
-  // so the warm path never rehashes the (immutable) default valuation.
+  // Routed through the default base state built at construction, so no
+  // call rehashes the (immutable) default valuation and no miss copies it.
   bool cache_hit = false;
   bool core_hit = false;
-  util::Result<std::shared_ptr<const BatchPlan>> plan =
-      PlanBatchImpl(scenarios, default_meta_, default_base_fingerprint_,
-                    options, &cache_hit, &core_hit);
+  util::Result<std::shared_ptr<const BatchPlan>> plan = PlanBatchImpl(
+      scenarios, default_base_->values, default_base_->fingerprint, options,
+      &cache_hit, &core_hit);
   if (!plan.ok()) return plan.status();
   util::Result<BatchAssignReport> report = Execute(**plan);
   if (!report.ok()) return report.status();
@@ -862,6 +884,23 @@ std::string SweepSummary::ToString(std::size_t max_rows) const {
 util::Result<SweepSummary> CompiledSession::AssignStream(
     const ScenarioSource& source, const prov::Valuation& base_meta_valuation,
     const StreamOptions& options, const StreamConsumer& consumer) const {
+  return StreamImpl(
+      source,
+      BaseStateFor(base_meta_valuation,
+                   FingerprintBase(base_meta_valuation,
+                                   artifacts_->frozen_pool_size)),
+      options, consumer);
+}
+
+util::Result<SweepSummary> CompiledSession::AssignStream(
+    const ScenarioSource& source, const StreamOptions& options,
+    const StreamConsumer& consumer) const {
+  return StreamImpl(source, default_base_, options, consumer);
+}
+
+util::Result<SweepSummary> CompiledSession::StreamImpl(
+    const ScenarioSource& source, const std::shared_ptr<const BaseState>& base,
+    const StreamOptions& options, const StreamConsumer& consumer) const {
   const StreamQuery& query = options.query;
   switch (query.kind) {
     case StreamQuery::Kind::kAll:
@@ -904,8 +943,9 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
   const StreamPlan& plan = **plan_result;
 
   // Trust boundary, mirroring PlanBatch: audit the generator spec (and,
-  // below, the first chunk's freshly compiled plan) before a million-row
-  // sweep replays it. Always in debug builds, opt-in via `verify_plans`.
+  // below, the first chunk's freshly compiled plan, cross-checked against
+  // the source's Generate) before a million-row sweep replays it. Always in
+  // debug builds, opt-in via `verify_plans`.
 #ifdef NDEBUG
   const bool audit = options.batch.verify_plans;
 #else
@@ -937,12 +977,27 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
   summary.metric_max = -kInf;
 
   // The base compressed row is the metric's reference point, shared by
-  // every chunk; the pool-sized base feeds the per-chunk overlay rebinds.
-  const prov::Valuation base = PoolSized(base_meta_valuation);
-  const BaseFingerprint base_fp =
-      FingerprintBase(base_meta_valuation, artifacts_->frozen_pool_size);
+  // every chunk; every chunk's overlay references the shared base state.
   std::vector<double> base_comp;
-  artifacts_->compressed_program.Eval(base, &base_comp);
+  artifacts_->compressed_program.Eval(base->values, &base_comp);
+  const VarResolver resolver = this->resolver();
+
+  // Names are asked of the source only for what leaves the call: kept
+  // entries and consumer views.
+  std::vector<std::string> names;
+  auto fetch_names = [&](std::uint64_t first,
+                         std::size_t count) -> util::Status {
+    names.clear();
+    COBRA_RETURN_IF_ERROR(source.Names(first, count, &names));
+    if (names.size() != count) {
+      return util::Status::Internal(util::StrFormat(
+          "AssignStream: source named %zu scenario(s) for window [%llu, "
+          "%llu) — sources must name the window exactly",
+          names.size(), static_cast<unsigned long long>(first),
+          static_cast<unsigned long long>(first + count)));
+    }
+    return util::Status::OK();
+  };
 
   const prov::EvalProgram& sweep_full = artifacts_->sweep_full_program;
   const prov::EvalProgram& compressed = artifacts_->compressed_program;
@@ -987,8 +1042,6 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
     }
   };
 
-  ScenarioSet chunk;
-  std::vector<std::string> names;
   std::vector<double> full_flat;
   std::vector<double> comp_flat;
   std::vector<double> metrics;
@@ -1002,32 +1055,31 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
         std::min<std::uint64_t>(summary.window, summary.source_size - begin));
 
     timer.Reset();
-    chunk.Clear();
-    chunk.Reserve(count);
-    COBRA_RETURN_IF_ERROR(source.Generate(begin, count, &chunk));
-    if (chunk.size() != count) {
+    LoweredScenarios window;
+    COBRA_RETURN_IF_ERROR(source.Lower(begin, count, resolver, &window));
+    if (window.size() != count) {
       return util::Status::Internal(util::StrFormat(
-          "AssignStream: source produced %zu scenario(s) for window "
-          "[%llu, %llu) — generators must fill the window exactly",
-          chunk.size(), static_cast<unsigned long long>(begin),
+          "AssignStream: source lowered %zu scenario(s) for window "
+          "[%llu, %llu) — sources must fill the window exactly",
+          window.size(), static_cast<unsigned long long>(begin),
           static_cast<unsigned long long>(begin + count)));
     }
     summary.generate_seconds += timer.ElapsedSeconds();
 
     timer.Reset();
     util::Result<std::shared_ptr<const PlanCore>> core_result =
-        plan.LowerChunk(chunk);
+        plan.PlanChunk(std::move(window), begin);
     if (!core_result.ok()) return core_result.status();
     const PlanCore& core = **core_result;
     const std::shared_ptr<const PlanBaseOverlay> overlay =
-        core.MakeOverlay(base, &base_fp);
+        core.MakeOverlay(base);
     summary.plan_seconds += timer.ElapsedSeconds();
 
     if (audit && summary.chunks == 0) {
       const std::shared_ptr<const BatchPlan> first_plan =
           BatchPlan::FromParts(*core_result, overlay);
       const verify::VerifyReport report =
-          verify::VerifyPlan(*first_plan, *this, &chunk);
+          verify::VerifyStreamWindow(*first_plan, *this, source, begin);
       if (!report.ok()) {
         return util::Status::Internal(util::StrFormat(
             "AssignStream: freshly compiled first-chunk plan failed "
@@ -1089,11 +1141,10 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
         }
         case StreamQuery::Kind::kTopK: {
           if (top.size() < query.k) {
-            top.push_back(
-                {ordinal, chunk.scenario(i).name, m, {}, {}});
+            top.push_back({ordinal, {}, m, {}, {}});
             recompute_worst();
           } else if (m > top[worst].metric) {
-            top[worst] = {ordinal, chunk.scenario(i).name, m, {}, {}};
+            top[worst] = {ordinal, {}, m, {}, {}};
             recompute_worst();
           } else {
             need_full[i] = 0;
@@ -1149,7 +1200,8 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
           if (keep[i] == 0) continue;
           StreamEntry entry;
           entry.index = begin + i;
-          entry.name = chunk.scenario(i).name;
+          COBRA_RETURN_IF_ERROR(fetch_names(entry.index, 1));
+          entry.name = std::move(names[0]);
           entry.metric = metrics[i];
           entry.full.assign(full_flat.begin() + i * polys_full,
                             full_flat.begin() + (i + 1) * polys_full);
@@ -1181,7 +1233,7 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
     begin += count;
 
     if (consumer) {
-      names = chunk.Names();
+      COBRA_RETURN_IF_ERROR(fetch_names(begin - count, count));
       StreamBlockView view;
       view.begin = begin - count;
       view.count = count;
@@ -1204,15 +1256,13 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
                 if (a.metric != b.metric) return a.metric > b.metric;
                 return a.index < b.index;
               });
+    for (StreamEntry& entry : top) {
+      COBRA_RETURN_IF_ERROR(fetch_names(entry.index, 1));
+      entry.name = std::move(names[0]);
+    }
     summary.entries = std::move(top);
   }
   return summary;
-}
-
-util::Result<SweepSummary> CompiledSession::AssignStream(
-    const ScenarioSource& source, const StreamOptions& options,
-    const StreamConsumer& consumer) const {
-  return AssignStream(source, default_meta_, options, consumer);
 }
 
 }  // namespace cobra::core

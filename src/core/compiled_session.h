@@ -214,7 +214,8 @@ struct StreamBlockView {
   std::uint64_t begin = 0;      ///< Source ordinal of row 0.
   std::size_t count = 0;        ///< Scenarios in this block.
   std::size_t num_groups = 0;   ///< Output groups per row.
-  const std::vector<std::string>* names = nullptr;  ///< `count` names.
+  /// `count` names, asked of the source for this view only.
+  const std::vector<std::string>* names = nullptr;
   const double* metrics = nullptr;       ///< `count` per-scenario metrics.
   /// Per-scenario flag: full row `i` was computed (its block survived the
   /// early-exit test). Always 1 under `StreamQuery::Kind::kAll`.
@@ -289,8 +290,9 @@ struct SweepSummary {
   /// kAll: empty.
   std::vector<StreamEntry> entries;
 
-  double generate_seconds = 0.0;   ///< Source Generate() time.
-  double plan_seconds = 0.0;       ///< Per-chunk lowering/planning time.
+  /// Time the source spent lowering windows (`ScenarioSource::Lower`).
+  double generate_seconds = 0.0;
+  double plan_seconds = 0.0;       ///< Per-chunk planning time.
   double full_sweep_seconds = 0.0;
   double compressed_sweep_seconds = 0.0;
 
@@ -369,6 +371,12 @@ class CompiledSession
   /// interned afterwards are invisible to this snapshot.
   std::size_t pool_size() const { return artifacts_->frozen_pool_size; }
 
+  /// Resolves scenario variable names against this snapshot's frozen pool —
+  /// what a `ScenarioSource` lowers its windows through.
+  VarResolver resolver() const {
+    return VarResolver(*artifacts_->pool, artifacts_->frozen_pool_size);
+  }
+
   /// The meta-variables offered to analysts.
   const std::vector<MetaVar>& meta_vars() const {
     return artifacts_->meta_vars;
@@ -412,10 +420,25 @@ class CompiledSession
     return artifacts_->remap;
   }
 
-  /// The default compressed-side valuation scenarios are applied on top of.
+  /// The default compressed-side valuation scenarios are applied on top of
+  /// (pool-sized).
   const prov::Valuation& default_meta_valuation() const {
-    return default_meta_;
+    return default_base_->values;
   }
+
+  /// The shared per-base state of the default valuation, built once at
+  /// construction: every default-base plan, grid base and stream on this
+  /// session references it.
+  const std::shared_ptr<const BaseState>& default_base_state() const {
+    return default_base_;
+  }
+
+  /// Builds the shared per-base state of `base`: a pool-sized copy, its
+  /// fingerprint (`precomputed_fingerprint` when non-null, which must be
+  /// `FingerprintBase(base, pool_size())`) and both programs' term products.
+  std::shared_ptr<const BaseState> MakeBaseState(
+      const prov::Valuation& base,
+      const BaseFingerprint* precomputed_fingerprint = nullptr) const;
 
   /// The full-side expansion of the default meta valuation.
   const prov::Valuation& default_full_valuation() const {
@@ -491,13 +514,15 @@ class CompiledSession
 
   /// Sweeps a generated scenario space as a stream of
   /// `BatchOptions::stream_block_scenarios`-sized blocks, on top of
-  /// `base_meta_valuation`: each block is generated from the source, lowered
-  /// to a window-sized plan chunk (same lowering, same block-override
-  /// tables, same tile schedules as `AssignBatch` — the engine is resolved
-  /// once up front and pinned), swept through the shared kernels, folded
-  /// into the running `SweepSummary`, and handed to `consumer` before the
-  /// next block is generated. Peak memory is bounded by the window — a
-  /// 10^8-scenario grid sweeps in the same footprint as a 10^4 one.
+  /// `base_meta_valuation`: the source lowers each block straight to pool
+  /// ids (`ScenarioSource::Lower`), the lowered window is planned as a
+  /// window-sized chunk (same block-override tables, same tile schedules as
+  /// `AssignBatch` — the engine is resolved once up front and pinned), swept
+  /// through the shared kernels, folded into the running `SweepSummary`, and
+  /// handed to `consumer` before the next block is lowered. Names are asked
+  /// of the source only for kept entries and for a consumer's views. Peak
+  /// memory is bounded by the window — a 10^8-scenario grid sweeps in the
+  /// same footprint as a 10^4 one.
   ///
   /// Equivalence contract: under `StreamQuery::Kind::kAll`, the full and
   /// compressed rows delivered for scenarios [0, P) are bit-identical to
@@ -517,7 +542,8 @@ class CompiledSession
       const StreamOptions& options = {},
       const StreamConsumer& consumer = {}) const;
 
-  /// AssignStream() on top of the snapshot's default meta valuation.
+  /// AssignStream() on top of the snapshot's default meta valuation, whose
+  /// shared state is neither copied nor re-hashed.
   util::Result<SweepSummary> AssignStream(
       const ScenarioSource& source, const StreamOptions& options = {},
       const StreamConsumer& consumer = {}) const;
@@ -629,16 +655,30 @@ class CompiledSession
   /// Copies `v` and extends it neutrally to the pool size.
   prov::Valuation PoolSized(const prov::Valuation& v) const;
 
+  /// The shared state for a base whose fingerprint is `fingerprint`: the
+  /// session default's when the fingerprints match, else a fresh one.
+  std::shared_ptr<const BaseState> BaseStateFor(
+      const prov::Valuation& base, const BaseFingerprint& fingerprint) const;
+
   /// The shared implementation behind both PlanBatch overloads (and the
   /// grid's core acquisition): the default-base overload passes the
   /// fingerprint precomputed at construction so the warm path never
-  /// rehashes the (immutable) default valuation. `core_hit`, when non-null,
-  /// reports whether at least the plan core came from the cache.
+  /// rehashes the (immutable) default valuation, and a plan miss on it
+  /// references the default base state instead of copying it. `core_hit`,
+  /// when non-null, reports whether at least the plan core came from the
+  /// cache.
   util::Result<std::shared_ptr<const BatchPlan>> PlanBatchImpl(
       const ScenarioSet& scenarios,
       const prov::Valuation& base_meta_valuation,
       const BaseFingerprint& base_fingerprint, const BatchOptions& options,
       bool* cache_hit, bool* core_hit) const;
+
+  /// The streaming sweep behind both AssignStream overloads, on a shared
+  /// base state.
+  util::Result<SweepSummary> StreamImpl(
+      const ScenarioSource& source,
+      const std::shared_ptr<const BaseState>& base,
+      const StreamOptions& options, const StreamConsumer& consumer) const;
 
   /// Runs the sparse/blocked sweep of one program side for every scenario,
   /// writing the scenario-major result matrix (num_scenarios ×
@@ -704,10 +744,10 @@ class CompiledSession
   static constexpr std::size_t kMaxOverlaysPerEntry = 8;
 
   std::shared_ptr<const Artifacts> artifacts_;
-  prov::Valuation default_meta_;
+  /// The default meta valuation's shared state (pool-sized values,
+  /// fingerprint, term products), built at construction.
+  std::shared_ptr<const BaseState> default_base_;
   prov::Valuation default_full_;
-  /// FingerprintBase(default_meta_, pool), precomputed.
-  BaseFingerprint default_base_fingerprint_;
 
   /// The plan cache: the one synchronized corner of the serving layer.
   /// Lookups take the lock shared; only a miss's insert takes it exclusive.

@@ -60,14 +60,120 @@ util::Status CheckWindow(std::uint64_t begin, std::uint64_t count,
                          std::uint64_t size, const char* what) {
   if (begin > size || count > size - begin) {
     return util::Status::InvalidArgument(
-        std::string(what) + ": Generate window [" + std::to_string(begin) +
-        ", " + std::to_string(begin + count) + ") exceeds source size " +
+        std::string(what) + ": window [" + std::to_string(begin) + ", " +
+        std::to_string(begin + count) + ") exceeds source size " +
         std::to_string(size));
   }
   return util::Status::OK();
 }
 
+/// A resolver failure, attributed to the scenario whose delta caused it.
+util::Status ScenarioError(std::string_view scenario,
+                           const util::Status& cause) {
+  return util::Status::InvalidArgument("AssignBatch scenario \"" +
+                                       std::string(scenario) +
+                                       "\": " + cause.message());
+}
+
+/// `prefix-<i>`, the generators' scenario name for ordinal `i`.
+std::string OrdinalName(const std::string& prefix, std::uint64_t i) {
+  return prefix + "-" + std::to_string(i);
+}
+
+/// Resolves every axis variable once, for a window whose first scenario is
+/// `first_name` (named in a failure, as the default lowering would name
+/// it), and returns the (id, axis) pairs in id order. Axis variables are
+/// distinct, so their ids are too, and emitting the axes in this order
+/// makes every lowered list sorted and duplicate-free.
+template <typename Axis>
+util::Result<std::vector<std::pair<prov::VarId, std::size_t>>> AxisOrder(
+    const std::vector<Axis>& axes, const VarResolver& resolver,
+    std::string_view first_name) {
+  std::vector<std::pair<prov::VarId, std::size_t>> order;
+  order.reserve(axes.size());
+  for (std::size_t a = 0; a < axes.size(); ++a) {
+    util::Result<prov::VarId> id = resolver.Resolve(axes[a].var);
+    if (!id.ok()) return ScenarioError(first_name, id.status());
+    order.emplace_back(*id, a);
+  }
+  std::sort(order.begin(), order.end());
+  return order;
+}
+
+/// Generates window `[begin, begin + count)` of `source` into `window`,
+/// reserving room only for a window inside the source: an out-of-range one
+/// must fail in `Generate`, as a direct call would, not in the allocator.
+util::Status GenerateWindow(const ScenarioSource& source, std::uint64_t begin,
+                            std::uint64_t count, ScenarioSet* window) {
+  if (begin <= source.size() && count <= source.size() - begin) {
+    window->Reserve(static_cast<std::size_t>(count));
+  }
+  return source.Generate(begin, count, window);
+}
+
+/// Appends the generator names `prefix-<begin>` .. `prefix-<begin+count-1>`.
+void AppendOrdinalNames(const std::string& prefix, std::uint64_t begin,
+                        std::uint64_t count, std::vector<std::string>* out) {
+  out->reserve(out->size() + static_cast<std::size_t>(count));
+  for (std::uint64_t i = begin; i < begin + count; ++i) {
+    out->push_back(OrdinalName(prefix, i));
+  }
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------- lowering
+
+util::Result<prov::VarId> VarResolver::Resolve(std::string_view var) const {
+  const prov::VarId id = pool_->Find(var);
+  if (id == prov::kInvalidVar) {
+    return util::Status::InvalidArgument("unknown variable: " +
+                                         std::string(var));
+  }
+  if (id >= frozen_size_) {
+    // The pool is shared with the (still-mutable) authoring session; names
+    // interned after this snapshot was taken are not part of its frozen
+    // world.
+    return util::Status::InvalidArgument(
+        "variable " + std::string(var) +
+        " was interned after this snapshot was taken");
+  }
+  return id;
+}
+
+util::Status LowerScenarios(std::span<const Scenario> scenarios,
+                            const VarResolver& resolver,
+                            LoweredScenarios* out) {
+  out->offsets.reserve(out->offsets.size() + scenarios.size());
+  for (const Scenario& scenario : scenarios) {
+    const std::size_t first = out->overrides.size();
+    for (const Scenario::Delta& delta : scenario.deltas) {
+      util::Result<prov::VarId> id = resolver.Resolve(delta.var);
+      if (!id.ok()) return ScenarioError(scenario.name, id.status());
+      out->overrides.push_back({*id, delta.value});
+    }
+    // Deltas apply in order, so a repeated variable keeps its last value. A
+    // stable sort keeps each variable's deltas in input order; collapsing
+    // every run to its last entry leaves the duplicate-free list the kernels
+    // need, in O(d log d) for d deltas.
+    const auto begin = out->overrides.begin() + first;
+    std::stable_sort(begin, out->overrides.end(),
+                     [](const prov::VarOverride& a,
+                        const prov::VarOverride& b) { return a.var < b.var; });
+    std::size_t kept = first;
+    for (std::size_t o = first; o < out->overrides.size(); ++o) {
+      const prov::VarOverride ov = out->overrides[o];
+      if (kept > first && out->overrides[kept - 1].var == ov.var) {
+        out->overrides[kept - 1].value = ov.value;
+      } else {
+        out->overrides[kept++] = ov;
+      }
+    }
+    out->overrides.resize(kept);
+    out->EndScenario();
+  }
+  return util::Status::OK();
+}
 
 // ---------------------------------------------------------------- ScenarioSet
 
@@ -118,6 +224,25 @@ std::string SourceFingerprint::ToHex() const {
 
 // ------------------------------------------------------------- ScenarioSource
 
+util::Status ScenarioSource::Lower(std::uint64_t begin, std::uint64_t count,
+                                   const VarResolver& resolver,
+                                   LoweredScenarios* out) const {
+  ScenarioSet window;
+  COBRA_RETURN_IF_ERROR(GenerateWindow(*this, begin, count, &window));
+  return LowerScenarios(window.scenarios(), resolver, out);
+}
+
+util::Status ScenarioSource::Names(std::uint64_t begin, std::uint64_t count,
+                                   std::vector<std::string>* out) const {
+  ScenarioSet window;
+  COBRA_RETURN_IF_ERROR(GenerateWindow(*this, begin, count, &window));
+  out->reserve(out->size() + window.size());
+  for (const Scenario& scenario : window.scenarios()) {
+    out->push_back(scenario.name);
+  }
+  return util::Status::OK();
+}
+
 util::Result<ScenarioSet> ScenarioSource::Materialize() const {
   const std::uint64_t n = size();
   ScenarioSet out;
@@ -162,6 +287,27 @@ util::Status ExplicitSource::Generate(std::uint64_t begin, std::uint64_t count,
     util::Result<ScenarioSet::Handle> added =
         out->Add(scenarios_.scenario(static_cast<std::size_t>(i)));
     if (!added.ok()) return added.status();
+  }
+  return util::Status::OK();
+}
+
+util::Status ExplicitSource::Lower(std::uint64_t begin, std::uint64_t count,
+                                   const VarResolver& resolver,
+                                   LoweredScenarios* out) const {
+  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size(), "ExplicitSource"));
+  return LowerScenarios(
+      std::span<const Scenario>(scenarios_.scenarios())
+          .subspan(static_cast<std::size_t>(begin),
+                   static_cast<std::size_t>(count)),
+      resolver, out);
+}
+
+util::Status ExplicitSource::Names(std::uint64_t begin, std::uint64_t count,
+                                   std::vector<std::string>* out) const {
+  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size(), "ExplicitSource"));
+  out->reserve(out->size() + static_cast<std::size_t>(count));
+  for (std::uint64_t i = begin; i < begin + count; ++i) {
+    out->push_back(scenarios_.scenario(static_cast<std::size_t>(i)).name);
   }
   return util::Status::OK();
 }
@@ -255,7 +401,7 @@ util::Status CartesianSource::Generate(std::uint64_t begin,
       rem /= radix;
     }
     Scenario scenario;
-    scenario.name = name_prefix_ + "-" + std::to_string(i);
+    scenario.name = OrdinalName(name_prefix_, i);
     scenario.deltas.reserve(num_axes);
     for (std::size_t a = 0; a < num_axes; ++a) {
       scenario.deltas.push_back({axes_[a].var, axes_[a].values[digits[a]]});
@@ -263,6 +409,47 @@ util::Status CartesianSource::Generate(std::uint64_t begin,
     util::Result<ScenarioSet::Handle> added = out->Add(std::move(scenario));
     if (!added.ok()) return added.status();
   }
+  return util::Status::OK();
+}
+
+util::Status CartesianSource::Lower(std::uint64_t begin, std::uint64_t count,
+                                    const VarResolver& resolver,
+                                    LoweredScenarios* out) const {
+  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size_, "CartesianSource"));
+  if (count == 0) return util::Status::OK();
+  util::Result<std::vector<std::pair<prov::VarId, std::size_t>>> order =
+      AxisOrder(axes_, resolver, OrdinalName(name_prefix_, begin));
+  if (!order.ok()) return order.status();
+  // The mixed-radix digits of `begin`, then an odometer step per scenario
+  // (last axis fastest), instead of a division per axis and scenario.
+  const std::size_t num_axes = axes_.size();
+  std::vector<std::size_t> digits(num_axes, 0);
+  std::uint64_t rem = begin;
+  for (std::size_t a = num_axes; a-- > 0;) {
+    const std::uint64_t radix = axes_[a].values.size();
+    digits[a] = static_cast<std::size_t>(rem % radix);
+    rem /= radix;
+  }
+  out->overrides.reserve(out->overrides.size() +
+                         static_cast<std::size_t>(count) * num_axes);
+  out->offsets.reserve(out->offsets.size() + static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    for (const auto& [id, a] : *order) {
+      out->overrides.push_back({id, axes_[a].values[digits[a]]});
+    }
+    out->EndScenario();
+    for (std::size_t a = num_axes; a-- > 0;) {
+      if (++digits[a] < axes_[a].values.size()) break;
+      digits[a] = 0;
+    }
+  }
+  return util::Status::OK();
+}
+
+util::Status CartesianSource::Names(std::uint64_t begin, std::uint64_t count,
+                                    std::vector<std::string>* out) const {
+  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size_, "CartesianSource"));
+  AppendOrdinalNames(name_prefix_, begin, count, out);
   return util::Status::OK();
 }
 
@@ -332,7 +519,7 @@ util::Status SampledSource::Generate(std::uint64_t begin, std::uint64_t count,
     // (seed, i), so any chunking of the space samples identically.
     util::Rng rng = util::Rng(seed_).Fork(i);
     Scenario scenario;
-    scenario.name = name_prefix_ + "-" + std::to_string(i);
+    scenario.name = OrdinalName(name_prefix_, i);
     scenario.deltas.reserve(axes_.size());
     for (const RangeAxis& axis : axes_) {
       scenario.deltas.push_back(
@@ -341,6 +528,37 @@ util::Status SampledSource::Generate(std::uint64_t begin, std::uint64_t count,
     util::Result<ScenarioSet::Handle> added = out->Add(std::move(scenario));
     if (!added.ok()) return added.status();
   }
+  return util::Status::OK();
+}
+
+util::Status SampledSource::Lower(std::uint64_t begin, std::uint64_t count,
+                                  const VarResolver& resolver,
+                                  LoweredScenarios* out) const {
+  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, count_, "SampledSource"));
+  if (count == 0) return util::Status::OK();
+  util::Result<std::vector<std::pair<prov::VarId, std::size_t>>> order =
+      AxisOrder(axes_, resolver, OrdinalName(name_prefix_, begin));
+  if (!order.ok()) return order.status();
+  out->overrides.reserve(out->overrides.size() +
+                         static_cast<std::size_t>(count) * axes_.size());
+  out->offsets.reserve(out->offsets.size() + static_cast<std::size_t>(count));
+  std::vector<double> draws(axes_.size());
+  for (std::uint64_t i = begin; i < begin + count; ++i) {
+    // Draw in axis order, exactly as Generate does, then emit in id order.
+    util::Rng rng = util::Rng(seed_).Fork(i);
+    for (std::size_t a = 0; a < axes_.size(); ++a) {
+      draws[a] = rng.NextDoubleInRange(axes_[a].lo, axes_[a].hi);
+    }
+    for (const auto& [id, a] : *order) out->overrides.push_back({id, draws[a]});
+    out->EndScenario();
+  }
+  return util::Status::OK();
+}
+
+util::Status SampledSource::Names(std::uint64_t begin, std::uint64_t count,
+                                  std::vector<std::string>* out) const {
+  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, count_, "SampledSource"));
+  AppendOrdinalNames(name_prefix_, begin, count, out);
   return util::Status::OK();
 }
 

@@ -4,10 +4,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
+#include "prov/eval_program.h"
+#include "prov/variable.h"
 #include "util/status.h"
 
 namespace cobra::core {
@@ -98,9 +102,9 @@ class ScenarioSet {
   /// allocation hint, like `std::vector::reserve`.
   void Reserve(std::size_t n);
 
-  /// Removes every scenario. Outstanding handles are invalidated. Capacity
-  /// is retained, so a Clear()+Reserve()+Add() loop reuses the buffers —
-  /// the streaming sweep's per-block pattern.
+  /// Removes every scenario and forgets every name. Outstanding handles are
+  /// invalidated. Only the scenario vector keeps its capacity: each
+  /// scenario's strings and the name index are freed.
   void Clear();
 
   std::size_t size() const { return scenarios_.size(); }
@@ -118,6 +122,51 @@ class ScenarioSet {
   std::vector<Scenario> scenarios_;
   std::unordered_set<std::string> names_;  ///< Uniqueness index over `scenarios_`.
 };
+
+/// A window of scenarios lowered to pool ids, as one flat array: scenario
+/// `i` overrides `overrides[offsets[i], offsets[i + 1])`, sorted by variable
+/// id with one entry per variable (a variable's last delta wins). This is
+/// the form the batch planner builds every plan core from.
+struct LoweredScenarios {
+  std::vector<std::size_t> offsets{0};  ///< size() + 1 ascending bounds.
+  std::vector<prov::VarOverride> overrides;
+
+  std::size_t size() const { return offsets.size() - 1; }
+
+  /// Scenario `i`'s override list.
+  std::span<const prov::VarOverride> scenario(std::size_t i) const {
+    return {overrides.data() + offsets[i], offsets[i + 1] - offsets[i]};
+  }
+
+  /// Closes the scenario whose overrides were appended since the last call.
+  void EndScenario() { offsets.push_back(overrides.size()); }
+};
+
+/// Resolves scenario variable names against one session's frozen pool
+/// (`CompiledSession::resolver()`). Sources lower their windows through it,
+/// so every id they emit is one the session's programs can index. It
+/// borrows the pool: use it only while the session is alive.
+class VarResolver {
+ public:
+  VarResolver(const prov::VarPool& pool, std::size_t frozen_size)
+      : pool_(&pool), frozen_size_(frozen_size) {}
+
+  /// The id of `var`. Fails with `InvalidArgument` naming `var` when the
+  /// pool does not know it, or interned it after the snapshot was taken.
+  util::Result<prov::VarId> Resolve(std::string_view var) const;
+
+ private:
+  const prov::VarPool* pool_;
+  std::size_t frozen_size_;
+};
+
+/// Appends `scenarios`, each lowered through `resolver`, to `out` — the one
+/// lowering that `ScenarioSource::Lower`'s default and
+/// `PlanCore::Create(ScenarioSet)` share. Fails with `InvalidArgument`
+/// naming the scenario and the variable; `out` then holds a partial window.
+util::Status LowerScenarios(std::span<const Scenario> scenarios,
+                            const VarResolver& resolver,
+                            LoweredScenarios* out);
 
 /// 128-bit content fingerprint of a scenario *generator spec* (not of the
 /// scenarios it produces): two sources with equal fingerprints generate
@@ -161,6 +210,8 @@ struct SourceFingerprint {
 ///    the ordinal index to guarantee this).
 ///  - `fingerprint()` is a pure function of the spec: equal fingerprints
 ///    imply equal streams.
+///  - `Lower` and `Names` agree with `Generate` on every window, bit for
+///    bit (the defaults derive both from `Generate`).
 class ScenarioSource {
  public:
   virtual ~ScenarioSource() = default;
@@ -180,6 +231,20 @@ class ScenarioSource {
   /// `InvalidArgument` when the window exceeds `size()`.
   virtual util::Status Generate(std::uint64_t begin, std::uint64_t count,
                                 ScenarioSet* out) const = 0;
+
+  /// Appends scenarios `[begin, begin + count)` to `out` lowered through
+  /// `resolver` — what `AssignStream` plans each window from. Must equal
+  /// `LowerScenarios` over `Generate`'s output for the same window, and fail
+  /// where that fails. The default does exactly that; a generator that
+  /// knows its axes overrides it to emit ids without building names.
+  virtual util::Status Lower(std::uint64_t begin, std::uint64_t count,
+                             const VarResolver& resolver,
+                             LoweredScenarios* out) const;
+
+  /// Appends the names of scenarios `[begin, begin + count)` to `out`, equal
+  /// to `Generate`'s. The default generates the window.
+  virtual util::Status Names(std::uint64_t begin, std::uint64_t count,
+                             std::vector<std::string>* out) const;
 
   /// Materializes the whole space into one flat set — the bridge back to
   /// `AssignBatch`. Memory is proportional to `size()`; prefer
@@ -201,6 +266,12 @@ class ExplicitSource : public ScenarioSource {
   SourceFingerprint fingerprint() const override;
   util::Status Generate(std::uint64_t begin, std::uint64_t count,
                         ScenarioSet* out) const override;
+  /// Lowers the held scenarios in place, without copying them.
+  util::Status Lower(std::uint64_t begin, std::uint64_t count,
+                     const VarResolver& resolver,
+                     LoweredScenarios* out) const override;
+  util::Status Names(std::uint64_t begin, std::uint64_t count,
+                     std::vector<std::string>* out) const override;
 
   const ScenarioSet& scenarios() const { return scenarios_; }
 
@@ -226,7 +297,9 @@ ValueAxis LinSpace(std::string var, double lo, double hi, std::size_t steps);
 
 /// The cartesian product of per-variable value axes: scenario `i` decomposes
 /// mixed-radix over the axis sizes with the LAST axis varying fastest (row
-/// major), and sets one delta per axis. Names are `<prefix>-<i>`.
+/// major), and sets one delta per axis. Names are `<prefix>-<i>`. `Lower`
+/// resolves each axis once per window and `Names` formats the requested
+/// ordinals, so neither builds a scenario.
 class CartesianSource : public ScenarioSource {
  public:
   /// Validates the spec: at least one axis, non-empty variable names and
@@ -240,6 +313,11 @@ class CartesianSource : public ScenarioSource {
   SourceFingerprint fingerprint() const override;
   util::Status Generate(std::uint64_t begin, std::uint64_t count,
                         ScenarioSet* out) const override;
+  util::Status Lower(std::uint64_t begin, std::uint64_t count,
+                     const VarResolver& resolver,
+                     LoweredScenarios* out) const override;
+  util::Status Names(std::uint64_t begin, std::uint64_t count,
+                     std::vector<std::string>* out) const override;
 
   const std::vector<ValueAxis>& axes() const { return axes_; }
 
@@ -264,7 +342,8 @@ struct RangeAxis {
 /// value per axis. Scenario `i` is generated from its own decorrelated
 /// stream `Rng(seed).Fork(i)`, so the draw for a given index is a pure
 /// function of (seed, i) — identical across chunkings, thread counts, and
-/// processes. Names are `<prefix>-<i>`.
+/// processes. Names are `<prefix>-<i>`. Like `CartesianSource`, `Lower`
+/// resolves each axis once per window and `Names` builds no scenario.
 class SampledSource : public ScenarioSource {
  public:
   /// Validates the spec: `count > 0`, at least one axis, non-empty variable
@@ -279,6 +358,11 @@ class SampledSource : public ScenarioSource {
   SourceFingerprint fingerprint() const override;
   util::Status Generate(std::uint64_t begin, std::uint64_t count,
                         ScenarioSet* out) const override;
+  util::Status Lower(std::uint64_t begin, std::uint64_t count,
+                     const VarResolver& resolver,
+                     LoweredScenarios* out) const override;
+  util::Status Names(std::uint64_t begin, std::uint64_t count,
+                     std::vector<std::string>* out) const override;
 
   std::uint64_t seed() const { return seed_; }
 
@@ -392,9 +476,11 @@ struct BatchOptions {
     kSparseDelta,
   };
 
-  /// Worker threads for the scenario sweep; 0 means
-  /// `std::thread::hardware_concurrency()`. Clamped to the number of
-  /// sweep tasks (scenario blocks × program partitions).
+  /// Worker threads for the scenario sweep; 0 means one per CPU the calling
+  /// thread may run on (its `sched_getaffinity` mask, so `taskset` and
+  /// container cpusets narrow it; `std::thread::hardware_concurrency()`
+  /// where the mask is unavailable). Clamped to the number of sweep tasks
+  /// (scenario blocks × program partitions).
   std::size_t num_threads = 0;
 
   Sweep sweep = Sweep::kAuto;

@@ -15,7 +15,7 @@ VarPool& VarPool::operator=(const VarPool& other) {
   // Copy under the source lock first, then swap in under our own, so the
   // two locks are never held together (no ordering to get wrong).
   std::deque<std::string> names;
-  std::unordered_map<std::string, VarId> index;
+  decltype(index_) index;
   {
     std::shared_lock lock(other.mu_);
     names = other.names_;
@@ -29,7 +29,7 @@ VarPool& VarPool::operator=(const VarPool& other) {
 
 VarId VarPool::Intern(std::string_view name) {
   std::unique_lock lock(mu_);
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   VarId id = static_cast<VarId>(names_.size());
   names_.emplace_back(name);
@@ -39,7 +39,7 @@ VarId VarPool::Intern(std::string_view name) {
 
 VarId VarPool::Find(std::string_view name) const {
   std::shared_lock lock(mu_);
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   return it == index_.end() ? kInvalidVar : it->second;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -41,7 +42,8 @@ class VarPool {
   VarPool(const VarPool& other);
   VarPool& operator=(const VarPool& other);
 
-  /// Returns the id for `name`, interning it on first use.
+  /// Returns the id for `name`, interning it on first use. Like `Find`, the
+  /// lookup builds no temporary string.
   VarId Intern(std::string_view name);
 
   /// Returns the id for `name`, or `kInvalidVar` if it was never interned.
@@ -68,9 +70,18 @@ class VarPool {
   std::vector<std::string> NamesUpTo(std::size_t count) const;
 
  private:
+  /// Hashes `std::string` keys and `std::string_view` probes alike, so the
+  /// index is searched by view (heterogeneous lookup).
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   mutable std::shared_mutex mu_;
   std::deque<std::string> names_;  ///< Deque: stable refs under growth.
-  std::unordered_map<std::string, VarId> index_;
+  std::unordered_map<std::string, VarId, NameHash, std::equal_to<>> index_;
 };
 
 }  // namespace cobra::prov

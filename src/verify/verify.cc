@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -296,9 +297,8 @@ std::size_t VerifyProgramArrays(const std::vector<std::uint32_t>& poly_starts,
 void VerifyTouchedSide(const core::BatchPlan& plan,
                        const prov::EvalProgram& program,
                        const core::ProgramSchedule& schedule,
-                       const std::vector<double>& products,
-                       const char* side, bool blocked,
-                       VerifyReport* report) {
+                       std::span<const double> products, const char* side,
+                       bool blocked, VerifyReport* report) {
   if (!blocked) {
     if (!schedule.touched_terms.empty() || !products.empty()) {
       report->AddError("plan", 0,
@@ -382,6 +382,62 @@ void VerifyTouchedSide(const core::BatchPlan& plan,
   }
 }
 
+/// Re-lowers every scenario of `scenarios` (the set `plan` claims to serve)
+/// and demands the plan's lowered list matches it bit for bit. The
+/// re-lowering goes through a last-value map rather than the planner's
+/// sort-merge, so the cross-check does not share the planner's algorithm.
+void VerifyLowering(const core::BatchPlan& plan,
+                    const core::CompiledSession& session,
+                    const core::ScenarioSet& scenarios,
+                    VerifyReport* report) {
+  const std::size_t n = plan.num_scenarios();
+  if (scenarios.size() != n) {
+    report->AddError("plan", 0,
+                     util::StrFormat("plan compiles %zu scenarios but the "
+                                     "set holds %zu",
+                                     n, scenarios.size()));
+    return;
+  }
+  const prov::VarPool& pool = session.pool();
+  const std::size_t pool_size = session.pool_size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const core::Scenario& scenario = scenarios.scenario(i);
+    std::unordered_map<prov::VarId, double> last;
+    last.reserve(scenario.deltas.size());
+    for (const core::Scenario::Delta& delta : scenario.deltas) {
+      const prov::VarId id = pool.Find(delta.var);
+      if (id == prov::kInvalidVar || id >= pool_size) {
+        report->AddError("plan scenario", i,
+                         util::StrFormat("delta variable \"%s\" does not "
+                                         "resolve in the frozen pool",
+                                         delta.var.c_str()));
+        last.clear();
+        break;
+      }
+      last[id] = delta.value;
+    }
+    std::vector<prov::VarOverride> expected;
+    expected.reserve(last.size());
+    for (const auto& [var, value] : last) expected.push_back({var, value});
+    std::sort(expected.begin(), expected.end(),
+              [](const prov::VarOverride& a, const prov::VarOverride& b) {
+                return a.var < b.var;
+              });
+    const std::span<const prov::VarOverride> lowered =
+        plan.core()->overrides(i);
+    bool match = lowered.size() == expected.size();
+    for (std::size_t o = 0; match && o < expected.size(); ++o) {
+      match = lowered[o].var == expected[o].var &&
+              SameBits(lowered[o].value, expected[o].value);
+    }
+    if (!match) {
+      report->AddError("plan scenario", i,
+                       "compiled override list does not match the "
+                       "scenario's lowered deltas");
+    }
+  }
+}
+
 }  // namespace
 
 VerifyReport VerifyProgram(const prov::EvalProgram& program,
@@ -456,19 +512,36 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
                                     "at %zu lanes (want %zu)",
                                     plan.num_blocks(), n, lanes, want_blocks));
   }
-  if (plan.scenario_names().size() != plan.compiled().size()) {
+  // Names: a core planned from a named set carries one per scenario; a
+  // streamed chunk carries none (its source names entries on demand).
+  if (!plan.scenario_names().empty() && plan.scenario_names().size() != n) {
     report.AddError("plan", 0,
                     util::StrFormat("%zu scenario names but %zu compiled "
                                     "scenarios",
-                                    plan.scenario_names().size(),
-                                    plan.compiled().size()));
+                                    plan.scenario_names().size(), n));
+  }
+
+  // Lowered window shape: the offsets must bound the flat override array,
+  // or every per-scenario read below would run past it.
+  const core::LoweredScenarios& lowered = plan.lowered();
+  {
+    bool shape_ok = !lowered.offsets.empty() && lowered.offsets.front() == 0 &&
+                    lowered.offsets.back() == lowered.overrides.size();
+    for (std::size_t i = 0; shape_ok && i + 1 < lowered.offsets.size(); ++i) {
+      shape_ok = lowered.offsets[i] <= lowered.offsets[i + 1];
+    }
+    if (!shape_ok) {
+      report.AddError("plan", 0,
+                      "lowered scenario offsets do not partition the "
+                      "override array");
+      return report;
+    }
   }
 
   // Compiled override lists: sorted, duplicate-free, inside the frozen
   // pool. The kernels binary-search these, so order is load-bearing.
-  for (std::size_t i = 0; i < plan.compiled().size(); ++i) {
-    const std::vector<prov::VarOverride>& overrides =
-        plan.compiled()[i].overrides;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const prov::VarOverride> overrides = lowered.scenario(i);
     for (std::size_t o = 0; o < overrides.size(); ++o) {
       if (overrides[o].var >= pool_size) {
         report.AddError("plan scenario", i,
@@ -494,6 +567,12 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
     }
   }
 
+  // The overlay's shared base state: every read below goes through it.
+  if (plan.overlay().base == nullptr) {
+    report.AddError("plan overlay", 0, "overlay references no base state");
+    return report;
+  }
+
   // Base valuation: the kernels index it with any factor id the programs
   // carry, so it must be dense over the frozen pool.
   if (plan.base().size() < pool_size) {
@@ -509,7 +588,7 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
   {
     const core::BaseFingerprint recomputed =
         core::FingerprintBase(plan.base(), pool_size);
-    if (recomputed != plan.overlay().base_fingerprint) {
+    if (recomputed != plan.overlay().base->fingerprint) {
       report.AddError("plan overlay", 0,
                       "base fingerprint does not recompute from the "
                       "overlay's base valuation");
@@ -587,12 +666,11 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
         // The union must be exactly the union of the block's lanes'
         // compiled override variables — a missing entry silently serves
         // the base value for an overridden variable.
-        if (union_ok && b * lanes < plan.compiled().size()) {
+        if (union_ok && b * lanes < n) {
           std::vector<prov::VarId> expected;
-          const std::size_t lane_end =
-              std::min(plan.compiled().size(), b * lanes + want);
+          const std::size_t lane_end = std::min(n, b * lanes + want);
           for (std::size_t i = b * lanes; i < lane_end; ++i) {
-            for (const prov::VarOverride& ov : plan.compiled()[i].overrides) {
+            for (const prov::VarOverride& ov : lowered.scenario(i)) {
               expected.push_back(ov.var);
             }
           }
@@ -639,10 +717,9 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
           for (std::size_t r = 0; rows_ok && r < vars.size(); ++r) {
             for (std::size_t l = 0; rows_ok && l < width; ++l) {
               double expected = plan.base().values()[vars[r]];
-              if (l < table.num_lanes() &&
-                  b * lanes + l < plan.compiled().size()) {
-                const std::vector<prov::VarOverride>& lane_overrides =
-                    plan.compiled()[b * lanes + l].overrides;
+              if (l < table.num_lanes() && b * lanes + l < n) {
+                const std::span<const prov::VarOverride> lane_overrides =
+                    lowered.scenario(b * lanes + l);
                 const auto it = std::lower_bound(
                     lane_overrides.begin(), lane_overrides.end(), vars[r],
                     [](const prov::VarOverride& o, prov::VarId v) {
@@ -701,63 +778,78 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
                                       plan.fingerprint().ToHex().c_str(),
                                       recomputed.ToHex().c_str()));
     }
-    if (scenarios->size() != n) {
-      report.AddError("plan", 0,
-                      util::StrFormat("plan compiles %zu scenarios but the "
-                                      "set holds %zu",
-                                      n, scenarios->size()));
-      return report;
-    }
-    const prov::VarPool& pool = session.pool();
-    for (std::size_t i = 0; i < n; ++i) {
-      const core::Scenario& scenario = scenarios->scenario(i);
-      if (scenario.name != plan.scenario_names()[i]) {
-        report.AddError("plan scenario", i,
-                        util::StrFormat("name \"%s\" does not match the "
-                                        "set's \"%s\"",
-                                        plan.scenario_names()[i].c_str(),
-                                        scenario.name.c_str()));
-        continue;
-      }
-      // Re-lower the deltas (last value wins per variable, sorted by id)
-      // and demand the compiled list matches bit for bit. The re-lowering
-      // goes through a last-value map rather than the planner's sort-merge,
-      // so the cross-check does not share the planner's algorithm.
-      std::unordered_map<prov::VarId, double> last;
-      last.reserve(scenario.deltas.size());
-      for (const core::Scenario::Delta& delta : scenario.deltas) {
-        const prov::VarId id = pool.Find(delta.var);
-        if (id == prov::kInvalidVar || id >= pool_size) {
+    if (plan.scenario_names().size() == n && scenarios->size() == n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const core::Scenario& scenario = scenarios->scenario(i);
+        if (scenario.name != plan.scenario_names()[i]) {
           report.AddError("plan scenario", i,
-                          util::StrFormat("delta variable \"%s\" does not "
-                                          "resolve in the frozen pool",
-                                          delta.var.c_str()));
-          last.clear();
-          break;
+                          util::StrFormat("name \"%s\" does not match the "
+                                          "set's \"%s\"",
+                                          plan.scenario_names()[i].c_str(),
+                                          scenario.name.c_str()));
         }
-        last[id] = delta.value;
       }
-      std::vector<prov::VarOverride> expected;
-      expected.reserve(last.size());
-      for (const auto& [var, value] : last) expected.push_back({var, value});
-      std::sort(expected.begin(), expected.end(),
-                [](const prov::VarOverride& a, const prov::VarOverride& b) {
-                  return a.var < b.var;
-                });
-      const std::vector<prov::VarOverride>& compiled =
-          plan.compiled()[i].overrides;
-      bool match = compiled.size() == expected.size();
-      for (std::size_t o = 0; match && o < expected.size(); ++o) {
-        match = compiled[o].var == expected[o].var &&
-                SameBits(compiled[o].value, expected[o].value);
-      }
-      if (!match) {
-        report.AddError("plan scenario", i,
-                        "compiled override list does not match the "
-                        "scenario's lowered deltas");
+    }
+    VerifyLowering(plan, session, *scenarios, &report);
+  }
+  return report;
+}
+
+VerifyReport VerifyStreamWindow(const core::BatchPlan& plan,
+                                const core::CompiledSession& session,
+                                const core::ScenarioSource& source,
+                                std::uint64_t begin) {
+  VerifyReport report = VerifyPlan(plan, session);
+  if (plan.session().get() != &session) return report;
+  const std::size_t n = plan.num_scenarios();
+
+  // The chunk key: the source spec and the window, nothing else.
+  const core::PlanFingerprint recomputed =
+      core::FingerprintWindow(source.fingerprint(), begin, n);
+  if (recomputed != plan.fingerprint()) {
+    report.AddError("plan", 0,
+                    util::StrFormat("fingerprint %s does not recompute from "
+                                    "the source spec and window (%s)",
+                                    plan.fingerprint().ToHex().c_str(),
+                                    recomputed.ToHex().c_str()));
+  }
+
+  // The window as Generate produces it is the reference both on-demand
+  // paths must reproduce: the lowered lists the plan was built from, and
+  // the names entries and consumer views are given.
+  const std::size_t ordinal = static_cast<std::size_t>(begin);
+  core::ScenarioSet generated;
+  generated.Reserve(n);
+  util::Status status = source.Generate(begin, n, &generated);
+  if (!status.ok() || generated.size() != n) {
+    report.AddError("source", ordinal,
+                    util::StrFormat("Generate(%llu, %zu) failed or did not "
+                                    "fill the window: %s",
+                                    static_cast<unsigned long long>(begin), n,
+                                    status.ToString().c_str()));
+    return report;
+  }
+  std::vector<std::string> names;
+  status = source.Names(begin, n, &names);
+  if (!status.ok() || names.size() != n) {
+    report.AddError("source", ordinal,
+                    util::StrFormat("Names(%llu, %zu) failed or did not name "
+                                    "the window: %s",
+                                    static_cast<unsigned long long>(begin), n,
+                                    status.ToString().c_str()));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (names[i] != generated.scenario(i).name) {
+        report.AddError("source scenario", ordinal + i,
+                        util::StrFormat("on-demand name \"%s\" differs from "
+                                        "Generate's \"%s\"",
+                                        names[i].c_str(),
+                                        generated.scenario(i).name.c_str()));
+        break;
       }
     }
   }
+  VerifyLowering(plan, session, generated, &report);
   return report;
 }
 

@@ -2,6 +2,7 @@
 #define COBRA_VERIFY_VERIFY_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -31,8 +32,9 @@
 ///
 ///   - `CompiledSession::FromSnapshot` runs `VerifySnapshot` mandatorily
 ///     and refuses any snapshot with error findings;
-///   - the plan cache runs `VerifyPlan` on every insert in debug builds
-///     and under `BatchOptions::verify_plans`;
+///   - the plan cache runs `VerifyPlan` on every insert, and `AssignStream`
+///     runs `VerifyStreamWindow` on its first window, in debug builds and
+///     under `BatchOptions::verify_plans`;
 ///   - the `cobra_verify` CLI audits snapshot files/directories offline
 ///     (fleet automation; see its exit-code contract in the README).
 namespace cobra::verify {
@@ -136,28 +138,46 @@ VerifyReport VerifyProgram(const core::EvalProgramImage& image,
 /// is never `kAuto`; the lane count is 16 (`EvalProgram::kMaxLanes`) for
 /// the blocked engine and 1 for the scalar engine; the block count and
 /// per-block override-union
-/// tables are consistent with the scenario count; every compiled override
-/// list is sorted, duplicate-free and within the frozen pool; the base
-/// valuation is pool-sized; and each side's tile schedule partitions the
+/// tables are consistent with the scenario count; the core carries one
+/// name per scenario or none (a streamed chunk); the lowered offsets
+/// partition the flat override array, and every lowered override list is
+/// sorted, duplicate-free and within the frozen pool; the base valuation is
+/// pool-sized; and each side's tile schedule partitions the
 /// (scenario-block × poly-range) space exactly once — sorted disjoint
 /// whole-poly ranges covering every polynomial, with the term-split
 /// polynomial's slices exactly tiling its term range.
 ///
 /// A plan is a base-invariant `PlanCore` plus a per-base
 /// `PlanBaseOverlay`, and the pass proves the two halves agree: the
-/// overlay's base fingerprint recomputes from its stored base valuation
+/// overlay's base fingerprint recomputes from its shared base valuation
 /// (the plan cache keys overlays by it), each overlay block table shares
 /// its core skeleton's structure (union, lane count, width, dense index),
-/// and every value-table cell rebinds bit-for-bit from the overlay base
-/// and the owning lane's compiled overrides.
+/// every value-table cell rebinds bit-for-bit from the overlay base and the
+/// owning lane's lowered overrides, and (blocked engine only; a scalar plan
+/// carries no touched sets or products) every touched set and base product
+/// re-derives by brute force.
 ///
 /// When `scenarios` is non-null the pass additionally recomputes the
-/// scenario-set content fingerprint and re-lowers every scenario, proving
-/// the plan's cached key and compiled override lists match the set it
-/// claims to serve (the plan-cache insert boundary passes the set).
+/// scenario-set content fingerprint, compares the names, and re-lowers
+/// every scenario, proving the plan's cached key and lowered override lists
+/// match the set it claims to serve (the plan-cache insert boundary passes
+/// the set).
 VerifyReport VerifyPlan(const core::BatchPlan& plan,
                         const core::CompiledSession& session,
                         const core::ScenarioSet* scenarios = nullptr);
+
+/// Audits the plan of a streamed chunk — built from `source`'s lowered
+/// window starting at ordinal `begin` — against `Generate`, the reference
+/// both on-demand paths must reproduce: `VerifyPlan` (without a scenario
+/// set), the chunk fingerprint recomputed from the source spec and window,
+/// every lowered list re-derived from the generated window, and
+/// `source.Names` compared with the generated names. `AssignStream` runs it
+/// on its first window wherever it runs `VerifyPlan`, so a source whose
+/// `Lower` or `Names` drifts from its `Generate` is refused.
+VerifyReport VerifyStreamWindow(const core::BatchPlan& plan,
+                                const core::CompiledSession& session,
+                                const core::ScenarioSource& source,
+                                std::uint64_t begin);
 
 /// Statically verifies a parsed `SnapshotPackage` beyond the binary
 /// format's checksum: pool names form a name↔id bijection (non-empty,

@@ -6,10 +6,12 @@
 // validation, and an 8-thread concurrency hammer (run under TSan in CI).
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "data/example_db.h"
 #include "util/rng.h"
 #include "util/str.h"
+#include "verify/verify.h"
 
 namespace cobra::core {
 namespace {
@@ -330,8 +333,8 @@ TEST(BatchPlanTest, WideScenarioLowersToSortedLastValueOverrides) {
   ASSERT_GT(scenarios.scenario(0).deltas.size(), kDistinct);
 
   auto plan = snapshot->PlanBatch(scenarios).ValueOrDie();
-  const std::vector<prov::VarOverride>& overrides =
-      plan->compiled()[0].overrides;
+  const std::span<const prov::VarOverride> overrides =
+      plan->core()->overrides(0);
   ASSERT_EQ(overrides.size(), kDistinct);
   for (std::size_t o = 0; o < overrides.size(); ++o) {
     if (o > 0) {
@@ -379,6 +382,81 @@ TEST(BatchPlanTest, CachedPlansDoNotKeepTheSessionAlive) {
   EXPECT_TRUE(weak.expired());        // the plan cache did not pin it
   EXPECT_EQ(plan->session(), nullptr);  // a held plan observes the loss
 }
+
+// The session builds its default base's shared state once: plans on the
+// default base — through the default overloads or an explicit copy of the
+// same valuation — reference it instead of copying the base, while another
+// base gets a state of its own that still verifies bit for bit.
+TEST(BatchPlanTest, DefaultBasePlansShareOneBaseState) {
+  Session session;
+  LoadPaperSession(&session);
+  auto snapshot = session.Snapshot().ValueOrDie();
+  const std::shared_ptr<const BaseState>& shared =
+      snapshot->default_base_state();
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(&snapshot->default_meta_valuation(), &shared->values);
+
+  BatchOptions options;
+  options.sweep = BatchOptions::Sweep::kBlocked;
+  const ScenarioSet a = MakeScenarios(*snapshot, 20);
+  const ScenarioSet b = MakeScenarios(*snapshot, 3);
+  auto by_default = snapshot->PlanBatch(a, options).ValueOrDie();
+  auto by_copy =
+      snapshot->PlanBatch(b, snapshot->default_meta_valuation(), options)
+          .ValueOrDie();
+  EXPECT_EQ(by_default->overlay().base, shared);
+  EXPECT_EQ(by_copy->overlay().base, shared);
+  EXPECT_EQ(by_default->overlay().full_products.data(),
+            shared->full_products.data());
+
+  prov::Valuation shifted = snapshot->default_meta_valuation();
+  shifted.Set(snapshot->meta_vars().front().var, 2.0);
+  auto other = snapshot->PlanBatch(a, shifted, options).ValueOrDie();
+  EXPECT_NE(other->overlay().base, shared);
+  EXPECT_EQ(other->core(), by_default->core());
+  const verify::VerifyReport report = verify::VerifyPlan(*other, *snapshot, &a);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+#ifdef __linux__
+// `num_threads = 0` follows the calling thread's CPU mask: pinned to one
+// CPU, a fresh plan and a stream both resolve to one worker. The mask is
+// restored however the test ends.
+TEST(BatchPlanTest, DefaultThreadsFollowTheCpuMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  struct RestoreMask {
+    const cpu_set_t* mask;
+    ~RestoreMask() { sched_setaffinity(0, sizeof(*mask), mask); }
+  } restore{&saved};
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(DefaultSweepThreads(), 1u);
+
+  Session session;
+  LoadPaperSession(&session);
+  auto snapshot = session.Snapshot().ValueOrDie();
+  BatchOptions options;
+  options.num_threads = 0;
+  auto plan =
+      snapshot->PlanBatch(MakeScenarios(*snapshot, 40), options).ValueOrDie();
+  EXPECT_EQ(plan->num_threads(), 1u);
+  auto grid = CartesianSource::Create(
+                  {LinSpace(snapshot->meta_vars().front().name, 0.5, 1.5, 40)})
+                  .ValueOrDie();
+  StreamOptions stream;
+  stream.batch = options;
+  EXPECT_EQ(snapshot->AssignStream(*grid, stream).ValueOrDie().num_threads, 1u);
+
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(DefaultSweepThreads(),
+            static_cast<std::size_t>(CPU_COUNT(&saved)));
+}
+#endif
 
 // --------------------------------------------- randomized cold-vs-warm sweep
 

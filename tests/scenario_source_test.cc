@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/compiled_session.h"
@@ -26,6 +31,41 @@ namespace {
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Lowered windows compare bit for bit: offsets, ids and value bits.
+bool SameLowered(const LoweredScenarios& a, const LoweredScenarios& b) {
+  if (a.offsets != b.offsets || a.overrides.size() != b.overrides.size()) {
+    return false;
+  }
+  for (std::size_t o = 0; o < a.overrides.size(); ++o) {
+    if (a.overrides[o].var != b.overrides[o].var ||
+        !SameBits(a.overrides[o].value, b.overrides[o].value)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Entries compare bit for bit: index, name, metric and both rows.
+bool SameEntries(const std::vector<StreamEntry>& a,
+                 const std::vector<StreamEntry>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].index != b[i].index || a[i].name != b[i].name ||
+        !SameBits(a[i].metric, b[i].metric) ||
+        a[i].full.size() != b[i].full.size() ||
+        a[i].compressed.size() != b[i].compressed.size()) {
+      return false;
+    }
+    for (std::size_t g = 0; g < a[i].full.size(); ++g) {
+      if (!SameBits(a[i].full[g], b[i].full[g]) ||
+          !SameBits(a[i].compressed[g], b[i].compressed[g])) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 class ScenarioSourceTest : public ::testing::Test {
@@ -100,6 +140,73 @@ class ScenarioSourceTest : public ::testing::Test {
               << g;
         }
       }
+      ExpectEntriesMatchBatch(source, batch, materialized, *report);
+    }
+  }
+
+  /// The entries kTopK and kThreshold queries keep equal the materialized
+  /// batch's scenarios: index, name (asked of the source on demand), metric
+  /// and both rows, bit for bit.
+  void ExpectEntriesMatchBatch(const ScenarioSource& source,
+                               const BatchOptions& batch,
+                               const ScenarioSet& materialized,
+                               const BatchAssignReport& report) {
+    const std::size_t n = materialized.size();
+    std::vector<double> base_comp;
+    snapshot_->compressed_program().Eval(snapshot_->default_meta_valuation(),
+                                         &base_comp);
+    std::vector<double> metrics(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<ResultDelta::Row>& rows = report.reports[i].delta.rows;
+      for (std::size_t g = 0; g < rows.size(); ++g) {
+        metrics[i] += std::abs(rows[g].compressed - base_comp[g]);
+      }
+    }
+    auto expect_entry = [&](const StreamEntry& entry) {
+      ASSERT_LT(entry.index, n);
+      const std::size_t i = static_cast<std::size_t>(entry.index);
+      EXPECT_EQ(entry.name, materialized.scenario(i).name);
+      EXPECT_TRUE(SameBits(entry.metric, metrics[i])) << "scenario " << i;
+      const std::vector<ResultDelta::Row>& rows = report.reports[i].delta.rows;
+      ASSERT_EQ(entry.full.size(), rows.size());
+      ASSERT_EQ(entry.compressed.size(), rows.size());
+      for (std::size_t g = 0; g < rows.size(); ++g) {
+        EXPECT_TRUE(SameBits(entry.full[g], rows[g].full)) << "scenario " << i;
+        EXPECT_TRUE(SameBits(entry.compressed[g], rows[g].compressed))
+            << "scenario " << i;
+      }
+    };
+
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return metrics[a] > metrics[b];
+                     });
+    StreamOptions options;
+    options.batch = batch;
+    options.query.kind = StreamQuery::Kind::kTopK;
+    options.query.k = 3;
+    util::Result<SweepSummary> top = snapshot_->AssignStream(source, options);
+    ASSERT_TRUE(top.ok()) << top.status().ToString();
+    ASSERT_EQ(top->entries.size(), std::min<std::size_t>(3, n));
+    for (std::size_t r = 0; r < top->entries.size(); ++r) {
+      EXPECT_EQ(top->entries[r].index, order[r]) << "rank " << r;
+      expect_entry(top->entries[r]);
+    }
+
+    options.query.kind = StreamQuery::Kind::kThreshold;
+    options.query.cutoff = metrics[order[n / 2]];
+    util::Result<SweepSummary> kept = snapshot_->AssignStream(source, options);
+    ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+    std::vector<std::size_t> matches;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (metrics[i] >= options.query.cutoff) matches.push_back(i);
+    }
+    ASSERT_EQ(kept->entries.size(), matches.size());
+    for (std::size_t e = 0; e < matches.size(); ++e) {
+      EXPECT_EQ(kept->entries[e].index, matches[e]);
+      expect_entry(kept->entries[e]);
     }
   }
 
@@ -236,8 +343,11 @@ TEST_F(ScenarioSourceTest, ExplicitSourceStreamMatchesAssignBatch) {
 
 // The tentpole property: for randomized generator specs, engines, thread
 // counts and window sizes (around the 16-lane block boundaries, so chunks
-// end in ragged blocks), the streamed rows are bit-identical to
-// materializing the source and running AssignBatch over it.
+// end in ragged blocks), the streamed rows and names, and the entries
+// top-k and threshold queries keep, are bit-identical to materializing the
+// source and running AssignBatch over it. The first trial of each source
+// kind runs with `verify_plans`, so the first-window audit (lowering and
+// names cross-checked against Generate) runs in release builds too.
 TEST_F(ScenarioSourceTest, RandomizedStreamsBitIdenticalToMaterialized) {
   util::Rng rng(0xC0B7A);
   const BatchOptions::Sweep engines[] = {BatchOptions::Sweep::kAuto,
@@ -273,6 +383,7 @@ TEST_F(ScenarioSourceTest, RandomizedStreamsBitIdenticalToMaterialized) {
     // Term splitting slices one polynomial's sum differently for different
     // chunk geometries; disable it so the FP summation order is fixed.
     batch.split_min_terms = std::size_t{1} << 30;
+    batch.verify_plans = trial < 4;
     SCOPED_TRACE("trial " + std::to_string(trial));
     ExpectBitIdenticalToBatch(*source, batch);
   }
@@ -433,6 +544,300 @@ TEST_F(ScenarioSourceTest, ScenarioSetReserveAndDuplicateRejection) {
   set.Clear();
   EXPECT_EQ(set.size(), 0u);
   EXPECT_TRUE(set.Add("a").ok());
+}
+
+// The lowering contract: for every source kind and random windows —
+// ragged, and straddling Concat part and Compose outer boundaries — a
+// source's Lower equals the shared lowering of its Generate output bit for
+// bit, appending windows concatenates them, and Names equals the generated
+// names. The grid and the sample list their axes in descending id order, so
+// their native lowering must sort; the explicit set repeats a variable, so
+// the last value must win.
+TEST_F(ScenarioSourceTest, LoweringAndNamesMatchGenerateOnRandomWindows) {
+  const VarResolver resolver = snapshot_->resolver();
+  std::string high = meta_names_[0];
+  std::string low = meta_names_[1];
+  if (snapshot_->pool().Find(high) < snapshot_->pool().Find(low)) {
+    std::swap(high, low);
+  }
+  ScenarioSet set;
+  for (int i = 0; i < 21; ++i) {
+    set.Add("e" + std::to_string(i))
+        .ValueOrDie()
+        .Set(high, 1.0 + 0.01 * i)
+        .Set(low, 0.5)
+        .Set(high, 0.9 - 0.001 * i);
+  }
+  std::shared_ptr<const ScenarioSource> explicit_source =
+      ExplicitSource::Create(std::move(set)).ValueOrDie();
+  std::shared_ptr<const ScenarioSource> grid =
+      CartesianSource::Create(
+          {LinSpace(high, 0.8, 1.2, 5), LinSpace(low, 0.9, 1.1, 3)}, "g")
+          .ValueOrDie();
+  std::shared_ptr<const ScenarioSource> sampled =
+      SampledSource::Create(
+          {RangeAxis{high, 0.7, 1.3}, RangeAxis{low, 0.9, 1.1}}, 23,
+          /*seed=*/7, "m")
+          .ValueOrDie();
+  std::shared_ptr<const ScenarioSource> concat =
+      Concat({grid, sampled, explicit_source}).ValueOrDie();
+  std::shared_ptr<const ScenarioSource> compose =
+      Compose(sampled, grid).ValueOrDie();
+
+  // (source, windows that straddle its part boundaries)
+  const std::vector<std::pair<std::shared_ptr<const ScenarioSource>,
+                              std::vector<std::pair<std::uint64_t,
+                                                    std::uint64_t>>>>
+      cases = {
+          {explicit_source, {{0, 21}, {20, 1}}},
+          {grid, {{0, 15}, {4, 7}}},
+          {sampled, {{0, 23}, {22, 1}}},
+          {concat, {{13, 4}, {36, 3}, {14, 25}}},
+          {compose, {{13, 4}, {29, 2}, {0, 31}}},
+      };
+  util::Rng rng(0x10E5);
+  for (const auto& [source, boundary_windows] : cases) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> windows =
+        boundary_windows;
+    for (int trial = 0; trial < 24; ++trial) {
+      const std::uint64_t begin = rng.NextU64() % (source->size() + 1);
+      windows.emplace_back(begin,
+                           rng.NextU64() % (source->size() - begin + 1));
+    }
+    for (const auto& [begin, count] : windows) {
+      SCOPED_TRACE("window [" + std::to_string(begin) + ", +" +
+                   std::to_string(count) + ") of " +
+                   source->fingerprint().ToHex());
+      ScenarioSet generated;
+      ASSERT_TRUE(source->Generate(begin, count, &generated).ok());
+      LoweredScenarios want;
+      ASSERT_TRUE(
+          LowerScenarios(generated.scenarios(), resolver, &want).ok());
+      LoweredScenarios got;
+      ASSERT_TRUE(source->Lower(begin, count, resolver, &got).ok());
+      EXPECT_TRUE(SameLowered(got, want));
+
+      // Lower appends: two halves lowered into one buffer equal the whole.
+      const std::uint64_t half = count / 2;
+      LoweredScenarios halves;
+      ASSERT_TRUE(source->Lower(begin, half, resolver, &halves).ok());
+      ASSERT_TRUE(
+          source->Lower(begin + half, count - half, resolver, &halves).ok());
+      EXPECT_TRUE(SameLowered(halves, want));
+
+      std::vector<std::string> names;
+      ASSERT_TRUE(source->Names(begin, count, &names).ok());
+      ASSERT_EQ(names.size(), generated.size());
+      for (std::size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(names[i], generated.scenario(i).name);
+      }
+    }
+  }
+}
+
+// Lower and Names fail where Generate fails: out-of-range windows with the
+// same status, and unknown or post-snapshot variables with the message the
+// shared lowering gives, naming the variable — on the stream path too.
+TEST_F(ScenarioSourceTest, LoweringAndNamesFailWhereGenerateFails) {
+  const VarResolver resolver = snapshot_->resolver();
+  session_.mutable_pool()->Intern("late_var");
+  for (const std::string var : {"no_such_var", "late_var"}) {
+    ScenarioSet set;
+    set.Add("bad").ValueOrDie().Set(meta_names_[0], 1.1).Set(var, 2.0);
+    std::shared_ptr<const ScenarioSource> explicit_source =
+        ExplicitSource::Create(std::move(set)).ValueOrDie();
+    std::shared_ptr<const ScenarioSource> grid =
+        CartesianSource::Create(
+            {LinSpace(meta_names_[0], 0.9, 1.1, 3), LinSpace(var, 0.5, 1.5, 2)},
+            "g")
+            .ValueOrDie();
+    std::shared_ptr<const ScenarioSource> sampled =
+        SampledSource::Create({RangeAxis{var, 0.5, 1.5}}, 5, /*seed=*/3, "m")
+            .ValueOrDie();
+    const std::shared_ptr<const ScenarioSource> sources[] = {
+        explicit_source, grid, sampled, Concat({grid, sampled}).ValueOrDie(),
+        Compose(sampled, grid).ValueOrDie()};
+    for (const std::shared_ptr<const ScenarioSource>& source : sources) {
+      SCOPED_TRACE(var + " in " + source->fingerprint().ToHex());
+      const std::uint64_t size = source->size();
+      for (const auto& [begin, count] :
+           std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+               {size, 1}, {size + 1, 0}, {0, size + 1},
+               {1, std::uint64_t{1} << 62}}) {
+        ScenarioSet generated;
+        LoweredScenarios lowered;
+        std::vector<std::string> names;
+        const util::Status generate =
+            source->Generate(begin, count, &generated);
+        const util::Status lower =
+            source->Lower(begin, count, resolver, &lowered);
+        const util::Status named = source->Names(begin, count, &names);
+        ASSERT_FALSE(generate.ok());
+        EXPECT_EQ(lower.code(), generate.code());
+        EXPECT_EQ(lower.message(), generate.message());
+        EXPECT_EQ(named.code(), generate.code());
+        EXPECT_EQ(named.message(), generate.message());
+      }
+
+      // An empty window lowers cleanly, as an empty generated window does.
+      LoweredScenarios empty;
+      EXPECT_TRUE(source->Lower(0, 0, resolver, &empty).ok());
+      EXPECT_EQ(empty.size(), 0u);
+
+      ScenarioSet generated;
+      ASSERT_TRUE(source->Generate(0, size, &generated).ok());
+      LoweredScenarios want;
+      const util::Status reference =
+          LowerScenarios(generated.scenarios(), resolver, &want);
+      LoweredScenarios got;
+      const util::Status lower = source->Lower(0, size, resolver, &got);
+      ASSERT_FALSE(reference.ok());
+      EXPECT_EQ(reference.code(), util::StatusCode::kInvalidArgument);
+      EXPECT_EQ(lower.code(), reference.code());
+      EXPECT_EQ(lower.message(), reference.message());
+      EXPECT_NE(lower.message().find(var), std::string::npos)
+          << lower.ToString();
+
+      util::Result<SweepSummary> streamed = snapshot_->AssignStream(*source);
+      ASSERT_FALSE(streamed.ok());
+      EXPECT_EQ(streamed.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(streamed.status().message().find(var), std::string::npos)
+          << streamed.status().ToString();
+    }
+  }
+}
+
+/// Wraps a source, passing Generate through and skewing either the lowered
+/// window (one value nudged by an ulp) or the on-demand names.
+class SkewedSource : public ScenarioSource {
+ public:
+  SkewedSource(std::shared_ptr<const ScenarioSource> inner, bool skew_names)
+      : inner_(std::move(inner)), skew_names_(skew_names) {}
+  std::uint64_t size() const override { return inner_->size(); }
+  std::size_t max_deltas() const override { return inner_->max_deltas(); }
+  SourceFingerprint fingerprint() const override {
+    return inner_->fingerprint();
+  }
+  util::Status Generate(std::uint64_t begin, std::uint64_t count,
+                        ScenarioSet* out) const override {
+    return inner_->Generate(begin, count, out);
+  }
+  util::Status Lower(std::uint64_t begin, std::uint64_t count,
+                     const VarResolver& resolver,
+                     LoweredScenarios* out) const override {
+    COBRA_RETURN_IF_ERROR(inner_->Lower(begin, count, resolver, out));
+    if (!skew_names_ && !out->overrides.empty()) {
+      out->overrides.back().value =
+          std::nextafter(out->overrides.back().value, 2.0);
+    }
+    return util::Status::OK();
+  }
+  util::Status Names(std::uint64_t begin, std::uint64_t count,
+                     std::vector<std::string>* out) const override {
+    COBRA_RETURN_IF_ERROR(inner_->Names(begin, count, out));
+    if (skew_names_ && !out->empty()) out->back() += "'";
+    return util::Status::OK();
+  }
+
+ private:
+  std::shared_ptr<const ScenarioSource> inner_;
+  bool skew_names_;
+};
+
+// The first-window audit runs on the lowered path and cross-checks it
+// against Generate: a source whose lowering or names drift is refused.
+TEST_F(ScenarioSourceTest, StreamAuditRefusesDriftFromGenerate) {
+  std::shared_ptr<const ScenarioSource> grid =
+      CartesianSource::Create({LinSpace(meta_names_[0], 0.9, 1.1, 4),
+                               LinSpace(meta_names_[1], 0.8, 1.2, 5)})
+          .ValueOrDie();
+  StreamOptions options;
+  options.batch.verify_plans = true;
+  options.batch.stream_block_scenarios = 8;
+  EXPECT_TRUE(snapshot_->AssignStream(*grid, options).ok());
+
+  util::Result<SweepSummary> skewed = snapshot_->AssignStream(
+      SkewedSource(grid, /*skew_names=*/false), options);
+  ASSERT_FALSE(skewed.ok());
+  EXPECT_EQ(skewed.status().code(), util::StatusCode::kInternal);
+  EXPECT_NE(skewed.status().message().find("does not match"),
+            std::string::npos)
+      << skewed.status().ToString();
+
+  util::Result<SweepSummary> misnamed = snapshot_->AssignStream(
+      SkewedSource(grid, /*skew_names=*/true), options);
+  ASSERT_FALSE(misnamed.ok());
+  EXPECT_EQ(misnamed.status().code(), util::StatusCode::kInternal);
+  EXPECT_NE(misnamed.status().message().find("on-demand name"),
+            std::string::npos)
+      << misnamed.status().ToString();
+}
+
+// Streams and batches on one session, from 8 threads at once, all on the
+// session's one shared default base state: every answer matches its
+// single-threaded reference bit for bit, and every cached plan references
+// that state. Run under ThreadSanitizer in CI.
+TEST_F(ScenarioSourceTest, ConcurrentStreamsAndBatchesShareTheDefaultBase) {
+  std::shared_ptr<const ScenarioSource> grid =
+      CartesianSource::Create({LinSpace(meta_names_[0], 0.8, 1.2, 8),
+                               LinSpace(meta_names_[1], 0.9, 1.1, 8)})
+          .ValueOrDie();
+  const ScenarioSet set = grid->Materialize().ValueOrDie();
+  StreamOptions stream;
+  stream.batch.num_threads = 2;
+  stream.batch.stream_block_scenarios = 24;
+  stream.batch.split_min_terms = std::size_t{1} << 30;
+  stream.query.kind = StreamQuery::Kind::kTopK;
+  stream.query.k = 4;
+  BatchOptions batch = stream.batch;
+  batch.sweep = BatchOptions::Sweep::kBlocked;
+
+  const SweepSummary want_stream =
+      snapshot_->AssignStream(*grid, stream).ValueOrDie();
+  const BatchAssignReport want_batch =
+      snapshot_->AssignBatch(set, batch).ValueOrDie();
+  snapshot_->ClearPlanCache();
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 4; ++round) {
+        if (t % 2 == 0) {
+          util::Result<SweepSummary> got =
+              snapshot_->AssignStream(*grid, stream);
+          if (!got.ok() || !SameEntries(got->entries, want_stream.entries)) {
+            ++mismatches;
+          }
+          continue;
+        }
+        util::Result<BatchAssignReport> got =
+            snapshot_->AssignBatch(set, batch);
+        if (!got.ok() || got->reports.size() != want_batch.reports.size()) {
+          ++mismatches;
+          continue;
+        }
+        for (std::size_t i = 0; i < got->reports.size(); ++i) {
+          const auto& a = got->reports[i].delta.rows;
+          const auto& b = want_batch.reports[i].delta.rows;
+          for (std::size_t g = 0; g < a.size(); ++g) {
+            if (!SameBits(a[g].full, b[g].full) ||
+                !SameBits(a[g].compressed, b[g].compressed)) {
+              ++mismatches;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const std::vector<std::shared_ptr<const BatchPlan>> plans =
+      snapshot_->CachedPlanHandles();
+  ASSERT_FALSE(plans.empty());
+  for (const std::shared_ptr<const BatchPlan>& plan : plans) {
+    EXPECT_EQ(plan->overlay().base, snapshot_->default_base_state());
+  }
 }
 
 // Hostile sources for the VerifySource audit. Each violates exactly one

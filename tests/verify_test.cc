@@ -571,8 +571,10 @@ TEST_F(VerifyPlanTest, AssignBatchWithVerifyPlansMatchesWithout) {
 TEST_F(VerifyPlanTest, CorruptedOverlayFingerprintIsDetected) {
   std::shared_ptr<const core::BatchPlan> plan =
       snapshot_->PlanBatch(scenarios_).ValueOrDie();
+  auto base = std::make_shared<core::BaseState>(*plan->overlay().base);
+  base->fingerprint.lo ^= 1;
   auto bad = std::make_shared<core::PlanBaseOverlay>(plan->overlay());
-  bad->base_fingerprint.lo ^= 1;
+  bad->base = base;
   std::shared_ptr<const core::BatchPlan> tampered =
       core::BatchPlan::FromParts(plan->core(), bad);
   const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
@@ -596,7 +598,7 @@ TEST_F(VerifyPlanTest, OverlayTablesBoundToADifferentBaseAreDetected) {
     other.Set(meta.var, 2.0);
   }
   std::shared_ptr<const core::PlanBaseOverlay> shifted =
-      plan->core()->MakeOverlay(other);
+      plan->core()->MakeOverlay(snapshot_->MakeBaseState(other));
   auto bad = std::make_shared<core::PlanBaseOverlay>(plan->overlay());
   bad->block_tables = shifted->block_tables;
   std::shared_ptr<const core::BatchPlan> tampered =
@@ -726,12 +728,15 @@ TEST_F(VerifyPlanTest, FlippedBaseProductBitIsDetected) {
   options.sweep = BatchOptions::Sweep::kBlocked;
   std::shared_ptr<const core::BatchPlan> plan =
       snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
-  auto bad = std::make_shared<core::PlanBaseOverlay>(plan->overlay());
-  ASSERT_GT(bad->full_products.size(), 2u);
+  auto base = std::make_shared<core::BaseState>(*plan->overlay().base);
+  ASSERT_GT(base->full_products.size(), 2u);
   std::uint64_t bits = 0;
-  std::memcpy(&bits, &bad->full_products[2], sizeof bits);
+  std::memcpy(&bits, &base->full_products[2], sizeof bits);
   bits ^= 1;  // the lowest mantissa bit: a one-ulp change
-  std::memcpy(&bad->full_products[2], &bits, sizeof bits);
+  std::memcpy(&base->full_products[2], &bits, sizeof bits);
+  auto bad = std::make_shared<core::PlanBaseOverlay>(plan->overlay());
+  bad->full_products = base->full_products;
+  bad->base = base;
   std::shared_ptr<const core::BatchPlan> tampered =
       core::BatchPlan::FromParts(plan->core(), bad);
   const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
@@ -746,8 +751,10 @@ TEST_F(VerifyPlanTest, FlippedBaseProductBitIsDetected) {
 TEST_F(VerifyPlanTest, UndersizedOverlayBaseIsDetected) {
   std::shared_ptr<const core::BatchPlan> plan =
       snapshot_->PlanBatch(scenarios_).ValueOrDie();
+  auto base = std::make_shared<core::BaseState>(*plan->overlay().base);
+  base->values = prov::Valuation(1);
   auto bad = std::make_shared<core::PlanBaseOverlay>(plan->overlay());
-  bad->base = prov::Valuation(1);
+  bad->base = base;
   std::shared_ptr<const core::BatchPlan> tampered =
       core::BatchPlan::FromParts(plan->core(), bad);
   const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
