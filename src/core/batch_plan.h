@@ -145,7 +145,9 @@ BatchOptions::Sweep ChooseAutoEngine(std::size_t program_weight,
 /// it for both program sides. Built by `CompiledSession::MakeBaseState` and
 /// immutable afterwards. A session builds one for its default base when it
 /// is constructed, and every overlay, grid base and stream call on that base
-/// references it, so no call re-hashes or copies the default base.
+/// references it, so no call re-hashes or copies the default base. A state
+/// built for another base serves one plan's engine, and only the blocked
+/// engine reads the products, so a scalar plan's state leaves them empty.
 struct BaseState {
   /// The base valuation both program sides evaluate under, pool-sized (the
   /// kernels index it with any factor id the programs carry).

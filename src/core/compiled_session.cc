@@ -143,24 +143,28 @@ CompiledSession::CompiledSession(std::shared_ptr<const Artifacts> artifacts,
 
 std::shared_ptr<const BaseState> CompiledSession::MakeBaseState(
     const prov::Valuation& base,
-    const BaseFingerprint* precomputed_fingerprint) const {
+    const BaseFingerprint* precomputed_fingerprint, bool with_products) const {
   auto state = std::make_shared<BaseState>();
   state->values = PoolSized(base);
   state->fingerprint =
       precomputed_fingerprint != nullptr
           ? *precomputed_fingerprint
           : FingerprintBase(state->values, artifacts_->frozen_pool_size);
-  state->full_products =
-      artifacts_->sweep_full_program.TermProducts(state->values);
-  state->compressed_products =
-      artifacts_->compressed_program.TermProducts(state->values);
+  if (with_products) {
+    state->full_products =
+        artifacts_->sweep_full_program.TermProducts(state->values);
+    state->compressed_products =
+        artifacts_->compressed_program.TermProducts(state->values);
+  }
   return state;
 }
 
 std::shared_ptr<const BaseState> CompiledSession::BaseStateFor(
-    const prov::Valuation& base, const BaseFingerprint& fingerprint) const {
+    const prov::Valuation& base, const BaseFingerprint& fingerprint,
+    BatchOptions::Sweep engine) const {
   if (fingerprint == default_base_->fingerprint) return default_base_;
-  return MakeBaseState(base, &fingerprint);
+  return MakeBaseState(base, &fingerprint,
+                       engine == BatchOptions::Sweep::kBlocked);
 }
 
 util::Result<std::shared_ptr<const CompiledSession>> CompiledSession::Create(
@@ -422,7 +426,8 @@ util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatchImpl(
   }
   std::shared_ptr<const BatchPlan> plan = BatchPlan::FromParts(
       core,
-      core->MakeOverlay(BaseStateFor(base_meta_valuation, base_fingerprint)));
+      core->MakeOverlay(BaseStateFor(base_meta_valuation, base_fingerprint,
+                                     core->engine())));
 
   // Trust boundary: verify the freshly compiled plan before it enters the
   // cache (and gets replayed indefinitely). Always in debug builds, opt-in
@@ -773,7 +778,8 @@ util::Result<GridAssignReport> CompiledSession::AssignGrid(
         }
       }
       if (overlay == nullptr) {
-        overlay = core->MakeOverlay(BaseStateFor(bases[b], fp));
+        overlay =
+            core->MakeOverlay(BaseStateFor(bases[b], fp, core->engine()));
       }
       grid.overlay_seconds += overlay_timer.ElapsedSeconds();
     }
@@ -885,22 +891,22 @@ util::Result<SweepSummary> CompiledSession::AssignStream(
     const ScenarioSource& source, const prov::Valuation& base_meta_valuation,
     const StreamOptions& options, const StreamConsumer& consumer) const {
   return StreamImpl(
-      source,
-      BaseStateFor(base_meta_valuation,
-                   FingerprintBase(base_meta_valuation,
-                                   artifacts_->frozen_pool_size)),
+      source, base_meta_valuation,
+      FingerprintBase(base_meta_valuation, artifacts_->frozen_pool_size),
       options, consumer);
 }
 
 util::Result<SweepSummary> CompiledSession::AssignStream(
     const ScenarioSource& source, const StreamOptions& options,
     const StreamConsumer& consumer) const {
-  return StreamImpl(source, default_base_, options, consumer);
+  return StreamImpl(source, default_base_->values, default_base_->fingerprint,
+                    options, consumer);
 }
 
 util::Result<SweepSummary> CompiledSession::StreamImpl(
-    const ScenarioSource& source, const std::shared_ptr<const BaseState>& base,
-    const StreamOptions& options, const StreamConsumer& consumer) const {
+    const ScenarioSource& source, const prov::Valuation& base_meta_valuation,
+    const BaseFingerprint& base_fingerprint, const StreamOptions& options,
+    const StreamConsumer& consumer) const {
   const StreamQuery& query = options.query;
   switch (query.kind) {
     case StreamQuery::Kind::kAll:
@@ -978,12 +984,17 @@ util::Result<SweepSummary> CompiledSession::StreamImpl(
 
   // The base compressed row is the metric's reference point, shared by
   // every chunk; every chunk's overlay references the shared base state.
+  const std::shared_ptr<const BaseState> base =
+      BaseStateFor(base_meta_valuation, base_fingerprint, plan.engine());
   std::vector<double> base_comp;
   artifacts_->compressed_program.Eval(base->values, &base_comp);
   const VarResolver resolver = this->resolver();
 
-  // Names are asked of the source only for what leaves the call: kept
-  // entries and consumer views.
+  // Names are asked of the source only for what leaves the call — kept
+  // entries and consumer views — at most once per window, and timed with
+  // generation. A consumer reads every name of the window, so there the
+  // window is lowered and named in one call (one `Generate` for a source
+  // that lowers by default).
   std::vector<std::string> names;
   auto fetch_names = [&](std::uint64_t first,
                          std::size_t count) -> util::Status {
@@ -1056,12 +1067,14 @@ util::Result<SweepSummary> CompiledSession::StreamImpl(
 
     timer.Reset();
     LoweredScenarios window;
-    COBRA_RETURN_IF_ERROR(source.Lower(begin, count, resolver, &window));
-    if (window.size() != count) {
+    names.clear();
+    COBRA_RETURN_IF_ERROR(source.Lower(begin, count, resolver, &window,
+                                       consumer ? &names : nullptr));
+    if (window.size() != count || names.size() != (consumer ? count : 0)) {
       return util::Status::Internal(util::StrFormat(
-          "AssignStream: source lowered %zu scenario(s) for window "
-          "[%llu, %llu) — sources must fill the window exactly",
-          window.size(), static_cast<unsigned long long>(begin),
+          "AssignStream: source lowered %zu scenario(s) and %zu name(s) for "
+          "window [%llu, %llu) — sources must fill the window exactly",
+          window.size(), names.size(), static_cast<unsigned long long>(begin),
           static_cast<unsigned long long>(begin + count)));
     }
     summary.generate_seconds += timer.ElapsedSeconds();
@@ -1194,14 +1207,29 @@ util::Result<SweepSummary> CompiledSession::StreamImpl(
     }
     summary.full_sweep_seconds += timer.ElapsedSeconds();
 
+    // Without a consumer, this chunk's threshold entries are named by one
+    // Names call over their span. Row `i` is `names[begin + i -
+    // named_first]` either way.
+    std::uint64_t named_first = begin;
+    if (!consumer && kept_this_chunk > 0) {
+      std::size_t first = 0;
+      std::size_t last = count;
+      while (keep[first] == 0) ++first;
+      while (keep[last - 1] == 0) --last;
+      named_first = begin + first;
+      timer.Reset();
+      COBRA_RETURN_IF_ERROR(fetch_names(named_first, last - first));
+      summary.generate_seconds += timer.ElapsedSeconds();
+    }
+
     switch (query.kind) {
       case StreamQuery::Kind::kThreshold:
         for (std::size_t i = 0; i < count; ++i) {
           if (keep[i] == 0) continue;
           StreamEntry entry;
           entry.index = begin + i;
-          COBRA_RETURN_IF_ERROR(fetch_names(entry.index, 1));
-          entry.name = std::move(names[0]);
+          entry.name =
+              names[static_cast<std::size_t>(entry.index - named_first)];
           entry.metric = metrics[i];
           entry.full.assign(full_flat.begin() + i * polys_full,
                             full_flat.begin() + (i + 1) * polys_full);
@@ -1218,6 +1246,7 @@ util::Result<SweepSummary> CompiledSession::StreamImpl(
           if (!e.full.empty()) continue;
           if (e.index < begin || e.index >= begin + count) continue;
           const std::size_t i = static_cast<std::size_t>(e.index - begin);
+          if (consumer) e.name = names[i];
           e.full.assign(full_flat.begin() + i * polys_full,
                         full_flat.begin() + (i + 1) * polys_full);
           e.compressed.assign(comp_flat.begin() + i * polys_comp,
@@ -1233,7 +1262,6 @@ util::Result<SweepSummary> CompiledSession::StreamImpl(
     begin += count;
 
     if (consumer) {
-      COBRA_RETURN_IF_ERROR(fetch_names(begin - count, count));
       StreamBlockView view;
       view.begin = begin - count;
       view.count = count;
@@ -1256,9 +1284,15 @@ util::Result<SweepSummary> CompiledSession::StreamImpl(
                 if (a.metric != b.metric) return a.metric > b.metric;
                 return a.index < b.index;
               });
-    for (StreamEntry& entry : top) {
-      COBRA_RETURN_IF_ERROR(fetch_names(entry.index, 1));
-      entry.name = std::move(names[0]);
+    // With a consumer every survivor was named from its window; otherwise
+    // each of the k is named here, one ordinal at a time.
+    if (!consumer) {
+      timer.Reset();
+      for (StreamEntry& entry : top) {
+        COBRA_RETURN_IF_ERROR(fetch_names(entry.index, 1));
+        entry.name = std::move(names[0]);
+      }
+      summary.generate_seconds += timer.ElapsedSeconds();
     }
     summary.entries = std::move(top);
   }

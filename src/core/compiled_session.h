@@ -214,7 +214,8 @@ struct StreamBlockView {
   std::uint64_t begin = 0;      ///< Source ordinal of row 0.
   std::size_t count = 0;        ///< Scenarios in this block.
   std::size_t num_groups = 0;   ///< Output groups per row.
-  /// `count` names, asked of the source for this view only.
+  /// `count` names, lowered and named by the source in one call, for this
+  /// view and the block's kept entries.
   const std::vector<std::string>* names = nullptr;
   const double* metrics = nullptr;       ///< `count` per-scenario metrics.
   /// Per-scenario flag: full row `i` was computed (its block survived the
@@ -290,7 +291,8 @@ struct SweepSummary {
   /// kAll: empty.
   std::vector<StreamEntry> entries;
 
-  /// Time the source spent lowering windows (`ScenarioSource::Lower`).
+  /// Time the source spent lowering windows (`ScenarioSource::Lower`) and
+  /// naming what leaves the call (`ScenarioSource::Names`).
   double generate_seconds = 0.0;
   double plan_seconds = 0.0;       ///< Per-chunk planning time.
   double full_sweep_seconds = 0.0;
@@ -435,10 +437,12 @@ class CompiledSession
 
   /// Builds the shared per-base state of `base`: a pool-sized copy, its
   /// fingerprint (`precomputed_fingerprint` when non-null, which must be
-  /// `FingerprintBase(base, pool_size())`) and both programs' term products.
+  /// `FingerprintBase(base, pool_size())`) and, when `with_products`, both
+  /// programs' term products (which only blocked plans read).
   std::shared_ptr<const BaseState> MakeBaseState(
       const prov::Valuation& base,
-      const BaseFingerprint* precomputed_fingerprint = nullptr) const;
+      const BaseFingerprint* precomputed_fingerprint = nullptr,
+      bool with_products = true) const;
 
   /// The full-side expansion of the default meta valuation.
   const prov::Valuation& default_full_valuation() const {
@@ -655,10 +659,12 @@ class CompiledSession
   /// Copies `v` and extends it neutrally to the pool size.
   prov::Valuation PoolSized(const prov::Valuation& v) const;
 
-  /// The shared state for a base whose fingerprint is `fingerprint`: the
-  /// session default's when the fingerprints match, else a fresh one.
+  /// The shared state for a base whose fingerprint is `fingerprint`, to
+  /// serve a plan on `engine`: the session default's when the fingerprints
+  /// match, else a fresh one, with term products only for kBlocked.
   std::shared_ptr<const BaseState> BaseStateFor(
-      const prov::Valuation& base, const BaseFingerprint& fingerprint) const;
+      const prov::Valuation& base, const BaseFingerprint& fingerprint,
+      BatchOptions::Sweep engine) const;
 
   /// The shared implementation behind both PlanBatch overloads (and the
   /// grid's core acquisition): the default-base overload passes the
@@ -673,12 +679,13 @@ class CompiledSession
       const BaseFingerprint& base_fingerprint, const BatchOptions& options,
       bool* cache_hit, bool* core_hit) const;
 
-  /// The streaming sweep behind both AssignStream overloads, on a shared
-  /// base state.
+  /// The streaming sweep behind both AssignStream overloads; like
+  /// PlanBatchImpl, the default-base overload passes the precomputed
+  /// fingerprint, so it streams on the session's default base state.
   util::Result<SweepSummary> StreamImpl(
-      const ScenarioSource& source,
-      const std::shared_ptr<const BaseState>& base,
-      const StreamOptions& options, const StreamConsumer& consumer) const;
+      const ScenarioSource& source, const prov::Valuation& base_meta_valuation,
+      const BaseFingerprint& base_fingerprint, const StreamOptions& options,
+      const StreamConsumer& consumer) const;
 
   /// Runs the sparse/blocked sweep of one program side for every scenario,
   /// writing the scenario-major result matrix (num_scenarios ×

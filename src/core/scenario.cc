@@ -85,9 +85,8 @@ std::string OrdinalName(const std::string& prefix, std::uint64_t i) {
 /// it), and returns the (id, axis) pairs in id order. Axis variables are
 /// distinct, so their ids are too, and emitting the axes in this order
 /// makes every lowered list sorted and duplicate-free.
-template <typename Axis>
 util::Result<std::vector<std::pair<prov::VarId, std::size_t>>> AxisOrder(
-    const std::vector<Axis>& axes, const VarResolver& resolver,
+    const std::vector<ValueAxis>& axes, const VarResolver& resolver,
     std::string_view first_name) {
   std::vector<std::pair<prov::VarId, std::size_t>> order;
   order.reserve(axes.size());
@@ -111,12 +110,11 @@ util::Status GenerateWindow(const ScenarioSource& source, std::uint64_t begin,
   return source.Generate(begin, count, window);
 }
 
-/// Appends the generator names `prefix-<begin>` .. `prefix-<begin+count-1>`.
-void AppendOrdinalNames(const std::string& prefix, std::uint64_t begin,
-                        std::uint64_t count, std::vector<std::string>* out) {
-  out->reserve(out->size() + static_cast<std::size_t>(count));
-  for (std::uint64_t i = begin; i < begin + count; ++i) {
-    out->push_back(OrdinalName(prefix, i));
+/// Appends the names of `window`'s scenarios to `out`, in order.
+void AppendNames(const ScenarioSet& window, std::vector<std::string>* out) {
+  out->reserve(out->size() + window.size());
+  for (const Scenario& scenario : window.scenarios()) {
+    out->push_back(scenario.name);
   }
 }
 
@@ -226,20 +224,20 @@ std::string SourceFingerprint::ToHex() const {
 
 util::Status ScenarioSource::Lower(std::uint64_t begin, std::uint64_t count,
                                    const VarResolver& resolver,
-                                   LoweredScenarios* out) const {
+                                   LoweredScenarios* out,
+                                   std::vector<std::string>* names) const {
   ScenarioSet window;
   COBRA_RETURN_IF_ERROR(GenerateWindow(*this, begin, count, &window));
-  return LowerScenarios(window.scenarios(), resolver, out);
+  COBRA_RETURN_IF_ERROR(LowerScenarios(window.scenarios(), resolver, out));
+  if (names != nullptr) AppendNames(window, names);
+  return util::Status::OK();
 }
 
 util::Status ScenarioSource::Names(std::uint64_t begin, std::uint64_t count,
                                    std::vector<std::string>* out) const {
   ScenarioSet window;
   COBRA_RETURN_IF_ERROR(GenerateWindow(*this, begin, count, &window));
-  out->reserve(out->size() + window.size());
-  for (const Scenario& scenario : window.scenarios()) {
-    out->push_back(scenario.name);
-  }
+  AppendNames(window, out);
   return util::Status::OK();
 }
 
@@ -287,27 +285,6 @@ util::Status ExplicitSource::Generate(std::uint64_t begin, std::uint64_t count,
     util::Result<ScenarioSet::Handle> added =
         out->Add(scenarios_.scenario(static_cast<std::size_t>(i)));
     if (!added.ok()) return added.status();
-  }
-  return util::Status::OK();
-}
-
-util::Status ExplicitSource::Lower(std::uint64_t begin, std::uint64_t count,
-                                   const VarResolver& resolver,
-                                   LoweredScenarios* out) const {
-  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size(), "ExplicitSource"));
-  return LowerScenarios(
-      std::span<const Scenario>(scenarios_.scenarios())
-          .subspan(static_cast<std::size_t>(begin),
-                   static_cast<std::size_t>(count)),
-      resolver, out);
-}
-
-util::Status ExplicitSource::Names(std::uint64_t begin, std::uint64_t count,
-                                   std::vector<std::string>* out) const {
-  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size(), "ExplicitSource"));
-  out->reserve(out->size() + static_cast<std::size_t>(count));
-  for (std::uint64_t i = begin; i < begin + count; ++i) {
-    out->push_back(scenarios_.scenario(static_cast<std::size_t>(i)).name);
   }
   return util::Status::OK();
 }
@@ -414,7 +391,8 @@ util::Status CartesianSource::Generate(std::uint64_t begin,
 
 util::Status CartesianSource::Lower(std::uint64_t begin, std::uint64_t count,
                                     const VarResolver& resolver,
-                                    LoweredScenarios* out) const {
+                                    LoweredScenarios* out,
+                                    std::vector<std::string>* names) const {
   COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size_, "CartesianSource"));
   if (count == 0) return util::Status::OK();
   util::Result<std::vector<std::pair<prov::VarId, std::size_t>>> order =
@@ -443,13 +421,16 @@ util::Status CartesianSource::Lower(std::uint64_t begin, std::uint64_t count,
       digits[a] = 0;
     }
   }
-  return util::Status::OK();
+  return names != nullptr ? Names(begin, count, names) : util::Status::OK();
 }
 
 util::Status CartesianSource::Names(std::uint64_t begin, std::uint64_t count,
                                     std::vector<std::string>* out) const {
   COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size_, "CartesianSource"));
-  AppendOrdinalNames(name_prefix_, begin, count, out);
+  out->reserve(out->size() + static_cast<std::size_t>(count));
+  for (std::uint64_t i = begin; i < begin + count; ++i) {
+    out->push_back(OrdinalName(name_prefix_, i));
+  }
   return util::Status::OK();
 }
 
@@ -528,37 +509,6 @@ util::Status SampledSource::Generate(std::uint64_t begin, std::uint64_t count,
     util::Result<ScenarioSet::Handle> added = out->Add(std::move(scenario));
     if (!added.ok()) return added.status();
   }
-  return util::Status::OK();
-}
-
-util::Status SampledSource::Lower(std::uint64_t begin, std::uint64_t count,
-                                  const VarResolver& resolver,
-                                  LoweredScenarios* out) const {
-  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, count_, "SampledSource"));
-  if (count == 0) return util::Status::OK();
-  util::Result<std::vector<std::pair<prov::VarId, std::size_t>>> order =
-      AxisOrder(axes_, resolver, OrdinalName(name_prefix_, begin));
-  if (!order.ok()) return order.status();
-  out->overrides.reserve(out->overrides.size() +
-                         static_cast<std::size_t>(count) * axes_.size());
-  out->offsets.reserve(out->offsets.size() + static_cast<std::size_t>(count));
-  std::vector<double> draws(axes_.size());
-  for (std::uint64_t i = begin; i < begin + count; ++i) {
-    // Draw in axis order, exactly as Generate does, then emit in id order.
-    util::Rng rng = util::Rng(seed_).Fork(i);
-    for (std::size_t a = 0; a < axes_.size(); ++a) {
-      draws[a] = rng.NextDoubleInRange(axes_[a].lo, axes_[a].hi);
-    }
-    for (const auto& [id, a] : *order) out->overrides.push_back({id, draws[a]});
-    out->EndScenario();
-  }
-  return util::Status::OK();
-}
-
-util::Status SampledSource::Names(std::uint64_t begin, std::uint64_t count,
-                                  std::vector<std::string>* out) const {
-  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, count_, "SampledSource"));
-  AppendOrdinalNames(name_prefix_, begin, count, out);
   return util::Status::OK();
 }
 

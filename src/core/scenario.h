@@ -233,13 +233,17 @@ class ScenarioSource {
                                 ScenarioSet* out) const = 0;
 
   /// Appends scenarios `[begin, begin + count)` to `out` lowered through
-  /// `resolver` — what `AssignStream` plans each window from. Must equal
-  /// `LowerScenarios` over `Generate`'s output for the same window, and fail
-  /// where that fails. The default does exactly that; a generator that
-  /// knows its axes overrides it to emit ids without building names.
+  /// `resolver` — what `AssignStream` plans each window from — and, when
+  /// `names` is non-null, their names to `names` (a stream with a consumer
+  /// reads every name of the window). Must equal `LowerScenarios` over
+  /// `Generate`'s output for the same window, and its names, and fail where
+  /// that fails. The default does exactly that from one `Generate`; a
+  /// generator that knows its axes overrides it to emit ids without
+  /// building names it was not asked for.
   virtual util::Status Lower(std::uint64_t begin, std::uint64_t count,
                              const VarResolver& resolver,
-                             LoweredScenarios* out) const;
+                             LoweredScenarios* out,
+                             std::vector<std::string>* names) const;
 
   /// Appends the names of scenarios `[begin, begin + count)` to `out`, equal
   /// to `Generate`'s. The default generates the window.
@@ -266,12 +270,6 @@ class ExplicitSource : public ScenarioSource {
   SourceFingerprint fingerprint() const override;
   util::Status Generate(std::uint64_t begin, std::uint64_t count,
                         ScenarioSet* out) const override;
-  /// Lowers the held scenarios in place, without copying them.
-  util::Status Lower(std::uint64_t begin, std::uint64_t count,
-                     const VarResolver& resolver,
-                     LoweredScenarios* out) const override;
-  util::Status Names(std::uint64_t begin, std::uint64_t count,
-                     std::vector<std::string>* out) const override;
 
   const ScenarioSet& scenarios() const { return scenarios_; }
 
@@ -314,8 +312,8 @@ class CartesianSource : public ScenarioSource {
   util::Status Generate(std::uint64_t begin, std::uint64_t count,
                         ScenarioSet* out) const override;
   util::Status Lower(std::uint64_t begin, std::uint64_t count,
-                     const VarResolver& resolver,
-                     LoweredScenarios* out) const override;
+                     const VarResolver& resolver, LoweredScenarios* out,
+                     std::vector<std::string>* names) const override;
   util::Status Names(std::uint64_t begin, std::uint64_t count,
                      std::vector<std::string>* out) const override;
 
@@ -342,8 +340,7 @@ struct RangeAxis {
 /// value per axis. Scenario `i` is generated from its own decorrelated
 /// stream `Rng(seed).Fork(i)`, so the draw for a given index is a pure
 /// function of (seed, i) — identical across chunkings, thread counts, and
-/// processes. Names are `<prefix>-<i>`. Like `CartesianSource`, `Lower`
-/// resolves each axis once per window and `Names` builds no scenario.
+/// processes. Names are `<prefix>-<i>`.
 class SampledSource : public ScenarioSource {
  public:
   /// Validates the spec: `count > 0`, at least one axis, non-empty variable
@@ -358,11 +355,6 @@ class SampledSource : public ScenarioSource {
   SourceFingerprint fingerprint() const override;
   util::Status Generate(std::uint64_t begin, std::uint64_t count,
                         ScenarioSet* out) const override;
-  util::Status Lower(std::uint64_t begin, std::uint64_t count,
-                     const VarResolver& resolver,
-                     LoweredScenarios* out) const override;
-  util::Status Names(std::uint64_t begin, std::uint64_t count,
-                     std::vector<std::string>* out) const override;
 
   std::uint64_t seed() const { return seed_; }
 

@@ -465,9 +465,15 @@ VerifyReport VerifyProgram(const core::EvalProgramImage& image,
   return report;
 }
 
-VerifyReport VerifyPlan(const core::BatchPlan& plan,
-                        const core::CompiledSession& session,
-                        const core::ScenarioSet* scenarios) {
+namespace {
+
+/// VerifyPlan's rules. A streamed chunk (`stream_chunk`) differs in one:
+/// its source names entries on demand, so it carries no scenario names,
+/// where every other plan carries one per scenario.
+VerifyReport VerifyPlanRules(const core::BatchPlan& plan,
+                             const core::CompiledSession& session,
+                             const core::ScenarioSet* scenarios,
+                             bool stream_chunk) {
   VerifyReport report;
 
   // Origin: a plan references its session by weak_ptr, so a foreign (or
@@ -512,13 +518,15 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
                                     "at %zu lanes (want %zu)",
                                     plan.num_blocks(), n, lanes, want_blocks));
   }
-  // Names: a core planned from a named set carries one per scenario; a
-  // streamed chunk carries none (its source names entries on demand).
-  if (!plan.scenario_names().empty() && plan.scenario_names().size() != n) {
+  // Names: one per scenario, except on a streamed chunk, which has none.
+  if (plan.scenario_names().size() != (stream_chunk ? 0 : n)) {
     report.AddError("plan", 0,
                     util::StrFormat("%zu scenario names but %zu compiled "
-                                    "scenarios",
-                                    plan.scenario_names().size(), n));
+                                    "scenarios%s",
+                                    plan.scenario_names().size(), n,
+                                    stream_chunk ? " (a streamed chunk "
+                                                   "carries none)"
+                                                 : ""));
   }
 
   // Lowered window shape: the offsets must bound the flat override array,
@@ -795,11 +803,20 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
   return report;
 }
 
+}  // namespace
+
+VerifyReport VerifyPlan(const core::BatchPlan& plan,
+                        const core::CompiledSession& session,
+                        const core::ScenarioSet* scenarios) {
+  return VerifyPlanRules(plan, session, scenarios, /*stream_chunk=*/false);
+}
+
 VerifyReport VerifyStreamWindow(const core::BatchPlan& plan,
                                 const core::CompiledSession& session,
                                 const core::ScenarioSource& source,
                                 std::uint64_t begin) {
-  VerifyReport report = VerifyPlan(plan, session);
+  VerifyReport report =
+      VerifyPlanRules(plan, session, nullptr, /*stream_chunk=*/true);
   if (plan.session().get() != &session) return report;
   const std::size_t n = plan.num_scenarios();
 
@@ -829,25 +846,48 @@ VerifyReport VerifyStreamWindow(const core::BatchPlan& plan,
                                     status.ToString().c_str()));
     return report;
   }
-  std::vector<std::string> names;
-  status = source.Names(begin, n, &names);
-  if (!status.ok() || names.size() != n) {
-    report.AddError("source", ordinal,
-                    util::StrFormat("Names(%llu, %zu) failed or did not name "
-                                    "the window: %s",
-                                    static_cast<unsigned long long>(begin), n,
-                                    status.ToString().c_str()));
-  } else {
+  // Names come either from `Names` or, for a consumer, from `Lower`.
+  auto check_names = [&](const char* call, const util::Status& named,
+                         const std::vector<std::string>& names) {
+    if (!named.ok() || names.size() != n) {
+      report.AddError("source", ordinal,
+                      util::StrFormat("%s(%llu, %zu) failed or did not name "
+                                      "the window: %s",
+                                      call,
+                                      static_cast<unsigned long long>(begin),
+                                      n, named.ToString().c_str()));
+      return;
+    }
     for (std::size_t i = 0; i < n; ++i) {
       if (names[i] != generated.scenario(i).name) {
         report.AddError("source scenario", ordinal + i,
-                        util::StrFormat("on-demand name \"%s\" differs from "
-                                        "Generate's \"%s\"",
-                                        names[i].c_str(),
+                        util::StrFormat("on-demand name \"%s\" from %s "
+                                        "differs from Generate's \"%s\"",
+                                        names[i].c_str(), call,
                                         generated.scenario(i).name.c_str()));
-        break;
+        return;
       }
     }
+  };
+  std::vector<std::string> names;
+  status = source.Names(begin, n, &names);
+  check_names("Names", status, names);
+  core::LoweredScenarios lowered;
+  names.clear();
+  status = source.Lower(begin, n, session.resolver(), &lowered, &names);
+  check_names("Lower", status, names);
+  // Asking for names must not change the lowered lists.
+  const core::LoweredScenarios& planned = plan.lowered();
+  bool same = status.ok() && lowered.offsets == planned.offsets &&
+              lowered.overrides.size() == planned.overrides.size();
+  for (std::size_t o = 0; same && o < planned.overrides.size(); ++o) {
+    same = lowered.overrides[o].var == planned.overrides[o].var &&
+           SameBits(lowered.overrides[o].value, planned.overrides[o].value);
+  }
+  if (status.ok() && !same) {
+    report.AddError("source", ordinal,
+                    "Lower with names lowered the window differently from "
+                    "the planned lists");
   }
   VerifyLowering(plan, session, generated, &report);
   return report;

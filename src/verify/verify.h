@@ -155,7 +155,7 @@ VerifyReport VerifyProgram(const core::EvalProgramImage& image,
 /// every value-table cell rebinds bit-for-bit from the overlay base and the
 /// owning lane's lowered overrides, and (blocked engine only; a scalar plan
 /// carries no touched sets or products) every touched set and base product
-/// re-derives by brute force.
+/// re-derives by brute force. The plan carries one name per scenario.
 ///
 /// When `scenarios` is non-null the pass additionally recomputes the
 /// scenario-set content fingerprint, compares the names, and re-lowers
@@ -168,12 +168,15 @@ VerifyReport VerifyPlan(const core::BatchPlan& plan,
 
 /// Audits the plan of a streamed chunk — built from `source`'s lowered
 /// window starting at ordinal `begin` — against `Generate`, the reference
-/// both on-demand paths must reproduce: `VerifyPlan` (without a scenario
-/// set), the chunk fingerprint recomputed from the source spec and window,
-/// every lowered list re-derived from the generated window, and
-/// `source.Names` compared with the generated names. `AssignStream` runs it
-/// on its first window wherever it runs `VerifyPlan`, so a source whose
-/// `Lower` or `Names` drifts from its `Generate` is refused.
+/// both on-demand paths must reproduce: `VerifyPlan`'s rules (without a
+/// scenario set, and with no names, which a streamed chunk never carries),
+/// the chunk fingerprint recomputed from the source spec and window,
+/// every lowered list re-derived from the generated window, the names
+/// `source.Names` and `source.Lower` give compared with the generated
+/// names, and `Lower` checked to lower the same lists when asked for names.
+/// `AssignStream` runs it on its first window wherever it runs
+/// `VerifyPlan`, so a source whose `Lower` or `Names` drifts from its
+/// `Generate` is refused.
 VerifyReport VerifyStreamWindow(const core::BatchPlan& plan,
                                 const core::CompiledSession& session,
                                 const core::ScenarioSource& source,

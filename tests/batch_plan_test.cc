@@ -418,6 +418,36 @@ TEST(BatchPlanTest, DefaultBasePlansShareOneBaseState) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+// A state built for another base carries term products only for a blocked
+// plan, the one engine that reads them: a scalar plan on that base builds
+// none, and both plans verify clean.
+TEST(BatchPlanTest, ScalarPlansOnOtherBasesBuildNoProducts) {
+  Session session;
+  LoadPaperSession(&session);
+  auto snapshot = session.Snapshot().ValueOrDie();
+  prov::Valuation shifted = snapshot->default_meta_valuation();
+  shifted.Set(snapshot->meta_vars().front().var, 2.0);
+  const ScenarioSet a = MakeScenarios(*snapshot, 20);
+
+  BatchOptions scalar;
+  scalar.sweep = BatchOptions::Sweep::kSparseDelta;
+  BatchOptions blocked;
+  blocked.sweep = BatchOptions::Sweep::kBlocked;
+  auto scalar_plan = snapshot->PlanBatch(a, shifted, scalar).ValueOrDie();
+  auto blocked_plan = snapshot->PlanBatch(a, shifted, blocked).ValueOrDie();
+  EXPECT_TRUE(scalar_plan->overlay().base->full_products.empty());
+  EXPECT_TRUE(scalar_plan->overlay().base->compressed_products.empty());
+  EXPECT_EQ(blocked_plan->overlay().base->full_products.size(),
+            snapshot->sweep_full_program().NumTerms());
+  EXPECT_EQ(blocked_plan->overlay().base->compressed_products.size(),
+            snapshot->compressed_program().NumTerms());
+  for (const auto& plan : {scalar_plan, blocked_plan}) {
+    const verify::VerifyReport report =
+        verify::VerifyPlan(*plan, *snapshot, &a);
+    EXPECT_TRUE(report.ok()) << report.ToString();
+  }
+}
+
 #ifdef __linux__
 // `num_threads = 0` follows the calling thread's CPU mask: pinned to one
 // CPU, a fresh plan and a stream both resolve to one worker. The mask is

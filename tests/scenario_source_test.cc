@@ -146,7 +146,8 @@ class ScenarioSourceTest : public ::testing::Test {
 
   /// The entries kTopK and kThreshold queries keep equal the materialized
   /// batch's scenarios: index, name (asked of the source on demand), metric
-  /// and both rows, bit for bit.
+  /// and both rows, bit for bit. Each query also runs with a consumer, whose
+  /// per-window names then name the entries too.
   void ExpectEntriesMatchBatch(const ScenarioSource& source,
                                const BatchOptions& batch,
                                const ScenarioSet& materialized,
@@ -183,30 +184,38 @@ class ScenarioSourceTest : public ::testing::Test {
                      [&](std::size_t a, std::size_t b) {
                        return metrics[a] > metrics[b];
                      });
-    StreamOptions options;
-    options.batch = batch;
-    options.query.kind = StreamQuery::Kind::kTopK;
-    options.query.k = 3;
-    util::Result<SweepSummary> top = snapshot_->AssignStream(source, options);
-    ASSERT_TRUE(top.ok()) << top.status().ToString();
-    ASSERT_EQ(top->entries.size(), std::min<std::size_t>(3, n));
-    for (std::size_t r = 0; r < top->entries.size(); ++r) {
-      EXPECT_EQ(top->entries[r].index, order[r]) << "rank " << r;
-      expect_entry(top->entries[r]);
-    }
+    const StreamConsumer keep_going = [](const StreamBlockView&) {
+      return true;
+    };
+    for (const StreamConsumer& consumer : {StreamConsumer{}, keep_going}) {
+      SCOPED_TRACE(consumer ? "with a consumer" : "without a consumer");
+      StreamOptions options;
+      options.batch = batch;
+      options.query.kind = StreamQuery::Kind::kTopK;
+      options.query.k = 3;
+      util::Result<SweepSummary> top =
+          snapshot_->AssignStream(source, options, consumer);
+      ASSERT_TRUE(top.ok()) << top.status().ToString();
+      ASSERT_EQ(top->entries.size(), std::min<std::size_t>(3, n));
+      for (std::size_t r = 0; r < top->entries.size(); ++r) {
+        EXPECT_EQ(top->entries[r].index, order[r]) << "rank " << r;
+        expect_entry(top->entries[r]);
+      }
 
-    options.query.kind = StreamQuery::Kind::kThreshold;
-    options.query.cutoff = metrics[order[n / 2]];
-    util::Result<SweepSummary> kept = snapshot_->AssignStream(source, options);
-    ASSERT_TRUE(kept.ok()) << kept.status().ToString();
-    std::vector<std::size_t> matches;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (metrics[i] >= options.query.cutoff) matches.push_back(i);
-    }
-    ASSERT_EQ(kept->entries.size(), matches.size());
-    for (std::size_t e = 0; e < matches.size(); ++e) {
-      EXPECT_EQ(kept->entries[e].index, matches[e]);
-      expect_entry(kept->entries[e]);
+      options.query.kind = StreamQuery::Kind::kThreshold;
+      options.query.cutoff = metrics[order[n / 2]];
+      util::Result<SweepSummary> kept =
+          snapshot_->AssignStream(source, options, consumer);
+      ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+      std::vector<std::size_t> matches;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (metrics[i] >= options.query.cutoff) matches.push_back(i);
+      }
+      ASSERT_EQ(kept->entries.size(), matches.size());
+      for (std::size_t e = 0; e < matches.size(); ++e) {
+        EXPECT_EQ(kept->entries[e].index, matches[e]);
+        expect_entry(kept->entries[e]);
+      }
     }
   }
 
@@ -614,22 +623,29 @@ TEST_F(ScenarioSourceTest, LoweringAndNamesMatchGenerateOnRandomWindows) {
       ASSERT_TRUE(
           LowerScenarios(generated.scenarios(), resolver, &want).ok());
       LoweredScenarios got;
-      ASSERT_TRUE(source->Lower(begin, count, resolver, &got).ok());
+      ASSERT_TRUE(source->Lower(begin, count, resolver, &got, nullptr).ok());
       EXPECT_TRUE(SameLowered(got, want));
 
-      // Lower appends: two halves lowered into one buffer equal the whole.
+      // Lower appends: two halves lowered into one buffer, and named into
+      // one list, equal the whole.
       const std::uint64_t half = count / 2;
       LoweredScenarios halves;
-      ASSERT_TRUE(source->Lower(begin, half, resolver, &halves).ok());
+      std::vector<std::string> lowered_names;
       ASSERT_TRUE(
-          source->Lower(begin + half, count - half, resolver, &halves).ok());
+          source->Lower(begin, half, resolver, &halves, &lowered_names).ok());
+      ASSERT_TRUE(source
+                      ->Lower(begin + half, count - half, resolver, &halves,
+                              &lowered_names)
+                      .ok());
       EXPECT_TRUE(SameLowered(halves, want));
 
       std::vector<std::string> names;
       ASSERT_TRUE(source->Names(begin, count, &names).ok());
       ASSERT_EQ(names.size(), generated.size());
+      ASSERT_EQ(lowered_names.size(), generated.size());
       for (std::size_t i = 0; i < names.size(); ++i) {
         EXPECT_EQ(names[i], generated.scenario(i).name);
+        EXPECT_EQ(lowered_names[i], generated.scenario(i).name);
       }
     }
   }
@@ -670,7 +686,7 @@ TEST_F(ScenarioSourceTest, LoweringAndNamesFailWhereGenerateFails) {
         const util::Status generate =
             source->Generate(begin, count, &generated);
         const util::Status lower =
-            source->Lower(begin, count, resolver, &lowered);
+            source->Lower(begin, count, resolver, &lowered, &names);
         const util::Status named = source->Names(begin, count, &names);
         ASSERT_FALSE(generate.ok());
         EXPECT_EQ(lower.code(), generate.code());
@@ -681,7 +697,7 @@ TEST_F(ScenarioSourceTest, LoweringAndNamesFailWhereGenerateFails) {
 
       // An empty window lowers cleanly, as an empty generated window does.
       LoweredScenarios empty;
-      EXPECT_TRUE(source->Lower(0, 0, resolver, &empty).ok());
+      EXPECT_TRUE(source->Lower(0, 0, resolver, &empty, nullptr).ok());
       EXPECT_EQ(empty.size(), 0u);
 
       ScenarioSet generated;
@@ -690,7 +706,8 @@ TEST_F(ScenarioSourceTest, LoweringAndNamesFailWhereGenerateFails) {
       const util::Status reference =
           LowerScenarios(generated.scenarios(), resolver, &want);
       LoweredScenarios got;
-      const util::Status lower = source->Lower(0, size, resolver, &got);
+      const util::Status lower =
+          source->Lower(0, size, resolver, &got, nullptr);
       ASSERT_FALSE(reference.ok());
       EXPECT_EQ(reference.code(), util::StatusCode::kInvalidArgument);
       EXPECT_EQ(lower.code(), reference.code());
@@ -707,12 +724,16 @@ TEST_F(ScenarioSourceTest, LoweringAndNamesFailWhereGenerateFails) {
   }
 }
 
-/// Wraps a source, passing Generate through and skewing either the lowered
-/// window (one value nudged by an ulp) or the on-demand names.
+/// Wraps a source, passing Generate through and skewing one on-demand
+/// output: a lowered value nudged by an ulp (always, or only when `Lower` is
+/// asked for names), or the names from `Names` and `Lower`, or from `Lower`
+/// alone.
 class SkewedSource : public ScenarioSource {
  public:
-  SkewedSource(std::shared_ptr<const ScenarioSource> inner, bool skew_names)
-      : inner_(std::move(inner)), skew_names_(skew_names) {}
+  enum class Skew { kValue, kValueWhenNamed, kNames, kLowerNames };
+
+  SkewedSource(std::shared_ptr<const ScenarioSource> inner, Skew skew)
+      : inner_(std::move(inner)), skew_(skew) {}
   std::uint64_t size() const override { return inner_->size(); }
   std::size_t max_deltas() const override { return inner_->max_deltas(); }
   SourceFingerprint fingerprint() const override {
@@ -723,29 +744,38 @@ class SkewedSource : public ScenarioSource {
     return inner_->Generate(begin, count, out);
   }
   util::Status Lower(std::uint64_t begin, std::uint64_t count,
-                     const VarResolver& resolver,
-                     LoweredScenarios* out) const override {
-    COBRA_RETURN_IF_ERROR(inner_->Lower(begin, count, resolver, out));
-    if (!skew_names_ && !out->overrides.empty()) {
+                     const VarResolver& resolver, LoweredScenarios* out,
+                     std::vector<std::string>* names) const override {
+    COBRA_RETURN_IF_ERROR(inner_->Lower(begin, count, resolver, out, names));
+    const bool skew_value =
+        skew_ == Skew::kValue ||
+        (skew_ == Skew::kValueWhenNamed && names != nullptr);
+    if (skew_value && !out->overrides.empty()) {
       out->overrides.back().value =
           std::nextafter(out->overrides.back().value, 2.0);
+    }
+    const bool skew_names =
+        skew_ == Skew::kNames || skew_ == Skew::kLowerNames;
+    if (skew_names && names != nullptr && !names->empty()) {
+      names->back() += "'";
     }
     return util::Status::OK();
   }
   util::Status Names(std::uint64_t begin, std::uint64_t count,
                      std::vector<std::string>* out) const override {
     COBRA_RETURN_IF_ERROR(inner_->Names(begin, count, out));
-    if (skew_names_ && !out->empty()) out->back() += "'";
+    if (skew_ == Skew::kNames && !out->empty()) out->back() += "'";
     return util::Status::OK();
   }
 
  private:
   std::shared_ptr<const ScenarioSource> inner_;
-  bool skew_names_;
+  Skew skew_;
 };
 
 // The first-window audit runs on the lowered path and cross-checks it
-// against Generate: a source whose lowering or names drift is refused.
+// against Generate: a source whose lowering or names drift, on either
+// entry point, is refused.
 TEST_F(ScenarioSourceTest, StreamAuditRefusesDriftFromGenerate) {
   std::shared_ptr<const ScenarioSource> grid =
       CartesianSource::Create({LinSpace(meta_names_[0], 0.9, 1.1, 4),
@@ -756,21 +786,22 @@ TEST_F(ScenarioSourceTest, StreamAuditRefusesDriftFromGenerate) {
   options.batch.stream_block_scenarios = 8;
   EXPECT_TRUE(snapshot_->AssignStream(*grid, options).ok());
 
-  util::Result<SweepSummary> skewed = snapshot_->AssignStream(
-      SkewedSource(grid, /*skew_names=*/false), options);
-  ASSERT_FALSE(skewed.ok());
-  EXPECT_EQ(skewed.status().code(), util::StatusCode::kInternal);
-  EXPECT_NE(skewed.status().message().find("does not match"),
-            std::string::npos)
-      << skewed.status().ToString();
-
-  util::Result<SweepSummary> misnamed = snapshot_->AssignStream(
-      SkewedSource(grid, /*skew_names=*/true), options);
-  ASSERT_FALSE(misnamed.ok());
-  EXPECT_EQ(misnamed.status().code(), util::StatusCode::kInternal);
-  EXPECT_NE(misnamed.status().message().find("on-demand name"),
-            std::string::npos)
-      << misnamed.status().ToString();
+  using Skew = SkewedSource::Skew;
+  const std::pair<Skew, const char*> cases[] = {
+      {Skew::kValue, "does not match"},
+      {Skew::kValueWhenNamed, "lowered the window differently"},
+      {Skew::kNames, "on-demand name"},
+      {Skew::kLowerNames, "from Lower differs"},
+  };
+  for (const auto& [skew, finding] : cases) {
+    SCOPED_TRACE(finding);
+    util::Result<SweepSummary> skewed =
+        snapshot_->AssignStream(SkewedSource(grid, skew), options);
+    ASSERT_FALSE(skewed.ok());
+    EXPECT_EQ(skewed.status().code(), util::StatusCode::kInternal);
+    EXPECT_NE(skewed.status().message().find(finding), std::string::npos)
+        << skewed.status().ToString();
+  }
 }
 
 // Streams and batches on one session, from 8 threads at once, all on the

@@ -526,6 +526,45 @@ TEST_F(VerifyPlanTest, VerifyWithoutScenarioSetSkipsFingerprint) {
   EXPECT_TRUE(VerifyPlan(*plan, *snapshot_).ok());
 }
 
+// A plan planned from a named set carries one name per scenario, so one
+// whose names were dropped is refused with the set it serves and without
+// it; a streamed chunk carries none, so a named core is refused there.
+TEST_F(VerifyPlanTest, DroppedScenarioNamesAreDetected) {
+  for (BatchOptions::Sweep sweep :
+       {BatchOptions::Sweep::kBlocked, BatchOptions::Sweep::kSparseDelta}) {
+    SCOPED_TRACE(SweepName(sweep));
+    BatchOptions options;
+    options.sweep = sweep;
+    std::shared_ptr<const core::BatchPlan> plan =
+        snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
+    ASSERT_TRUE(VerifyPlan(*plan, *snapshot_, &scenarios_).ok());
+    std::shared_ptr<const core::PlanCore> nameless =
+        core::PlanCore::Create(snapshot_, plan->core()->lowered(),
+                               plan->fingerprint(), options)
+            .ValueOrDie();
+    ASSERT_TRUE(nameless->scenario_names().empty());
+    std::shared_ptr<const core::BatchPlan> tampered =
+        core::BatchPlan::FromParts(
+            nameless, nameless->MakeOverlay(plan->overlay().base));
+    const ScenarioSet* const sets[] = {&scenarios_, nullptr};
+    for (const ScenarioSet* set : sets) {
+      const VerifyReport report = VerifyPlan(*tampered, *snapshot_, set);
+      ASSERT_FALSE(report.ok());
+      EXPECT_TRUE(HasFindingContaining(report, "0 scenario names but"))
+          << report.ToString();
+    }
+
+    std::shared_ptr<const core::ScenarioSource> source =
+        core::ExplicitSource::Create(scenarios_).ValueOrDie();
+    const VerifyReport streamed =
+        VerifyStreamWindow(*plan, *snapshot_, *source, 0);
+    ASSERT_FALSE(streamed.ok());
+    EXPECT_TRUE(
+        HasFindingContaining(streamed, "(a streamed chunk carries none)"))
+        << streamed.ToString();
+  }
+}
+
 TEST_F(VerifyPlanTest, VerifyPlansOptionSharesCacheEntry) {
   // verify_plans is deliberately not part of the plan-cache key: the same
   // triple with only that bit changed must hit the cached plan.
