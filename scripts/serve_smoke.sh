@@ -4,7 +4,8 @@
 # Exercises the full robustness loop against real processes over real TCP:
 #   1. seed a snapshot directory and start cobra_serverd on an ephemeral
 #      port (parsed from its READY line);
-#   2. serve an AssignBatch through cobra_client;
+#   2. serve an AssignBatch through cobra_client, then a 300-scenario one
+#      that the daemon streams in windows;
 #   3. drop a NEW snapshot version and assert the daemon hot-swaps to it;
 #   4. drop a CORRUPTED snapshot (full-size, interior bytes flipped — a
 #      checksum mismatch, i.e. permanent damage, not a torn write) and
@@ -79,6 +80,21 @@ grep -q 'snapshot=v001.snap' "$WORK/serverd.out" \
 grep -q '^ok version=1 ' "$WORK/batch1.out" \
   || fail "batch response did not come from version 1"
 grep -q 'full=' "$WORK/batch1.out" || fail "batch response carried no values"
+
+# 2b. 300 no-delta scenarios: over the daemon's deadline_check_scenarios
+#     (256), so the request streams through one AssignStream in windows.
+#     Every scenario must answer exactly the one-scenario baseline.
+# shellcheck disable=SC2046  # one argument per scenario spec
+"$BUILD/cobra_client" --port "$PORT" batch $(seq -f 'b%g:' 0 299) \
+  >"$WORK/batch300.out" || fail "streamed 300-scenario batch failed"
+grep -q '^ok version=1 scenarios=300 ' "$WORK/batch300.out" \
+  || fail "streamed batch did not answer 300 scenarios from version 1"
+[[ $(grep -c '^b[0-9]*:$' "$WORK/batch300.out") -eq 300 ]] \
+  || fail "streamed batch did not name 300 scenarios"
+grep '^  ' "$WORK/batch1.out" >"$WORK/baseline.rows"
+for _ in $(seq 1 300); do cat "$WORK/baseline.rows"; done >"$WORK/expected300.rows"
+grep '^  ' "$WORK/batch300.out" | cmp -s - "$WORK/expected300.rows" \
+  || fail "a streamed scenario's full=/compressed= differs from the baseline"
 
 # 3. A new version appears (write-tmp-then-rename, the publish convention):
 #    the watcher must verify it and hot-swap.

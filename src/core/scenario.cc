@@ -289,6 +289,29 @@ util::Status ExplicitSource::Generate(std::uint64_t begin, std::uint64_t count,
   return util::Status::OK();
 }
 
+util::Status ExplicitSource::Lower(std::uint64_t begin, std::uint64_t count,
+                                   const VarResolver& resolver,
+                                   LoweredScenarios* out,
+                                   std::vector<std::string>* names) const {
+  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size(), "ExplicitSource"));
+  COBRA_RETURN_IF_ERROR(LowerScenarios(
+      std::span<const Scenario>(scenarios_.scenarios())
+          .subspan(static_cast<std::size_t>(begin),
+                   static_cast<std::size_t>(count)),
+      resolver, out));
+  return names != nullptr ? Names(begin, count, names) : util::Status::OK();
+}
+
+util::Status ExplicitSource::Names(std::uint64_t begin, std::uint64_t count,
+                                   std::vector<std::string>* out) const {
+  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size(), "ExplicitSource"));
+  out->reserve(out->size() + static_cast<std::size_t>(count));
+  for (std::uint64_t i = begin; i < begin + count; ++i) {
+    out->push_back(scenarios_.scenario(static_cast<std::size_t>(i)).name);
+  }
+  return util::Status::OK();
+}
+
 // ------------------------------------------------------------ CartesianSource
 
 ValueAxis LinSpace(std::string var, double lo, double hi, std::size_t steps) {

@@ -259,6 +259,9 @@ class ScenarioSource {
 /// Wraps an already-materialized `ScenarioSet` as a source, so the streaming
 /// path and the batch path share one entry point. `AssignStream` over an
 /// ExplicitSource is bit-identical to `AssignBatch` over the wrapped set.
+/// `Lower` and `Names` read the held set in place: a window is lowered
+/// straight from its scenarios and its names are copied from them, with no
+/// intermediate `ScenarioSet`.
 class ExplicitSource : public ScenarioSource {
  public:
   /// Fails with `InvalidArgument` on an empty set.
@@ -270,6 +273,11 @@ class ExplicitSource : public ScenarioSource {
   SourceFingerprint fingerprint() const override;
   util::Status Generate(std::uint64_t begin, std::uint64_t count,
                         ScenarioSet* out) const override;
+  util::Status Lower(std::uint64_t begin, std::uint64_t count,
+                     const VarResolver& resolver, LoweredScenarios* out,
+                     std::vector<std::string>* names) const override;
+  util::Status Names(std::uint64_t begin, std::uint64_t count,
+                     std::vector<std::string>* out) const override;
 
   const ScenarioSet& scenarios() const { return scenarios_; }
 

@@ -38,6 +38,7 @@ enum class FaultPoint : int {
   kSnapshotRead = 0,  ///< The watcher's snapshot file read fails.
   kSlowLoad,          ///< The watcher's load stalls (sleeps) before reading.
   kQueueOverflow,     ///< Admission treats the request queue as full.
+  kSlowWindow,        ///< A streamed request stalls (sleeps) after a window.
   kNumPoints,         ///< Sentinel; not an injection point.
 };
 

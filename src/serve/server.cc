@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -371,8 +370,7 @@ void CobraServer::Execute(PendingRequest& pending) {
 
 namespace {
 
-/// Copies one batch report into the response matrices (appending — the
-/// chunked path calls this once per chunk).
+/// Copies one batch report into the response matrices.
 void AppendBatchReport(const core::BatchAssignReport& report,
                        WireResponse* response) {
   for (const std::string& name : report.scenario_names) {
@@ -395,13 +393,13 @@ WireResponse ErrorResponse(WireCode code, std::string message) {
 
 }  // namespace
 
-WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending,
+WireResponse CobraServer::RunAssignBatch(PendingRequest& pending,
                                          const ServedSnapshot& snapshot) {
   if (snapshot.session == nullptr) {
     return ErrorResponse(WireCode::kFailedPrecondition,
                          "no servable snapshot loaded yet");
   }
-  const core::ScenarioSet& scenarios = pending.request.scenarios;
+  core::ScenarioSet& scenarios = pending.request.scenarios;
   if (scenarios.empty()) {
     return ErrorResponse(WireCode::kInvalidArgument, "empty scenario set");
   }
@@ -410,12 +408,13 @@ WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending,
                          "deadline expired before execution started");
   }
 
-  const std::size_t chunk =
+  const std::size_t total = scenarios.size();
+  const std::size_t window =
       options_.deadline_check_scenarios > 0
           ? static_cast<std::size_t>(options_.deadline_check_scenarios)
-          : scenarios.size();
+          : total;
 
-  if (scenarios.size() <= chunk) {
+  if (total <= window) {
     // Whole-batch path: coalesce identical concurrent batches. The key is
     // the scenario set's content fingerprint plus the snapshot version —
     // requests pinned to different versions never share a result.
@@ -471,39 +470,52 @@ WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending,
     return response;
   }
 
-  // Chunked path: large batches run in sub-batches with a cooperative
-  // deadline check between them. Scenarios are independent, so the
-  // concatenated results are bit-identical to one whole-batch call.
+  // Streamed path: the request's own scenarios become one source, swept in
+  // windows of `window` scenarios with a cooperative deadline check between
+  // windows. Scenarios are independent, so the concatenated rows are
+  // bit-identical to one whole-batch call. The stream neither reads nor
+  // fills the plan cache.
+  util::Result<std::shared_ptr<const core::ExplicitSource>> source =
+      core::ExplicitSource::Create(std::move(scenarios));
+  if (!source.ok()) {
+    return ErrorResponse(ToWireCode(source.status().code()),
+                         source.status().message());
+  }
   WireResponse response;
   response.snapshot_version = snapshot.version;
   response.labels = snapshot.session->labels();
-  for (std::size_t offset = 0; offset < scenarios.size(); offset += chunk) {
-    if (Clock::now() >= pending.deadline) {
-      return ErrorResponse(
-          WireCode::kDeadlineExceeded,
-          "deadline expired after " + std::to_string(offset) + " of " +
-              std::to_string(scenarios.size()) + " scenarios");
-    }
-    core::ScenarioSet sub;
-    const std::size_t end = std::min(offset + chunk, scenarios.size());
-    sub.Reserve(end - offset);
-    for (std::size_t i = offset; i < end; ++i) {
-      // Names were vetted unique by the decoder; a sub-batch of distinct
-      // indices cannot collide.
-      util::Result<core::ScenarioSet::Handle> added =
-          sub.Add(scenarios.scenario(i));
-      if (!added.ok()) {
-        return ErrorResponse(WireCode::kInvalidArgument,
-                             added.status().message());
-      }
-    }
-    util::Result<core::BatchAssignReport> report =
-        snapshot.session->AssignBatch(sub);
-    if (!report.ok()) {
-      return ErrorResponse(ToWireCode(report.status().code()),
-                           report.status().message());
-    }
-    AppendBatchReport(*report, &response);
+  const std::size_t cells = total * response.labels.size();
+  response.scenario_names.reserve(total);
+  response.full_values.reserve(cells);
+  response.compressed_values.reserve(cells);
+  core::StreamOptions options;
+  options.batch.stream_block_scenarios = window;
+  // The consumer stops the stream when scenarios remain and the deadline
+  // has passed.
+  util::Result<core::SweepSummary> summary = snapshot.session->AssignStream(
+      **source, options, [&](const core::StreamBlockView& view) {
+        response.scenario_names.insert(response.scenario_names.end(),
+                                       view.names->begin(),
+                                       view.names->end());
+        const std::size_t n = view.count * view.num_groups;
+        response.full_values.insert(response.full_values.end(), view.full,
+                                    view.full + n);
+        response.compressed_values.insert(response.compressed_values.end(),
+                                          view.compressed,
+                                          view.compressed + n);
+        if (view.begin + view.count == total) return true;
+        COBRA_FAULT_STALL(FaultPoint::kSlowWindow);
+        return Clock::now() < pending.deadline;
+      });
+  if (!summary.ok()) {
+    return ErrorResponse(ToWireCode(summary.status().code()),
+                         summary.status().message());
+  }
+  if (summary->stopped_early) {
+    return ErrorResponse(WireCode::kDeadlineExceeded,
+                         "deadline expired after " +
+                             std::to_string(summary->scenarios) + " of " +
+                             std::to_string(total) + " scenarios");
   }
   return response;
 }

@@ -39,17 +39,19 @@
 ///      queue; when it is full the server sheds instead of buffering
 ///      (kUnavailable + retry-after hint), so overload degrades to fast
 ///      failure rather than unbounded latency. Every request carries a
-///      deadline; workers check it before execution and — for large
-///      batches — between scenario chunks, so a stuck queue cannot make a
-///      deadline overshoot unbounded. Chunking never changes answers:
-///      scenarios are independent, so chunked results are bit-identical.
+///      deadline; workers check it before execution and — for a request
+///      above `deadline_check_scenarios` — between the windows of its one
+///      `AssignStream`, so a stuck queue cannot make a deadline overshoot
+///      unbounded. Streaming never changes answers: scenarios are
+///      independent, so streamed rows are bit-identical to one whole-batch
+///      call. A streamed request skips the plan cache and coalescing.
 ///
 ///   3. **Drain on stop.** `Stop()` closes the listener, half-closes every
 ///      connection (no new requests), lets the workers finish everything
 ///      already admitted, and only then tears down — an accepted request is
 ///      never abandoned.
 ///
-/// Identical concurrent batches coalesce: requests whose scenario sets
+/// Identical concurrent whole batches coalesce: requests whose scenario sets
 /// share a content fingerprint (and that target the same snapshot version)
 /// execute once and fan the result out.
 namespace cobra::serve {
@@ -67,10 +69,12 @@ struct ServerOptions {
   int max_deadline_ms = 60000;
   /// The retry hint attached to shed responses.
   int retry_after_ms = 50;
-  /// Batches larger than this run in chunks of this many scenarios with a
-  /// cooperative deadline check between chunks (bit-identical: scenarios
-  /// are independent). Batches at or under it run whole — the
-  /// plan-cache-friendly and coalescible path.
+  /// Batches larger than this stream through one `AssignStream` over the
+  /// request's scenarios, in windows of this many, with a cooperative
+  /// deadline check between windows (bit-identical: scenarios are
+  /// independent); they neither read nor fill the plan cache and do not
+  /// coalesce. Batches at or under it run whole — the plan-cache-friendly
+  /// and coalescible path.
   int deadline_check_scenarios = 256;
 };
 
@@ -153,8 +157,9 @@ class CobraServer {
   /// Executes one admitted request and writes its response.
   void Execute(PendingRequest& pending);
 
-  /// The AssignBatch path: coalescing, chunking, deadline checks.
-  WireResponse RunAssignBatch(const PendingRequest& pending,
+  /// The AssignBatch path: coalescing, streaming, deadline checks. A
+  /// streamed request's scenarios move out of `pending`.
+  WireResponse RunAssignBatch(PendingRequest& pending,
                               const ServedSnapshot& snapshot);
 
   void SendResponse(const std::shared_ptr<Connection>& conn,

@@ -265,13 +265,11 @@ util::Result<WireRequest> DecodeRequest(std::string_view payload) {
     request.scenarios.Reserve(num_scenarios);
     std::size_t total_deltas = 0;
     for (std::size_t i = 0; i < num_scenarios; ++i) {
-      std::string name;
-      COBRA_RETURN_IF_ERROR(reader.Str(&name, "scenario name"));
-      util::Result<core::ScenarioSet::Handle> handle =
-          request.scenarios.Add(std::move(name));
-      if (!handle.ok()) return handle.status();
+      core::Scenario scenario;
+      COBRA_RETURN_IF_ERROR(reader.Str(&scenario.name, "scenario name"));
       std::size_t num_deltas = 0;
-      // A delta is at least a var length + value: 12 bytes.
+      // A delta is at least a var length + value: 12 bytes, so the count is
+      // bounded by the payload before the list is sized from it.
       COBRA_RETURN_IF_ERROR(reader.Count(12, &num_deltas, "delta"));
       total_deltas += num_deltas;
       if (total_deltas > kMaxRequestDeltas) {
@@ -280,13 +278,14 @@ util::Result<WireRequest> DecodeRequest(std::string_view payload) {
             "(kMaxRequestDeltas cap)",
             kMaxRequestDeltas));
       }
-      for (std::size_t d = 0; d < num_deltas; ++d) {
-        std::string var;
-        double value = 0.0;
-        COBRA_RETURN_IF_ERROR(reader.Str(&var, "delta variable"));
-        COBRA_RETURN_IF_ERROR(reader.F64(&value, "delta value"));
-        handle->Set(std::move(var), value);
+      scenario.deltas.resize(num_deltas);
+      for (core::Scenario::Delta& delta : scenario.deltas) {
+        COBRA_RETURN_IF_ERROR(reader.Str(&delta.var, "delta variable"));
+        COBRA_RETURN_IF_ERROR(reader.F64(&delta.value, "delta value"));
       }
+      util::Result<core::ScenarioSet::Handle> added =
+          request.scenarios.Add(std::move(scenario));
+      if (!added.ok()) return added.status();
     }
   }
   if (!reader.AtEnd()) {

@@ -11,6 +11,8 @@
 //     session untouched;
 //   - admission overflow sheds with a retry hint instead of buffering or
 //     crashing;
+//   - a streamed request whose window stalls past its deadline answers
+//     kDeadlineExceeded at the next between-window check;
 //   - a client burst riding across a hot swap completes every accepted
 //     request bit-identically to a direct AssignBatch against exactly one
 //     published version.
@@ -254,6 +256,41 @@ TEST_F(ServeFaultTest, QueueOverflowShedsWithRetryHintAndRecovers) {
   util::Result<WireResponse> response = client->Call(request);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->code, WireCode::kOk);
+  server.Stop();
+}
+
+TEST_F(ServeFaultTest, SlowWindowExpiresAStreamedRequestBetweenWindows) {
+  Session session;
+  std::shared_ptr<const CompiledSession> origin = ExampleSnapshot(&session);
+  // One scenario per window, so a 3-scenario request streams in three and
+  // checks its deadline after the first and the second.
+  ServerOptions options;
+  options.deadline_check_scenarios = 1;
+  CobraServer server(options);
+  server.set_log([](const std::string&) {});
+  ASSERT_TRUE(server.Start().ok());
+  server.Swap(origin, "v1");
+
+  util::Result<Client> client =
+      Client::Connect("127.0.0.1", server.port(), 30000);
+  ASSERT_TRUE(client.ok());
+  WireRequest request;
+  request.type = MsgType::kAssignBatch;
+  request.request_id = 5;
+  request.deadline_ms = 200;
+  request.scenarios = ExampleScenarios();
+  request.scenarios.Add("baseline").ValueOrDie();
+  ASSERT_EQ(request.scenarios.size(), 3u);
+
+  // The first window's stall outlives the whole deadline.
+  const std::uint64_t expired_before = server.stats().deadline_exceeded;
+  ArmFault(FaultPoint::kSlowWindow, /*count=*/1, /*delay_ms=*/400);
+  util::Result<WireResponse> response = client->Call(request);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->code, WireCode::kDeadlineExceeded);
+  EXPECT_EQ(response->message, "deadline expired after 1 of 3 scenarios");
+  EXPECT_EQ(FaultFireCount(FaultPoint::kSlowWindow), 1);
+  EXPECT_EQ(server.stats().deadline_exceeded, expired_before + 1);
   server.Stop();
 }
 

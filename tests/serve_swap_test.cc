@@ -4,7 +4,9 @@
 // served against exactly ONE coherent version — bit-identical to a direct
 // CompiledSession::AssignBatch on that version — and no accepted request
 // may fail. Run under TSan in CI (the tsan job) to also prove the swap
-// path is race-free.
+// path is race-free. The streamed-path cases send requests above
+// ServerOptions::deadline_check_scenarios, which the server sweeps as one
+// AssignStream in windows of that size.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include "prov/valuation.h"
 #include "serve/server.h"
 #include "serve/wire.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace cobra::serve {
@@ -55,6 +58,7 @@ ScenarioSet ExampleScenarios() {
 /// The expected (scenario x group) matrices of one version, from a direct
 /// in-process AssignBatch — the serving tier's ground truth.
 struct Expected {
+  std::vector<std::string> names;
   std::vector<double> full;
   std::vector<double> compressed;
 };
@@ -64,6 +68,7 @@ Expected DirectResults(const CompiledSession& session,
   Expected expected;
   core::BatchAssignReport report =
       session.AssignBatch(scenarios).ValueOrDie();
+  expected.names = report.scenario_names;
   for (const core::AssignReport& scenario : report.reports) {
     for (const core::ResultDelta::Row& row : scenario.delta.rows) {
       expected.full.push_back(row.full);
@@ -249,6 +254,138 @@ TEST(ServeSwapTest, StopDrainsAcceptedRequests) {
             stats.completed + stats.deadline_exceeded + stats.failed);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_GT(ok.load(), 0);
+}
+
+/// `count` seeded scenarios over the snapshot's meta-variables, 0-3 deltas
+/// each (a repeated variable keeps its last value).
+ScenarioSet SeededScenarios(const CompiledSession& session, std::size_t count,
+                            std::uint64_t seed) {
+  const std::vector<core::MetaVar>& meta = session.meta_vars();
+  util::Rng rng(seed);
+  ScenarioSet scenarios;
+  scenarios.Reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ScenarioSet::Handle handle =
+        scenarios.Add("r" + std::to_string(i)).ValueOrDie();
+    const std::size_t deltas = static_cast<std::size_t>(rng.NextBelow(4));
+    for (std::size_t d = 0; d < deltas; ++d) {
+      handle.Set(meta[static_cast<std::size_t>(rng.NextBelow(meta.size()))]
+                     .name,
+                 rng.NextDoubleInRange(0.5, 1.5));
+    }
+  }
+  return scenarios;
+}
+
+/// Sends `scenarios` as one AssignBatch request and returns the response
+/// (kInternal when the call itself fails).
+WireResponse Send(const CobraServer& server, const ScenarioSet& scenarios) {
+  WireResponse failed;
+  failed.code = WireCode::kInternal;
+  util::Result<Client> client =
+      Client::Connect("127.0.0.1", server.port(), /*timeout_ms=*/30000);
+  EXPECT_TRUE(client.ok());
+  if (!client.ok()) return failed;
+  WireRequest request;
+  request.type = MsgType::kAssignBatch;
+  request.request_id = 7;
+  request.deadline_ms = 30000;
+  request.scenarios = scenarios;
+  util::Result<WireResponse> response = client->Call(request);
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  return response.ok() ? *response : failed;
+}
+
+/// Every name and every cell of `response` equals a direct AssignBatch of
+/// `scenarios` on `session`, bit for bit.
+void ExpectSameAsDirect(const WireResponse& response,
+                        const CompiledSession& session,
+                        const ScenarioSet& scenarios) {
+  ASSERT_EQ(response.code, WireCode::kOk) << response.message;
+  const Expected expected = DirectResults(session, scenarios);
+  EXPECT_EQ(response.labels, session.labels());
+  EXPECT_EQ(response.scenario_names, expected.names);
+  ASSERT_EQ(response.full_values.size(), expected.full.size());
+  ASSERT_EQ(response.compressed_values.size(), expected.compressed.size());
+  for (std::size_t i = 0; i < expected.full.size(); ++i) {
+    ASSERT_TRUE(SameBits(response.full_values[i], expected.full[i]))
+        << "full cell " << i;
+    ASSERT_TRUE(
+        SameBits(response.compressed_values[i], expected.compressed[i]))
+        << "compressed cell " << i;
+  }
+}
+
+TEST(ServeSwapTest, StreamedRequestsMatchDirectAssignBatch) {
+  Session session;
+  std::shared_ptr<const CompiledSession> snapshot =
+      ExampleSnapshot(&session);
+  // Windows of 1 and 2 stream the 3-scenario example (the second ragged);
+  // the default window of 256 streams a 600-scenario request in three.
+  const ScenarioSet example = ExampleScenarios();
+  const ScenarioSet seeded = SeededScenarios(*snapshot, 600, /*seed=*/0x5EED);
+  const std::pair<int, const ScenarioSet*> cases[] = {
+      {1, &example}, {2, &example}, {256, &seeded}};
+  for (const auto& [window, scenarios] : cases) {
+    SCOPED_TRACE("deadline_check_scenarios = " + std::to_string(window));
+    ServerOptions options;
+    options.num_workers = 2;
+    options.deadline_check_scenarios = window;
+    CobraServer server(options);
+    server.set_log([](const std::string&) {});
+    ASSERT_TRUE(server.Start().ok());
+    server.Swap(snapshot, "v1");
+    const WireResponse response = Send(server, *scenarios);
+    ExpectSameAsDirect(response, *snapshot, *scenarios);
+    EXPECT_EQ(response.snapshot_version, 1u);
+    server.Stop();
+    EXPECT_EQ(server.stats().completed, 1u);
+  }
+}
+
+TEST(ServeSwapTest, StreamedRequestNamesAnUnknownVariableInALaterWindow) {
+  Session session;
+  std::shared_ptr<const CompiledSession> snapshot =
+      ExampleSnapshot(&session);
+  ScenarioSet scenarios = SeededScenarios(*snapshot, 600, /*seed=*/0xBAD);
+  scenarios.Add("late-typo").ValueOrDie().Set("Busyness", 0.9);
+  CobraServer server(ServerOptions{});
+  server.set_log([](const std::string&) {});
+  ASSERT_TRUE(server.Start().ok());
+  server.Swap(snapshot, "v1");
+  const WireResponse response = Send(server, scenarios);
+  EXPECT_EQ(response.code, WireCode::kInvalidArgument);
+  EXPECT_NE(response.message.find("late-typo"), std::string::npos)
+      << response.message;
+  EXPECT_NE(response.message.find("Busyness"), std::string::npos)
+      << response.message;
+  server.Stop();
+  EXPECT_EQ(server.stats().failed, 1u);
+}
+
+TEST(ServeSwapTest, StreamedRequestNeitherReadsNorFillsThePlanCache) {
+  Session session;
+  std::shared_ptr<const CompiledSession> snapshot =
+      ExampleSnapshot(&session);
+  // One whole batch first, so the cache holds an entry a streamed request
+  // could have hit or evicted.
+  ASSERT_TRUE(snapshot->AssignBatch(ExampleScenarios()).ok());
+  ServerOptions options;
+  options.deadline_check_scenarios = 1;
+  CobraServer server(options);
+  server.set_log([](const std::string&) {});
+  ASSERT_TRUE(server.Start().ok());
+  server.Swap(snapshot, "v1");
+  const CompiledSession::PlanCacheStats before = snapshot->plan_cache_stats();
+  const WireResponse response = Send(server, ExampleScenarios());
+  const CompiledSession::PlanCacheStats after = snapshot->plan_cache_stats();
+  server.Stop();
+  EXPECT_EQ(response.code, WireCode::kOk) << response.message;
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.overlays, before.overlays);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.core_hits, before.core_hits);
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 }  // namespace
