@@ -3,13 +3,14 @@
 // A9 shows the plan cache amortizing planning across *replays of the same
 // call*. This bench amortizes across the other axis: one scenario set
 // evaluated under many per-user base valuations — the "same what-if panel,
-// different customer defaults" workload. Before the core/overlay split the
-// base hash was part of the plan-cache key, so every base change was a full
-// cache miss: name→id scenario compilation, engine choice, block tables and
-// tile schedules were all redone per base. AssignGrid plans the shared
-// PlanCore once and binds only the cheap per-base overlay (pool-sized base
-// copy + block-table value rebind) inside the loop, writing cells straight
-// into one (base × scenario × group) matrix with no per-scenario report
+// different customer defaults" workload. Before plans split into a
+// base-free core and a per-base state the base hash was part of the
+// plan-cache key, so every base change was a full cache miss: name→id
+// scenario compilation, engine choice, block program and tile schedules
+// were all redone per base. AssignGrid plans the shared PlanCore once and
+// runs it on each base as it is — the loop builds only the base's state
+// (pool-sized copy and base sums) — writing cells straight into one
+// (base × scenario × group) matrix with no per-scenario report
 // materialization.
 //
 // The bench builds the high-cardinality per-order TPC-H workload (the shape
@@ -19,7 +20,8 @@
 //       before every call — the pre-split cost model, where a new base
 //       could never reuse another base's plan;
 //   (b) the same loop warm — today's cost model, where each base core-hits
-//       and rebinds an overlay but still materializes per-scenario reports;
+//       and builds its base state but still materializes per-scenario
+//       reports;
 //   (c) AssignGrid over the same scenarios × bases;
 //
 // all three pinned to the 16-lane blocked kernel, best-of-R each. It
@@ -165,8 +167,8 @@ int main() {
 
   // Pinned to the blocked kernel (like A7): kAuto's policy is not what this
   // bench measures, and the blocked engine is the serving default for grid
-  // workloads — it exercises both halves of the split, the shared skeletons
-  // and the per-base value rebinds.
+  // workloads — it exercises both halves of the split, the shared block
+  // program and the per-base states.
   core::BatchOptions options;
   options.sweep = core::BatchOptions::Sweep::kBlocked;
   options.num_threads = num_threads;
@@ -183,8 +185,8 @@ int main() {
   }
 
   // Best-of-R: naive cold loop (cache cleared per call — the pre-split cost
-  // model), naive warm loop (core hits, overlay rebinds, full reports), and
-  // the grid.
+  // model), naive warm loop (core hits, base states, full reports), and the
+  // grid.
   double naive_seconds = HUGE_VAL;
   double warm_seconds = HUGE_VAL;
   double grid_seconds = HUGE_VAL;
@@ -253,7 +255,6 @@ int main() {
   json.Add("monomials_full", snapshot->full_size());
   json.Add("monomials_compressed", snapshot->compressed_size());
   json.Add("plan_seconds", grid.plan_seconds);
-  json.Add("overlay_seconds", grid.overlay_seconds);
   json.Add("full_sweep_seconds", grid.full_sweep_seconds);
   json.Add("compressed_sweep_seconds", grid.compressed_sweep_seconds);
   json.Add("naive_seconds", naive_seconds);

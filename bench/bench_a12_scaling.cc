@@ -10,6 +10,11 @@
 // cannot be armed and is skipped with a visible notice (CI greps for it and
 // surfaces a ::notice annotation).
 //
+// It also records the cold plan: the best-of-R time of one PlanBatch on
+// the blocked engine after ClearPlanCache, i.e. everything a batch nobody
+// planned before pays before its sweep (lowering, block program, tile
+// schedules). Recorded, not gated.
+//
 // A machine-readable BENCH_a12.json lands next to the human output.
 //
 // Knobs: COBRA_A12_SCENARIOS (1024), COBRA_A12_SF (0.03, TPC-H scale
@@ -19,6 +24,7 @@
 //        COBRA_A12_MIN_MT (1.6).
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -143,6 +149,23 @@ int main() {
   core::BatchOptions blocked;
   blocked.sweep = core::BatchOptions::Sweep::kBlocked;
 
+  // Cold plan, single-threaded: the cache is cleared (and the evicted plan
+  // freed) outside the timed region.
+  double cold_plan_seconds = HUGE_VAL;
+  {
+    core::BatchOptions options = blocked;
+    options.num_threads = 1;
+    for (std::size_t r = 0; r < std::max<std::size_t>(1, reps); ++r) {
+      snapshot->ClearPlanCache();
+      cold_plan_seconds = std::min(cold_plan_seconds, bench::TimeSeconds([&] {
+        snapshot->PlanBatch(scenarios, options).ValueOrDie();
+      }));
+    }
+    snapshot->ClearPlanCache();
+  }
+  std::printf("cold plan (1 thread, best of %zu): %.3f ms\n",
+              std::max<std::size_t>(1, reps), cold_plan_seconds * 1e3);
+
   std::printf("\n%-24s %12s %16s\n", "threads", "best (ms)", "scenarios/sec");
   bool identical = true;
   double t1_seconds = 0.0;
@@ -175,6 +198,7 @@ int main() {
   json.Add("hardware_threads", hw);
   json.Add("t1_seconds", t1_seconds);
   json.Add("thw_seconds", thw_seconds);
+  json.Add("cold_plan_seconds", cold_plan_seconds);
   json.Add("mt_gate_armed", mt_gate_armed);
   json.Add("mt_scaling", mt_scaling);
   json.Add("identical", identical);

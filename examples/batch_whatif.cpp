@@ -28,9 +28,8 @@
 //
 // With --bases N the same scenario set is additionally evaluated under N
 // per-user base valuations in one AssignGrid() call — the 2-D grid
-// workload. The base-invariant PlanCore (scenario lowering, engine, tile
-// schedule) is planned once and only the cheap per-base overlay binds
-// inside the loop:
+// workload. The base-invariant PlanCore (scenario lowering, engine, block
+// program, tile schedule) is planned once and runs on each base as it is:
 //
 //   batch_whatif 1000 --bases 16   # one plan, 16 bases, N x 16 grid cells
 //
@@ -259,9 +258,9 @@ int main(int argc, char** argv) {
   if (repeat > 1) {
     core::CompiledSession::PlanCacheStats stats =
         snapshot->plan_cache_stats();
-    std::printf("plan cache: %zu entries (%zu overlays), %llu hits, "
+    std::printf("plan cache: %zu cores (%zu bases), %llu hits, "
                 "%llu core hits, %llu misses\n\n",
-                stats.entries, stats.overlays,
+                stats.entries, stats.bases,
                 static_cast<unsigned long long>(stats.hits),
                 static_cast<unsigned long long>(stats.core_hits),
                 static_cast<unsigned long long>(stats.misses));
@@ -270,7 +269,7 @@ int main(int argc, char** argv) {
 
   // Grid mode: the same scenarios under N per-user bases. The shared
   // PlanCore is planned once (or served from the cache — the loop above
-  // already warmed it); each base only binds a cheap overlay.
+  // already warmed it) and runs on each base as it is.
   if (num_bases > 0 && !meta.empty()) {
     std::vector<prov::Valuation> bases;
     bases.reserve(num_bases);

@@ -36,12 +36,12 @@
 //   grid [n] [bases] [file]          run n synthetic scenarios under
 //                                    `bases` per-user base valuations in one
 //                                    AssignGrid sweep — the shared PlanCore
-//                                    is planned once, each base binds only a
-//                                    cheap overlay; with a file the snapshot
-//                                    is loaded from disk (the replica path)
+//                                    is planned once and runs on each base
+//                                    as it is; with a file the snapshot is
+//                                    loaded from disk (the replica path)
 //   plan                             show the snapshot's cached-plan table
 //                                    (fingerprint, engine, lanes, tiles,
-//                                    per-entry overlay count) and the cache
+//                                    per-entry base count) and the cache
 //                                    hit/core-hit/miss counters
 //   verify                           run the static verifier over the live
 //                                    compiled session: programs, the
@@ -426,15 +426,15 @@ class Shell {
       return true;
     }
     std::printf("%-32s %-12s %5s %6s %9s %9s\n", "fingerprint", "engine",
-                "lanes", "tiles", "scenarios", "overlays");
+                "lanes", "tiles", "scenarios", "bases");
     for (const core::CompiledSession::CachedPlanInfo& info : plans) {
       std::printf("%-32s %-12s %5zu %6zu %9zu %9zu\n",
                   info.fingerprint.c_str(), core::SweepName(info.engine),
-                  info.lanes, info.tiles, info.scenarios, info.overlays);
+                  info.lanes, info.tiles, info.scenarios, info.bases);
     }
-    std::printf("%zu cached plan(s) (%zu overlays), %llu hit(s), "
+    std::printf("%zu cached plan core(s) (%zu bases), %llu hit(s), "
                 "%llu core hit(s), %llu miss(es)\n",
-                stats.entries, stats.overlays,
+                stats.entries, stats.bases,
                 static_cast<unsigned long long>(stats.hits),
                 static_cast<unsigned long long>(stats.core_hits),
                 static_cast<unsigned long long>(stats.misses));

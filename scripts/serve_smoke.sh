@@ -5,7 +5,8 @@
 #   1. seed a snapshot directory and start cobra_serverd on an ephemeral
 #      port (parsed from its READY line);
 #   2. serve an AssignBatch through cobra_client, then a 300-scenario one
-#      that the daemon streams in windows;
+#      that the daemon streams in windows, and refuse a NaN delta on both
+#      paths;
 #   3. drop a NEW snapshot version and assert the daemon hot-swaps to it;
 #   4. drop a CORRUPTED snapshot (full-size, interior bytes flipped — a
 #      checksum mismatch, i.e. permanent damage, not a torn write) and
@@ -95,6 +96,24 @@ grep '^  ' "$WORK/batch1.out" >"$WORK/baseline.rows"
 for _ in $(seq 1 300); do cat "$WORK/baseline.rows"; done >"$WORK/expected300.rows"
 grep '^  ' "$WORK/batch300.out" | cmp -s - "$WORK/expected300.rows" \
   || fail "a streamed scenario's full=/compressed= differs from the baseline"
+
+# 2c. A NaN delta is refused at decode on both serving paths — alone, as a
+#     whole batch, and inside a 300-scenario request the daemon would
+#     stream — with an error naming the value; the daemon keeps serving.
+for spec_count in 0 299; do
+  # shellcheck disable=SC2046  # one argument per scenario spec
+  if "$BUILD/cobra_client" --port "$PORT" batch \
+      $(seq -f 'b%g:' 1 "$spec_count") bad:x=nan \
+      >"$WORK/nan.out" 2>"$WORK/nan.err"; then
+    fail "a NaN delta was served ($((spec_count + 1)) scenarios)"
+  fi
+  grep -q 'non-finite value nan' "$WORK/nan.err" \
+    || fail "NaN refusal ($((spec_count + 1)) scenarios) does not name the value: $(cat "$WORK/nan.err")"
+  "$BUILD/cobra_client" --port "$PORT" ping >"$WORK/ping.out" \
+    || fail "ping after a refused NaN request failed"
+  grep -q '^ok version=1 ' "$WORK/ping.out" \
+    || fail "daemon not serving after a refused NaN request"
+done
 
 # 3. A new version appears (write-tmp-then-rename, the publish convention):
 #    the watcher must verify it and hot-swap.

@@ -3,10 +3,10 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "core/compiled_session.h"
@@ -19,8 +19,8 @@ namespace {
 
 /// Below this combined program weight (terms + factors, both sides) the
 /// adaptive policy always picks the scalar sparse engine: the blocked
-/// kernel's per-batch fixed costs (override-union tables, tile dispatch)
-/// are not amortized by so short a scan.
+/// kernel's per-batch fixed costs (block programs, tile dispatch) are not
+/// amortized by so short a scan.
 constexpr std::size_t kAutoMinBlockedWeight = 2048;
 
 /// The blocked kernel's per-block fixed cost grows with the override-union
@@ -104,10 +104,11 @@ util::Status ValidateSweepOptions(const BatchOptions& options) {
 }
 
 /// Checks a lowered window's shape before anything indexes with it: the
-/// offsets must bound the override array, and every list must be strictly
-/// ascending inside the frozen pool (the kernels binary-search it and index
-/// the base with its ids). A source's `Lower` may be user code, so this is
-/// an input check, not an assertion.
+/// offsets must bound the override array, every list must be strictly
+/// ascending inside the frozen pool (the planner merges the lists and the
+/// kernels index the base with their ids), and every value must be finite.
+/// A source's `Lower` may be user code, so this is an input check, not an
+/// assertion.
 util::Status CheckLowered(const LoweredScenarios& lowered,
                           std::size_t frozen_pool_size) {
   const std::vector<std::size_t>& offsets = lowered.offsets;
@@ -130,6 +131,12 @@ util::Status CheckLowered(const LoweredScenarios& lowered,
             "AssignBatch: lowered scenario %zu is not a strictly ascending "
             "override list inside the frozen pool (%zu variables)",
             i, frozen_pool_size));
+      }
+      if (!std::isfinite(lowered.overrides[o].value)) {
+        return util::Status::InvalidArgument(util::StrFormat(
+            "AssignBatch: lowered scenario %zu overrides variable %u with "
+            "the non-finite value %g",
+            i, var, lowered.overrides[o].value));
       }
     }
   }
@@ -191,11 +198,11 @@ PlanFingerprint FingerprintWindow(const SourceFingerprint& source,
 
 BaseFingerprint FingerprintBase(const prov::Valuation& base,
                                 std::size_t pool_size) {
-  // 128-bit (util::Hash128) because overlay *identity* relies on it — same
-  // correctness standard as the scenario fingerprint. Hashing the
+  // 128-bit (util::Hash128) because cached-plan *identity* relies on it —
+  // same correctness standard as the scenario fingerprint. Hashing the
   // pool-normalized view (short valuations extend neutrally, tails past the
   // frozen pool are invisible to the kernels) means equal-behaving bases
-  // always share one overlay.
+  // always share one cached plan.
   util::Hash128 hash(0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL);
   hash.Feed(pool_size);
   const std::vector<double>& values = base.values();
@@ -240,16 +247,8 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
   if (scenarios.empty()) {
     return util::Status::InvalidArgument("AssignBatch: empty scenario set");
   }
-  {
-    std::unordered_set<std::string_view> seen;
-    for (const Scenario& scenario : scenarios.scenarios()) {
-      if (!seen.insert(scenario.name).second) {
-        return util::Status::InvalidArgument(
-            util::StrFormat("AssignBatch: duplicate scenario name \"%s\"",
-                            scenario.name.c_str()));
-      }
-    }
-  }
+  // Names are unique and non-empty by construction: ScenarioSet::Add
+  // refuses anything else.
   LoweredScenarios lowered;
   COBRA_RETURN_IF_ERROR(
       LowerScenarios(scenarios.scenarios(), session->resolver(), &lowered));
@@ -286,7 +285,6 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
   auto core = std::shared_ptr<PlanCore>(new PlanCore());
   core->session_ = session;
   core->fingerprint_ = fingerprint;
-  core->frozen_pool_size_ = frozen_pool_size;
   core->scenario_names_ = std::move(names);
   core->lowered_ = std::move(lowered);
 
@@ -318,76 +316,30 @@ util::Result<std::shared_ptr<const PlanCore>> PlanCore::Create(
   core->num_threads_ = threads;
   core->num_blocks_ = (n + core->lanes_ - 1) / core->lanes_;
 
-  // Per-block override-union skeletons (blocked kernel only): the sorted
-  // unions and dense row indexes, built once here; MakeOverlay() binds the
-  // value rows to each base. One table per block serves both program sides:
-  // the tables are valuation-level, and both sides evaluate under the same
-  // compressed-side base.
-  if (core->engine_ == BatchOptions::Sweep::kBlocked) {
-    core->block_skeletons_.reserve(core->num_blocks_);
-    for (std::size_t b = 0; b < core->num_blocks_; ++b) {
-      prov::OverrideSpan spans[prov::EvalProgram::kMaxLanes];
-      const std::size_t count = core->LaneSpans(b, spans);
-      core->block_skeletons_.push_back(
-          prov::MakeBlockOverridesSkeleton(spans, count));
-    }
-  }
-
   core->full_schedule_ =
       MakeSchedule(sweep_full, threads, core->num_blocks_, options);
   core->compressed_schedule_ =
       MakeSchedule(compressed, threads, core->num_blocks_, options);
 
-  // Per block and side, the terms the block's override union touches: the
-  // only terms the blocked kernel re-evaluates per lane. They depend on the
-  // unions alone, so every overlay, grid base and replay of this core
-  // reuses them. One scratch bitmap serves every block.
+  // The block program (blocked kernel only): per block, the override rows,
+  // and per side, the terms the block's override union touches with each
+  // of their factors' rows — the only terms the kernel re-evaluates per
+  // lane. None of it reads a base, so every base, grid cell and replay of
+  // this core reuses it.
   if (core->engine_ == BatchOptions::Sweep::kBlocked) {
-    std::vector<std::uint64_t> scratch;
-    const std::pair<ProgramSchedule*, const prov::VarTermIndex*> sides[] = {
-        {&core->full_schedule_, &session->sweep_full_term_index()},
-        {&core->compressed_schedule_, &session->compressed_term_index()}};
-    for (const auto& [schedule, index] : sides) {
-      schedule->touched_terms.resize(core->num_blocks_);
-      for (std::size_t b = 0; b < core->num_blocks_; ++b) {
-        index->TouchedTerms(core->block_skeletons_[b].vars(), &scratch,
-                            &schedule->touched_terms[b]);
-      }
+    std::vector<prov::OverrideSpan> lanes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::span<const prov::VarOverride> ov = core->lowered_.scenario(i);
+      lanes[i] = {ov.data(), ov.size()};
     }
+    core->block_rows_ = prov::BlockRows(lanes);
+    core->full_schedule_.touched = prov::TouchedPrograms(
+        sweep_full, session->sweep_full_term_index(), core->block_rows_);
+    core->compressed_schedule_.touched = prov::TouchedPrograms(
+        compressed, session->compressed_term_index(), core->block_rows_);
   }
 
   return std::shared_ptr<const PlanCore>(std::move(core));
-}
-
-std::size_t PlanCore::LaneSpans(std::size_t block,
-                                prov::OverrideSpan* spans) const {
-  const std::size_t first = block * lanes_;
-  const std::size_t count = std::min(lanes_, lowered_.size() - first);
-  for (std::size_t l = 0; l < count; ++l) {
-    const std::span<const prov::VarOverride> ov = lowered_.scenario(first + l);
-    spans[l] = {ov.data(), ov.size()};
-  }
-  return count;
-}
-
-std::shared_ptr<const PlanBaseOverlay> PlanCore::MakeOverlay(
-    std::shared_ptr<const BaseState> base) const {
-  COBRA_CHECK_MSG(base != nullptr && base->values.size() >= frozen_pool_size_,
-                  "PlanCore::MakeOverlay: null or undersized base state");
-  auto overlay = std::make_shared<PlanBaseOverlay>();
-  if (engine_ == BatchOptions::Sweep::kBlocked) {
-    overlay->block_tables.reserve(block_skeletons_.size());
-    for (std::size_t b = 0; b < block_skeletons_.size(); ++b) {
-      prov::OverrideSpan spans[prov::EvalProgram::kMaxLanes];
-      const std::size_t count = LaneSpans(b, spans);
-      overlay->block_tables.push_back(prov::RebindBlockOverrides(
-          block_skeletons_[b], base->values, spans, count));
-    }
-    overlay->full_products = base->full_products;
-    overlay->compressed_products = base->compressed_products;
-  }
-  overlay->base = std::move(base);
-  return std::shared_ptr<const PlanBaseOverlay>(std::move(overlay));
 }
 
 util::Result<std::shared_ptr<const StreamPlan>> StreamPlan::Create(
@@ -447,8 +399,7 @@ util::Result<std::shared_ptr<const PlanCore>> StreamPlan::PlanChunk(
         "AssignStream: the plan's origin session has been destroyed");
   }
   // The pinned options make this exactly the per-chunk slice of batch
-  // planning: block-override skeletons and tile schedules for this window
-  // only.
+  // planning: the block program and tile schedules for this window only.
   const PlanFingerprint fingerprint =
       FingerprintWindow(source_fingerprint_, begin, window.size());
   return PlanCore::Create(std::move(session), std::move(window), fingerprint,
@@ -457,11 +408,11 @@ util::Result<std::shared_ptr<const PlanCore>> StreamPlan::PlanChunk(
 
 std::shared_ptr<const BatchPlan> BatchPlan::FromParts(
     std::shared_ptr<const PlanCore> core,
-    std::shared_ptr<const PlanBaseOverlay> overlay) {
-  COBRA_CHECK_MSG(core != nullptr && overlay != nullptr,
-                  "BatchPlan::FromParts: null core or overlay");
+    std::shared_ptr<const BaseState> base) {
+  COBRA_CHECK_MSG(core != nullptr && base != nullptr,
+                  "BatchPlan::FromParts: null core or base state");
   return std::shared_ptr<const BatchPlan>(
-      new BatchPlan(std::move(core), std::move(overlay)));
+      new BatchPlan(std::move(core), std::move(base)));
 }
 
 }  // namespace cobra::core

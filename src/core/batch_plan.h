@@ -66,7 +66,7 @@ struct BaseFingerprint {
 /// `base.size()` hash as the neutral 1.0 the `Valuation` contract extends
 /// with, and entries beyond the frozen pool are ignored (the kernels never
 /// read them). A short valuation and its pool-sized extension therefore
-/// fingerprint identically and share one overlay.
+/// fingerprint identically and share one cached plan.
 BaseFingerprint FingerprintBase(const prov::Valuation& base,
                                 std::size_t pool_size);
 
@@ -87,8 +87,8 @@ std::size_t DefaultSweepThreads();
 /// plus (when one polynomial dominates and whole-poly splitting could not
 /// fill the requested partitions) term-range slices of that polynomial
 /// whose partial sums are reduced in fixed slice order after the sweep, and
-/// the per-block touched-term sets of the blocked kernel. Derived once at
-/// planning time from the program shape, the thread budget, the
+/// the blocked kernel's per-block touched programs for this side. Derived
+/// once at planning time from the program shape, the thread budget, the
 /// partitioning knobs and the scenario blocks; execution only reads it.
 struct ProgramSchedule {
   /// Whole-poly [begin, end) ranges; every polynomial not term-split is
@@ -105,13 +105,13 @@ struct ProgramSchedule {
   /// split_poly == num_polys).
   std::vector<std::uint32_t> term_bounds;
 
-  /// Blocked engine only (empty otherwise): per scenario block, the
-  /// ascending ids of this program's terms that contain a variable of the
-  /// block's override union, built from the block skeleton's union through
-  /// the session's var→term index. The kernel re-evaluates only these per
-  /// lane; every other term adds its base product (PlanBaseOverlay) to all
-  /// lanes. Base-invariant, so every overlay of the core reuses them.
-  std::vector<std::vector<std::uint32_t>> touched_terms;
+  /// Blocked engine only (no blocks otherwise): per scenario block, this
+  /// program's terms with a variable of the block's override union and the
+  /// row each of their factors reads, built from the core's block rows
+  /// through the session's var→term index. The kernel re-evaluates only
+  /// these per lane; every other term adds its base product (BaseState) to
+  /// all lanes. Base-free, so every base the core runs on reuses them.
+  prov::TouchedPrograms touched;
 
   std::size_t term_slices() const {
     return term_bounds.empty() ? 0 : term_bounds.size() - 1;
@@ -141,61 +141,40 @@ BatchOptions::Sweep ChooseAutoEngine(std::size_t program_weight,
                                      std::size_t max_override_width);
 
 /// Everything about one base valuation that every plan on it shares: the
-/// pool-sized base, its content fingerprint, and each term's product under
-/// it for both program sides. Built by `CompiledSession::MakeBaseState` and
-/// immutable afterwards. A session builds one for its default base when it
-/// is constructed, and every overlay, grid base and stream call on that base
-/// references it, so no call re-hashes or copies the default base. A state
-/// built for another base serves one plan's engine, and only the blocked
-/// engine reads the products, so a scalar plan's state leaves them empty.
+/// pool-sized base, its content fingerprint, and per program side the base
+/// sums the blocked kernel reads. Built by `CompiledSession::MakeBaseState`
+/// and immutable afterwards. A session builds one for its default base when
+/// it is constructed, and every default-base plan, grid base and stream
+/// call references it, so no call re-hashes or copies the default base. A
+/// state built for another base serves one plan's engine, and only the
+/// blocked engine reads the sums, so a scalar plan's state leaves them
+/// empty.
 struct BaseState {
   /// The base valuation both program sides evaluate under, pool-sized (the
   /// kernels index it with any factor id the programs carry).
   prov::Valuation values{0};
 
-  /// FingerprintBase(values, frozen pool size) — the overlay cache key.
+  /// FingerprintBase(values, frozen pool size) — the plan cache's per-base
+  /// key.
   BaseFingerprint fingerprint;
 
-  /// `EvalProgram::TermProducts(values)` of the sweep-side full program and
-  /// of the compressed program: what the blocked kernel adds, in every
-  /// lane, for a term the block's overrides do not touch. 8 bytes per term
-  /// per side.
-  std::vector<double> full_products;
-  std::vector<double> compressed_products;
-};
-
-/// The cheap per-base half of a plan: a reference to the shared
-/// `BaseState` and — for the blocked engine — the block patch tables with
-/// value rows bound to that base. Materialized from a `PlanCore` in
-/// O(union sizes): no scenario lowering, no sorting, no index builds, no
-/// base copy. Immutable once published inside a `BatchPlan`.
-struct PlanBaseOverlay {
-  /// The shared per-base state; never null in an overlay `MakeOverlay`
-  /// built.
-  std::shared_ptr<const BaseState> base;
-
-  /// Per-block override-union tables bound to `base->values` (empty unless
-  /// the core's engine is kBlocked). Structurally identical to the core's
-  /// skeletons; only the value rows differ per base.
-  std::vector<prov::BlockOverrides> block_tables;
-
-  /// Views of `base`'s term products, per side, that the blocked kernel
-  /// adds for untouched terms (empty unless the core's engine is kBlocked —
-  /// a scalar plan carries no products). They point into `*base`, which
-  /// keeps them alive; re-point them when replacing `base`.
-  std::span<const double> full_products;
-  std::span<const double> compressed_products;
+  /// `EvalProgram::BaseSumsUnder(values)` of the sweep-side full program
+  /// and of the compressed program: each term's product and in-polynomial
+  /// prefix, and each polynomial's value. 16 bytes per term and 8 per
+  /// polynomial per side.
+  prov::BaseSums full;
+  prov::BaseSums compressed;
 };
 
 /// The base-independent core of a plan: everything derived from the
 /// (lowered scenarios, options, session) triple alone — the scenarios'
 /// sorted override lists in one flat `LoweredScenarios` array, the resolved
-/// engine/lane/thread choice, the per-block override-union *skeletons*
-/// (sorted unions + dense row indexes, values unbound), and the
-/// (scenario-block × poly-range) tile schedules for both program sides with
-/// each block's touched-term set. This is the expensive half of planning; a
-/// grid sweep or a per-user-defaults serving tier compiles it once and
-/// stamps out a `PlanBaseOverlay` per base.
+/// engine/lane/thread choice, and for the blocked engine one base-free
+/// *block program*: per block the override rows (`block_rows()`), and per
+/// program side the touched programs, inside the (scenario-block ×
+/// poly-range) tile schedules. A plan is this core plus a `BaseState`, so a
+/// grid sweep or a per-user-defaults serving tier compiles the core once
+/// and runs it on each base as it is.
 ///
 /// A core is deeply immutable after construction and references its origin
 /// session through a weak_ptr (plans live in the session's own cache, so a
@@ -203,8 +182,8 @@ struct PlanBaseOverlay {
 /// batch immortal).
 class PlanCore {
  public:
-  /// Compiles the base-independent half of a named scenario set: validates
-  /// the set (non-empty, unique names), lowers it through the session's
+  /// Compiles the base-independent half of a named scenario set (non-empty;
+  /// `ScenarioSet` keeps its names unique): lowers it through the session's
   /// resolver (every delta variable must be known to the snapshot), and
   /// builds the core from the lowered form, keeping the names. A caller
   /// that already fingerprinted the set (the plan cache keys on it before
@@ -225,14 +204,6 @@ class PlanCore {
       std::shared_ptr<const CompiledSession> session, LoweredScenarios lowered,
       const PlanFingerprint& fingerprint, const BatchOptions& options,
       std::vector<std::string> names = {});
-
-  /// Materializes the per-base half on the shared `base` (non-null, built
-  /// by the origin session, so pool-sized — checked, as the kernels index it
-  /// with every factor id): for the blocked engine, rebinds every block
-  /// skeleton's value rows to `base->values` and points the overlay at its
-  /// term products. Never copies the base.
-  std::shared_ptr<const PlanBaseOverlay> MakeOverlay(
-      std::shared_ptr<const BaseState> base) const;
 
   /// The session this core was built against, or null if that session has
   /// since been destroyed (see the class comment). The weak_ptr makes the
@@ -282,13 +253,10 @@ class PlanCore {
     return lowered_.scenario(i);
   }
 
-  /// Per-block override-union skeletons (empty unless engine() ==
-  /// kBlocked): the base-invariant structure of the block tables, value
-  /// rows unbound. MakeOverlay() rebinds them per base; the kernels never
-  /// read these directly.
-  const std::vector<prov::BlockOverrides>& block_skeletons() const {
-    return block_skeletons_;
-  }
+  /// Per-block override rows (no blocks unless engine() == kBlocked). One
+  /// set serves both program sides: the rows are valuation-level, and both
+  /// sides evaluate under the same compressed-side base.
+  const prov::BlockRows& block_rows() const { return block_rows_; }
 
   /// Tile schedule of the sweep-side full program.
   const ProgramSchedule& full_schedule() const { return full_schedule_; }
@@ -301,20 +269,15 @@ class PlanCore {
  private:
   PlanCore() = default;
 
-  /// Fills `spans` with block `block`'s lanes' override lists and returns
-  /// the lane count (a ragged tail block has fewer than `lanes_`).
-  std::size_t LaneSpans(std::size_t block, prov::OverrideSpan* spans) const;
-
   std::weak_ptr<const CompiledSession> session_;
   PlanFingerprint fingerprint_;
   BatchOptions::Sweep engine_ = BatchOptions::Sweep::kSparseDelta;
   std::size_t lanes_ = 1;
   std::size_t num_threads_ = 1;
   std::size_t num_blocks_ = 0;
-  std::size_t frozen_pool_size_ = 0;  ///< The origin session's pool_size().
   std::vector<std::string> scenario_names_;
   LoweredScenarios lowered_;
-  std::vector<prov::BlockOverrides> block_skeletons_;
+  prov::BlockRows block_rows_;
   ProgramSchedule full_schedule_;
   ProgramSchedule compressed_schedule_;
 };
@@ -323,8 +286,8 @@ class PlanCore {
 /// `ScenarioSource` that does NOT depend on the scenarios themselves —
 /// the resolved engine/lane/thread choice (made once, from the program
 /// shapes, the source's size and its `max_deltas()` bound) and the
-/// streaming window. The per-scenario half (block-override skeletons, tile
-/// schedules) is deferred to `PlanChunk`, which compiles one window-sized
+/// streaming window. The per-scenario half (block program, tile schedules)
+/// is deferred to `PlanChunk`, which compiles one window-sized
 /// `PlanCore` at a time from the source's lowered window — so plan memory,
 /// like sweep memory, is bounded by `BatchOptions::stream_block_scenarios`
 /// and never by `size()`.
@@ -343,8 +306,8 @@ class StreamPlan {
       const ScenarioSource& source, const BatchOptions& options);
 
   /// Compiles the per-scenario plan half for the source's lowered window
-  /// starting at ordinal `begin` — block-override skeletons, tile schedules
-  /// — under the pinned engine. The core carries no names, and its
+  /// starting at ordinal `begin` — block program, tile schedules — under
+  /// the pinned engine. The core carries no names, and its
   /// fingerprint is `FingerprintWindow` of the source spec and the window.
   /// Fails with `FailedPrecondition` when the origin session has been
   /// destroyed.
@@ -394,17 +357,15 @@ class StreamPlan {
 /// valuation, BatchOptions) triple against one `CompiledSession` — the
 /// plan-once / execute-many half of the batched serving path.
 ///
-/// Internally a plan is a pair: a shared, base-independent `PlanCore`
-/// (lowered scenarios, engine/lane resolution, override-union skeletons,
-/// tile schedules) plus a cheap `PlanBaseOverlay` binding one base
-/// (a shared `BaseState` + per-block value rows). The plan cache keys
-/// cores on the scenario fingerprint and options alone and attaches one
-/// overlay per distinct base, so replaying the same scenario set against a
-/// different base — the grid / per-user-defaults workload — reuses the
-/// expensive half and pays only the overlay. `CompiledSession::Execute`
-/// runs the sweep reading only this plan; `AssignBatch` is a thin
-/// PlanBatch + Execute wrapper; `AssignGrid` stamps out overlays in its
-/// inner loop.
+/// A plan is a shared, base-independent `PlanCore` (lowered scenarios,
+/// engine/lane resolution, block program, tile schedules) plus the shared
+/// `BaseState` of its base. The plan cache keys cores on the scenario
+/// fingerprint and options alone and keeps a few per-base plans beside each
+/// core, so replaying the same scenario set against a different base — the
+/// grid / per-user-defaults workload — reuses the whole core and pays at
+/// most a `BaseState`. `CompiledSession::Execute` runs the sweep reading
+/// only this plan; `AssignBatch` is a thin PlanBatch + Execute wrapper;
+/// `AssignGrid` runs one core on each base in turn.
 ///
 /// A plan is deeply immutable after construction and may be executed
 /// concurrently from any number of threads. Like its core it references the
@@ -412,20 +373,20 @@ class StreamPlan {
 /// origin is gone or different.
 class BatchPlan {
  public:
-  /// Pairs an existing core with an overlay (both non-null) — the grid /
-  /// overlay-cache path. The overlay should have been produced by
-  /// `core->MakeOverlay()`; `VerifyPlan` audits the pairing.
+  /// Pairs a core with a base state (both non-null). The base state should
+  /// come from the core's session (`MakeBaseState`); `VerifyPlan` audits the
+  /// pairing.
   static std::shared_ptr<const BatchPlan> FromParts(
       std::shared_ptr<const PlanCore> core,
-      std::shared_ptr<const PlanBaseOverlay> overlay);
+      std::shared_ptr<const BaseState> base);
 
   /// The shared base-independent half.
   const std::shared_ptr<const PlanCore>& core() const { return core_; }
 
-  /// The per-base half.
-  const PlanBaseOverlay& overlay() const { return *overlay_; }
+  /// The shared per-base half.
+  const std::shared_ptr<const BaseState>& base_state() const { return base_; }
 
-  /// @name Flat accessors (delegating to the core/overlay pair).
+  /// @name Flat accessors (delegating to the core/base pair).
   /// @{
   std::shared_ptr<const CompiledSession> session() const {
     return core_->session();
@@ -449,13 +410,10 @@ class BatchPlan {
   const LoweredScenarios& lowered() const { return core_->lowered(); }
 
   /// The pool-sized base meta valuation scenarios apply on top of.
-  const prov::Valuation& base() const { return overlay_->base->values; }
+  const prov::Valuation& base() const { return base_->values; }
 
-  /// Per-block override-union tables bound to base() (empty unless
-  /// engine() == kBlocked).
-  const std::vector<prov::BlockOverrides>& block_tables() const {
-    return overlay_->block_tables;
-  }
+  /// Per-block override rows (no blocks unless engine() == kBlocked).
+  const prov::BlockRows& block_rows() const { return core_->block_rows(); }
 
   const ProgramSchedule& full_schedule() const {
     return core_->full_schedule();
@@ -467,11 +425,11 @@ class BatchPlan {
 
  private:
   BatchPlan(std::shared_ptr<const PlanCore> core,
-            std::shared_ptr<const PlanBaseOverlay> overlay)
-      : core_(std::move(core)), overlay_(std::move(overlay)) {}
+            std::shared_ptr<const BaseState> base)
+      : core_(std::move(core)), base_(std::move(base)) {}
 
   std::shared_ptr<const PlanCore> core_;
-  std::shared_ptr<const PlanBaseOverlay> overlay_;
+  std::shared_ptr<const BaseState> base_;
 };
 
 }  // namespace cobra::core

@@ -85,12 +85,9 @@ std::string GridAssignReport::ToString() const {
   out += util::StrFormat("engine:           %s, %zu lane(s), %zu thread(s)\n",
                          SweepName(engine), block_lanes, num_threads);
   out += util::StrFormat(
-      "plan:             core %s, first overlay %s, %zu overlay hit(s)\n",
+      "plan:             core %s, first base %s, %.3gms\n",
       plan_core_hit ? "cached" : "compiled",
-      plan_cache_hit ? "cached" : "built", overlay_cache_hits);
-  out += util::StrFormat(
-      "plan time:        core+first=%.3gms overlays=%.3gms\n",
-      plan_seconds * 1e3, overlay_seconds * 1e3);
+      plan_cache_hit ? "cached" : "built", plan_seconds * 1e3);
   out += util::StrFormat(
       "sweep time:       full=%.3gms compressed=%.3gms\n",
       full_sweep_seconds * 1e3, compressed_sweep_seconds * 1e3);
@@ -151,10 +148,9 @@ std::shared_ptr<const BaseState> CompiledSession::MakeBaseState(
           ? *precomputed_fingerprint
           : FingerprintBase(state->values, artifacts_->frozen_pool_size);
   if (with_products) {
-    state->full_products =
-        artifacts_->sweep_full_program.TermProducts(state->values);
-    state->compressed_products =
-        artifacts_->compressed_program.TermProducts(state->values);
+    state->full = artifacts_->sweep_full_program.BaseSumsUnder(state->values);
+    state->compressed =
+        artifacts_->compressed_program.BaseSumsUnder(state->values);
   }
   return state;
 }
@@ -371,7 +367,7 @@ std::size_t CompiledSession::PlanCacheKeyHash::operator()(
 CompiledSession::PlanCacheKey CompiledSession::MakePlanCacheKey(
     const ScenarioSet& scenarios, const BatchOptions& options) {
   // The core is fully determined by (scenario content, options); the base
-  // valuation only selects an overlay *inside* the entry, so base churn —
+  // valuation only selects a plan *inside* the entry, so base churn —
   // the grid / per-user-defaults workload — can neither evict cores nor
   // split one scenario set across entries.
   PlanCacheKey key;
@@ -394,7 +390,7 @@ util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatchImpl(
     std::shared_lock<std::shared_mutex> lock(plan_mutex_);
     auto it = plan_cache_.find(key);
     if (it != plan_cache_.end()) {
-      for (const auto& [fp, cached] : it->second.overlays) {
+      for (const auto& [fp, cached] : it->second.plans) {
         if (fp == base_fingerprint) {
           plan_cache_hits_.fetch_add(1, std::memory_order_relaxed);
           if (cache_hit != nullptr) *cache_hit = true;
@@ -414,9 +410,9 @@ util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatchImpl(
   }
 
   // Plan outside any lock: compilation is the expensive part, and two
-  // threads racing to plan the same set merely duplicate work once. On a
-  // core hit only the cheap per-base overlay is materialized — no scenario
-  // re-lowering, no union sorting, no schedule derivation — and on the
+  // threads racing to plan the same set merely duplicate work once. A core
+  // hit pairs the cached core with the base's state — no scenario
+  // re-lowering, no block program, no schedule derivation — and on the
   // default base not even the base is copied.
   if (core == nullptr) {
     util::Result<std::shared_ptr<const PlanCore>> fresh = PlanCore::Create(
@@ -426,8 +422,7 @@ util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatchImpl(
   }
   std::shared_ptr<const BatchPlan> plan = BatchPlan::FromParts(
       core,
-      core->MakeOverlay(BaseStateFor(base_meta_valuation, base_fingerprint,
-                                     core->engine())));
+      BaseStateFor(base_meta_valuation, base_fingerprint, core->engine()));
 
   // Trust boundary: verify the freshly compiled plan before it enters the
   // cache (and gets replayed indefinitely). Always in debug builds, opt-in
@@ -462,13 +457,13 @@ util::Result<std::shared_ptr<const BatchPlan>> CompiledSession::PlanBatchImpl(
       plan_cache_order_.push_back(key);
     }
     PlanCacheEntry& entry = it->second;
-    for (const auto& [fp, cached] : entry.overlays) {
-      if (fp == base_fingerprint) return cached;  // lost the overlay race
+    for (const auto& [fp, cached] : entry.plans) {
+      if (fp == base_fingerprint) return cached;  // lost the insert race
     }
-    if (entry.overlays.size() >= kMaxOverlaysPerEntry) {
-      entry.overlays.erase(entry.overlays.begin());  // FIFO: oldest first
+    if (entry.plans.size() >= kMaxBasesPerEntry) {
+      entry.plans.erase(entry.plans.begin());  // FIFO: oldest first
     }
-    entry.overlays.emplace_back(base_fingerprint, plan);
+    entry.plans.emplace_back(base_fingerprint, plan);
   }
   return plan;
 }
@@ -496,7 +491,7 @@ CompiledSession::PlanCacheStats CompiledSession::plan_cache_stats() const {
     std::shared_lock<std::shared_mutex> lock(plan_mutex_);
     stats.entries = plan_cache_.size();
     for (const auto& [key, entry] : plan_cache_) {
-      stats.overlays += entry.overlays.size();
+      stats.bases += entry.plans.size();
     }
   }
   stats.hits = plan_cache_hits_.load(std::memory_order_relaxed);
@@ -517,7 +512,7 @@ std::vector<CompiledSession::CachedPlanInfo> CompiledSession::CachedPlans()
     info.lanes = entry.core->lanes();
     info.tiles = entry.core->num_tiles();
     info.scenarios = entry.core->num_scenarios();
-    info.overlays = entry.overlays.size();
+    info.bases = entry.plans.size();
     out.push_back(std::move(info));
   }
   return out;
@@ -528,7 +523,7 @@ CompiledSession::CachedPlanHandles() const {
   std::vector<std::shared_ptr<const BatchPlan>> out;
   std::shared_lock<std::shared_mutex> lock(plan_mutex_);
   for (const auto& [key, entry] : plan_cache_) {
-    for (const auto& [fp, plan] : entry.overlays) out.push_back(plan);
+    for (const auto& [fp, plan] : entry.plans) out.push_back(plan);
   }
   return out;
 }
@@ -548,7 +543,7 @@ util::Result<BatchAssignReport> CompiledSession::Execute(
   }
   const std::size_t n = plan.num_scenarios();
   const PlanCore& core = *plan.core();
-  const PlanBaseOverlay& overlay = plan.overlay();
+  const BaseState& base = *plan.base_state();
 
   BatchAssignReport batch;
   batch.scenario_names = plan.scenario_names();
@@ -561,26 +556,20 @@ util::Result<BatchAssignReport> CompiledSession::Execute(
   std::vector<std::vector<double>> full_values(n);
   std::vector<std::vector<double>> compressed_values(n);
   std::size_t used_threads = 1;
-  auto sweep = [&](const prov::EvalProgram& program,
-                   const ProgramSchedule& schedule,
-                   std::span<const double> base_products,
-                   std::vector<std::vector<double>>* out) {
-    const std::size_t polys = program.NumPolys();
+  auto sweep = [&](Side side, std::vector<std::vector<double>>* out) {
+    const std::size_t polys = artifacts_->labels.size();
     std::vector<double> flat(n * polys, 0.0);
-    SweepPlanProgram(core, overlay, program, schedule, base_products,
-                     flat.data(), &used_threads);
+    SweepPlanProgram(core, base, side, flat.data(), &used_threads);
     for (std::size_t i = 0; i < n; ++i) {
       (*out)[i].assign(flat.begin() + i * polys,
                        flat.begin() + (i + 1) * polys);
     }
   };
   util::Timer timer;
-  sweep(artifacts_->sweep_full_program, plan.full_schedule(),
-        overlay.full_products, &full_values);
+  sweep(Side::kFull, &full_values);
   batch.full_sweep_seconds = timer.ElapsedSeconds();
   timer.Reset();
-  sweep(artifacts_->compressed_program, plan.compressed_schedule(),
-        overlay.compressed_products, &compressed_values);
+  sweep(Side::kCompressed, &compressed_values);
   batch.compressed_sweep_seconds = timer.ElapsedSeconds();
   batch.num_threads = used_threads;
 
@@ -605,10 +594,7 @@ util::Result<BatchAssignReport> CompiledSession::Execute(
 }
 
 void CompiledSession::SweepPlanProgram(const PlanCore& core,
-                                       const PlanBaseOverlay& overlay,
-                                       const prov::EvalProgram& program,
-                                       const ProgramSchedule& schedule,
-                                       std::span<const double> base_products,
+                                       const BaseState& base, Side side,
                                        double* flat,
                                        std::size_t* used_threads,
                                        const std::uint8_t* block_mask) const {
@@ -616,22 +602,27 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
   // meta-indirected program under the shared compressed-side base, so
   // nothing pool-sized is copied per scenario. The blocked engine
   // additionally groups scenarios into blocks of `lanes` lanes: one scan of
-  // the compiled arrays serves the whole block, with the overlay's
-  // per-block override-union table patching individual lanes, and only the
-  // block's touched terms are multiplied out per lane — every other term
-  // adds its base product to all lanes. Work runs as
-  // the core's (scenario-block × poly-range | term-range) tiles; disjoint
-  // tiles touch disjoint output cells, so the sweep is race-free and the
-  // merged result is schedule-independent. A blocked tile writes `lanes`
-  // adjacent rows of the scenario-major matrix with stride `polys`.
+  // the compiled arrays serves the whole block, its override rows patching
+  // individual lanes, and only the block's touched terms are multiplied out
+  // per lane — every other term adds its base product to all lanes, from
+  // the base prefix of the block's first touched term on. Work runs as the
+  // core's (scenario-block × poly-range | term-range) tiles; disjoint tiles
+  // touch disjoint output cells, so the sweep is race-free and the merged
+  // result is schedule-independent. A blocked tile writes `lanes` adjacent
+  // rows of the scenario-major matrix with stride `polys`.
+  const bool full = side == Side::kFull;
+  const prov::EvalProgram& program = full ? artifacts_->sweep_full_program
+                                          : artifacts_->compressed_program;
+  const ProgramSchedule& schedule =
+      full ? core.full_schedule() : core.compressed_schedule();
+  const prov::BaseSums& sums = full ? base.full : base.compressed;
+  const prov::BlockRows& rows = core.block_rows();
+  const prov::Valuation& values = base.values;
   const std::size_t n = core.num_scenarios();
   const std::size_t threads = core.num_threads();
   const bool use_blocks = core.engine() == BatchOptions::Sweep::kBlocked;
   const std::size_t lanes = core.lanes();
   const std::size_t num_blocks = core.num_blocks();
-  const std::vector<prov::BlockOverrides>& block_tables =
-      overlay.block_tables;
-  const prov::Valuation& base = overlay.base->values;
   const std::size_t polys = program.NumPolys();
 
   const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges =
@@ -653,30 +644,27 @@ void CompiledSession::SweepPlanProgram(const PlanCore& core,
     const std::size_t s = t % slices;
     const std::size_t i0 = block * lanes;
     if (use_blocks) {
-      const prov::BlockOverrides& table = block_tables[block];
-      const std::vector<std::uint32_t>& touched =
-          schedule.touched_terms[block];
       if (s < ranges.size()) {
-        program.EvalRangeBlocked(base, table, touched, base_products,
+        program.EvalRangeBlocked(values, sums, rows, schedule.touched, block,
                                  ranges[s].first, ranges[s].second,
                                  flat + i0 * polys, polys);
       } else {
         const std::size_t k = s - ranges.size();
-        program.EvalTermRangeBlocked(base, table, touched, base_products,
-                                     term_bounds[k], term_bounds[k + 1],
+        program.EvalTermRangeBlocked(values, sums, rows, schedule.touched,
+                                     block, term_bounds[k], term_bounds[k + 1],
                                      partials.data() + i0 * term_slices + k,
                                      term_slices);
       }
     } else {
       const std::span<const prov::VarOverride> ov = core.overrides(i0);
       if (s < ranges.size()) {
-        program.EvalRangeWithOverrides(base, ov.data(), ov.size(),
+        program.EvalRangeWithOverrides(values, ov.data(), ov.size(),
                                        ranges[s].first, ranges[s].second,
                                        flat + i0 * polys);
       } else {
         const std::size_t k = s - ranges.size();
         partials[i0 * term_slices + k] = program.EvalTermRangeWithOverrides(
-            base, ov.data(), ov.size(), term_bounds[k], term_bounds[k + 1]);
+            values, ov.data(), ov.size(), term_bounds[k], term_bounds[k + 1]);
       }
     }
   };
@@ -736,64 +724,36 @@ util::Result<GridAssignReport> CompiledSession::AssignGrid(
   grid.plan_cache_hit = cache_hit;
   grid.plan_core_hit = core_hit;
 
-  const std::shared_ptr<const PlanCore> core = (*first)->core();
-  const std::size_t n = core->num_scenarios();
-  grid.scenario_names = core->scenario_names();
-  grid.engine = core->engine();
-  grid.block_lanes = core->lanes();
+  const PlanCore& core = *(*first)->core();
+  const std::size_t n = core.num_scenarios();
+  grid.scenario_names = core.scenario_names();
+  grid.engine = core.engine();
+  grid.block_lanes = core.lanes();
 
-  const std::size_t polys_full = artifacts_->sweep_full_program.NumPolys();
-  const std::size_t polys_comp = artifacts_->compressed_program.NumPolys();
-  grid.full_values.assign(bases.size() * n * polys_full, 0.0);
-  grid.compressed_values.assign(bases.size() * n * polys_comp, 0.0);
+  const std::size_t polys = grid.num_groups;
+  grid.full_values.assign(bases.size() * n * polys, 0.0);
+  grid.compressed_values.assign(bases.size() * n * polys, 0.0);
 
-  const PlanCacheKey key = MakePlanCacheKey(scenarios, options);
   std::size_t used_threads = 1;
-
   for (std::size_t b = 0; b < bases.size(); ++b) {
-    // Materialize (or fetch) the per-base overlay. Bases after the first
-    // consult the overlay cache read-only: a hit reuses the cached plan's
-    // overlay, a miss binds a fresh one locally without inserting — so the
-    // grid cannot evict the overlays a serving tier depends on.
-    std::shared_ptr<const PlanBaseOverlay> overlay;
-    if (b == 0) {
-      overlay = std::shared_ptr<const PlanBaseOverlay>((*first),
-                                                       &(*first)->overlay());
-    } else {
-      util::Timer overlay_timer;
-      const BaseFingerprint fp =
-          FingerprintBase(bases[b], artifacts_->frozen_pool_size);
-      {
-        std::shared_lock<std::shared_mutex> lock(plan_mutex_);
-        auto it = plan_cache_.find(key);
-        if (it != plan_cache_.end()) {
-          for (const auto& [cached_fp, cached] : it->second.overlays) {
-            if (cached_fp == fp) {
-              overlay = std::shared_ptr<const PlanBaseOverlay>(
-                  cached, &cached->overlay());
-              ++grid.overlay_cache_hits;
-              break;
-            }
-          }
-        }
-      }
-      if (overlay == nullptr) {
-        overlay =
-            core->MakeOverlay(BaseStateFor(bases[b], fp, core->engine()));
-      }
-      grid.overlay_seconds += overlay_timer.ElapsedSeconds();
+    // The core runs on each base as it is; only the base's state is built
+    // (or, for the session default, shared).
+    std::shared_ptr<const BaseState> base = (*first)->base_state();
+    if (b > 0) {
+      plan_timer.Reset();
+      base = BaseStateFor(
+          bases[b], FingerprintBase(bases[b], artifacts_->frozen_pool_size),
+          core.engine());
+      grid.plan_seconds += plan_timer.ElapsedSeconds();
     }
 
     util::Timer timer;
-    SweepPlanProgram(*core, *overlay, artifacts_->sweep_full_program,
-                     core->full_schedule(), overlay->full_products,
-                     grid.full_values.data() + b * n * polys_full,
-                     &used_threads);
+    SweepPlanProgram(core, *base, Side::kFull,
+                     grid.full_values.data() + b * n * polys, &used_threads);
     grid.full_sweep_seconds += timer.ElapsedSeconds();
     timer.Reset();
-    SweepPlanProgram(*core, *overlay, artifacts_->compressed_program,
-                     core->compressed_schedule(), overlay->compressed_products,
-                     grid.compressed_values.data() + b * n * polys_comp,
+    SweepPlanProgram(core, *base, Side::kCompressed,
+                     grid.compressed_values.data() + b * n * polys,
                      &used_threads);
     grid.compressed_sweep_seconds += timer.ElapsedSeconds();
   }
@@ -983,7 +943,7 @@ util::Result<SweepSummary> CompiledSession::StreamImpl(
   summary.metric_max = -kInf;
 
   // The base compressed row is the metric's reference point, shared by
-  // every chunk; every chunk's overlay references the shared base state.
+  // every chunk; every chunk's core runs on the one shared base state.
   const std::shared_ptr<const BaseState> base =
       BaseStateFor(base_meta_valuation, base_fingerprint, plan.engine());
   std::vector<double> base_comp;
@@ -1010,10 +970,8 @@ util::Result<SweepSummary> CompiledSession::StreamImpl(
     return util::Status::OK();
   };
 
-  const prov::EvalProgram& sweep_full = artifacts_->sweep_full_program;
-  const prov::EvalProgram& compressed = artifacts_->compressed_program;
-  const std::size_t polys_full = sweep_full.NumPolys();
-  const std::size_t polys_comp = compressed.NumPolys();
+  const std::size_t polys_full = artifacts_->sweep_full_program.NumPolys();
+  const std::size_t polys_comp = artifacts_->compressed_program.NumPolys();
 
   auto metric_of = [&](const double* comp_row) -> double {
     switch (query.metric) {
@@ -1084,13 +1042,11 @@ util::Result<SweepSummary> CompiledSession::StreamImpl(
         plan.PlanChunk(std::move(window), begin);
     if (!core_result.ok()) return core_result.status();
     const PlanCore& core = **core_result;
-    const std::shared_ptr<const PlanBaseOverlay> overlay =
-        core.MakeOverlay(base);
     summary.plan_seconds += timer.ElapsedSeconds();
 
     if (audit && summary.chunks == 0) {
       const std::shared_ptr<const BatchPlan> first_plan =
-          BatchPlan::FromParts(*core_result, overlay);
+          BatchPlan::FromParts(*core_result, base);
       const verify::VerifyReport report =
           verify::VerifyStreamWindow(*first_plan, *this, source, begin);
       if (!report.ok()) {
@@ -1106,8 +1062,7 @@ util::Result<SweepSummary> CompiledSession::StreamImpl(
     comp_flat.assign(count * polys_comp, 0.0);
     std::size_t used_threads = 1;
     timer.Reset();
-    SweepPlanProgram(core, *overlay, compressed, core.compressed_schedule(),
-                     overlay->compressed_products, comp_flat.data(),
+    SweepPlanProgram(core, *base, Side::kCompressed, comp_flat.data(),
                      &used_threads);
     summary.compressed_sweep_seconds += timer.ElapsedSeconds();
 
@@ -1172,8 +1127,7 @@ util::Result<SweepSummary> CompiledSession::StreamImpl(
     full_flat.assign(count * polys_full, 0.0);
     timer.Reset();
     if (query.kind == StreamQuery::Kind::kAll) {
-      SweepPlanProgram(core, *overlay, sweep_full, core.full_schedule(),
-                       overlay->full_products, full_flat.data(),
+      SweepPlanProgram(core, *base, Side::kFull, full_flat.data(),
                        &used_threads);
       summary.full_rows_computed += count;
     } else {
@@ -1196,8 +1150,7 @@ util::Result<SweepSummary> CompiledSession::StreamImpl(
       summary.full_rows_computed += rows_run;
       summary.full_rows_skipped += count - rows_run;
       if (any) {
-        SweepPlanProgram(core, *overlay, sweep_full, core.full_schedule(),
-                         overlay->full_products, full_flat.data(),
+        SweepPlanProgram(core, *base, Side::kFull, full_flat.data(),
                          &used_threads, mask.data());
       }
       // Report rows the consumer may read: only surviving blocks' rows.

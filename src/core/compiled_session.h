@@ -69,13 +69,13 @@ struct BatchAssignReport {
   BatchOptions::Sweep engine = BatchOptions::Sweep::kSparseDelta;
   std::size_t block_lanes = 1;
 
-  /// Whether AssignBatch served this call from a fully cached BatchPlan —
-  /// core *and* base overlay (always false for direct Execute() calls).
+  /// Whether AssignBatch served this call from a cached BatchPlan for this
+  /// very base (always false for direct Execute() calls).
   bool plan_cache_hit = false;
 
   /// Whether at least the base-independent plan core came from the cache
-  /// (true on every full hit, and also when only the cheap per-base overlay
-  /// had to be materialized — the same-scenarios/different-base warm path).
+  /// (true on every full hit, and also when the core was paired with a new
+  /// base — the same-scenarios/different-base warm path).
   bool plan_core_hit = false;
 
   std::size_t size() const { return reports.size(); }
@@ -87,8 +87,8 @@ struct BatchAssignReport {
 };
 
 /// Outcome of one `AssignGrid` call: the full (scenario × base) result
-/// matrix for both program sides, plus plan/overlay accounting and a
-/// deterministic fixed-order error reduction.
+/// matrix for both program sides, plus plan accounting and a deterministic
+/// fixed-order error reduction.
 ///
 /// Cell (b, s, g) — base b, scenario s, output group g — lives at flat
 /// index `(b * num_scenarios() + s) * num_groups + g` in `full_values` /
@@ -120,15 +120,8 @@ struct GridAssignReport {
   bool plan_core_hit = false;
   bool plan_cache_hit = false;
 
-  /// How many of the remaining bases found their overlay already attached
-  /// to the cached core ([0, num_bases - 1]; the first base is accounted
-  /// in plan_cache_hit).
-  std::size_t overlay_cache_hits = 0;
-
-  /// Planning cost of the shared core + first overlay, and of the
-  /// remaining per-base overlay materializations.
+  /// Planning cost: the shared core and every base's state.
   double plan_seconds = 0.0;
-  double overlay_seconds = 0.0;
 
   /// Wall-clock seconds summed over every per-base sweep on each side.
   double full_sweep_seconds = 0.0;
@@ -502,16 +495,14 @@ class CompiledSession
 
   /// Evaluates every scenario against every base valuation — the 2-D grid
   /// sweep (one scenario set × many per-user defaults). The shared plan
-  /// core (scenario lowering, engine choice, union skeletons, tile
-  /// schedules) is planned once through the plan cache; the inner loop only
-  /// materializes the cheap per-base overlay (pool-sized base + block-table
-  /// value rows) and runs the existing blocked/sparse kernels straight into
-  /// the grid's flat result matrices. Per-cell results are bit-identical to
-  /// the per-base `AssignBatch` loop; the report's error aggregates use a
-  /// deterministic fixed-order reduction. Bases already cached as overlays
-  /// are reused (counted in `overlay_cache_hits`); the grid itself inserts
-  /// only the first base's plan, so a 10^4-base sweep cannot flush the
-  /// serving cache.
+  /// core (scenario lowering, engine choice, block program, tile schedules)
+  /// is planned once through the plan cache; the inner loop only builds each
+  /// base's `BaseState` (none for the session default) and runs the
+  /// existing blocked/sparse kernels straight into the grid's flat result
+  /// matrices. Per-cell results are bit-identical to the per-base
+  /// `AssignBatch` loop; the report's error aggregates use a deterministic
+  /// fixed-order reduction. The grid inserts only the first base's plan
+  /// into the cache, so a 10^4-base sweep cannot flush the serving cache.
   util::Result<GridAssignReport> AssignGrid(
       const ScenarioSet& scenarios, std::span<const prov::Valuation> bases,
       const BatchOptions& options = {}) const;
@@ -520,7 +511,7 @@ class CompiledSession
   /// `BatchOptions::stream_block_scenarios`-sized blocks, on top of
   /// `base_meta_valuation`: the source lowers each block straight to pool
   /// ids (`ScenarioSource::Lower`), the lowered window is planned as a
-  /// window-sized chunk (same block-override tables, same tile schedules as
+  /// window-sized chunk (same block program, same tile schedules as
   /// `AssignBatch` — the engine is resolved once up front and pinned), swept
   /// through the shared kernels, folded into the running `SweepSummary`, and
   /// handed to `consumer` before the next block is lowered. Names are asked
@@ -554,18 +545,18 @@ class CompiledSession
 
   /// Compiles (or fetches from the plan cache) the execution plan for this
   /// (scenario set, base valuation, options) triple: per-scenario sorted
-  /// override lists, per-block override-union tables, the resolved engine
-  /// and lane count, and the tile schedules for both program sides — the
-  /// plan-once half of plan-once/execute-many. The cache keys the
-  /// base-*invariant* plan core on the scenario set's content fingerprint
-  /// plus the options, and attaches one cheap per-base overlay per distinct
-  /// base hash — so replaying known scenarios against a new base re-uses
-  /// the expensive half instead of re-planning. The cache is guarded by a
-  /// `shared_mutex` (shared for lookups, exclusive only to insert), so
-  /// concurrent callers replaying known scenario sets proceed in parallel.
-  /// If `cache_hit` is non-null it is set to whether the *full* plan (core
-  /// + overlay) came from the cache; a core-only hit reports false there
-  /// but is visible in `plan_cache_stats().core_hits`.
+  /// override lists, the resolved engine and lane count, the block program
+  /// and the tile schedules for both program sides — the plan-once half of
+  /// plan-once/execute-many. The cache keys the base-*invariant* plan core
+  /// on the scenario set's content fingerprint plus the options, and keeps
+  /// beside it one plan per distinct base hash — so replaying known
+  /// scenarios against a new base reuses the core instead of re-planning.
+  /// The cache is guarded by a `shared_mutex` (shared for lookups,
+  /// exclusive only to insert), so concurrent callers replaying known
+  /// scenario sets proceed in parallel. If `cache_hit` is non-null it is set
+  /// to whether the plan for this very base came from the cache; a
+  /// core-only hit reports false there but is visible in
+  /// `plan_cache_stats().core_hits`.
   util::Result<std::shared_ptr<const BatchPlan>> PlanBatch(
       const ScenarioSet& scenarios,
       const prov::Valuation& base_meta_valuation,
@@ -584,14 +575,13 @@ class CompiledSession
 
   /// Aggregate plan-cache counters. Every PlanBatch lookup (AssignBatch and
   /// AssignGrid go through the same cache) lands in exactly one bucket:
-  /// `hits` (core and overlay both cached), `core_hits` (core cached, only
-  /// the cheap per-base overlay was materialized — the same-scenarios/
-  /// different-base warm path), or `misses` (full planning). `entries`
-  /// counts cached cores, `overlays` the base overlays attached across
-  /// them.
+  /// `hits` (a plan for this core and base was cached), `core_hits` (core
+  /// cached, paired with a new base — the same-scenarios/different-base
+  /// warm path), or `misses` (full planning). `entries` counts cached
+  /// cores, `bases` the per-base plans kept across them.
   struct PlanCacheStats {
     std::size_t entries = 0;
-    std::size_t overlays = 0;
+    std::size_t bases = 0;
     std::uint64_t hits = 0;
     std::uint64_t core_hits = 0;
     std::uint64_t misses = 0;
@@ -605,7 +595,7 @@ class CompiledSession
     std::size_t lanes = 0;
     std::size_t tiles = 0;
     std::size_t scenarios = 0;
-    std::size_t overlays = 0;  ///< Base overlays attached to this core.
+    std::size_t bases = 0;  ///< Per-base plans kept beside this core.
   };
   /// The cached plans, in unspecified order.
   std::vector<CachedPlanInfo> CachedPlans() const;
@@ -687,30 +677,28 @@ class CompiledSession
       const BaseFingerprint& base_fingerprint, const StreamOptions& options,
       const StreamConsumer& consumer) const;
 
-  /// Runs the sparse/blocked sweep of one program side for every scenario,
-  /// writing the scenario-major result matrix (num_scenarios ×
-  /// program.NumPolys(), row-major) to `flat` — the execution core shared
-  /// by Execute() and AssignGrid(). Performs exactly the same tile
-  /// dispatch, kernel calls and fixed-order partial reduction regardless of
-  /// the caller, so grid cells are bit-identical to batch results.
-  /// `used_threads` is raised (never lowered) to the worker count used.
-  /// `block_mask`, when non-null, has one byte per scenario block; a block
-  /// whose byte is 0 is skipped entirely (its rows in `flat` are left
-  /// untouched) — the streaming early-exit hook. Computed blocks run the
-  /// identical kernel path, so masking never perturbs surviving rows.
-  /// The side is passed explicitly and must agree: `program`, its
-  /// `schedule` (which carries the side's touched-term sets) and the
-  /// overlay's `base_products` for that same program.
-  void SweepPlanProgram(const PlanCore& core, const PlanBaseOverlay& overlay,
-                        const prov::EvalProgram& program,
-                        const ProgramSchedule& schedule,
-                        std::span<const double> base_products, double* flat,
-                        std::size_t* used_threads,
+  /// A program side of a sweep.
+  enum class Side { kFull, kCompressed };
+
+  /// Runs the sparse/blocked sweep of one program side for every scenario
+  /// of `core` on `base`, writing the scenario-major result matrix
+  /// (num_scenarios × NumPolys(), row-major) to `flat` — the execution core
+  /// shared by Execute(), AssignGrid() and AssignStream(). Performs exactly
+  /// the same tile dispatch, kernel calls and fixed-order partial reduction
+  /// regardless of the caller, so grid cells and streamed rows are
+  /// bit-identical to batch results. `used_threads` is raised (never
+  /// lowered) to the worker count used. `block_mask`, when non-null, has one
+  /// byte per scenario block; a block whose byte is 0 is skipped entirely
+  /// (its rows in `flat` are left untouched) — the streaming early-exit
+  /// hook. Computed blocks run the identical kernel path, so masking never
+  /// perturbs surviving rows.
+  void SweepPlanProgram(const PlanCore& core, const BaseState& base,
+                        Side side, double* flat, std::size_t* used_threads,
                         const std::uint8_t* block_mask = nullptr) const;
 
   /// Base-invariant identity of one planned batch: the scenario-set
   /// fingerprint plus the options a core is derived from — deliberately
-  /// *without* the base valuation, which only selects an overlay inside the
+  /// *without* the base valuation, which only selects a plan inside the
   /// entry. The map's bucket hash only routes; key equality compares the
   /// options fields exactly and the 128-bit content digest (two
   /// independently-seeded chains), because an equality collision would
@@ -729,26 +717,26 @@ class CompiledSession
     std::size_t operator()(const PlanCacheKey& key) const;
   };
 
-  /// One cached core plus its per-base overlays: full plans (all sharing
-  /// `core`) in insertion order, keyed by base fingerprint. The overlay
-  /// list is small and scanned linearly — base churn beyond
-  /// kMaxOverlaysPerEntry evicts FIFO without touching the core.
+  /// One cached core plus its per-base plans (all sharing `core`) in
+  /// insertion order, keyed by base fingerprint. The list is small and
+  /// scanned linearly — base churn beyond kMaxBasesPerEntry evicts FIFO
+  /// without touching the core.
   struct PlanCacheEntry {
     std::shared_ptr<const PlanCore> core;
     std::vector<std::pair<BaseFingerprint, std::shared_ptr<const BatchPlan>>>
-        overlays;
+        plans;
   };
 
   /// Builds the base-invariant cache key for (scenarios, options).
   static PlanCacheKey MakePlanCacheKey(const ScenarioSet& scenarios,
                                        const BatchOptions& options);
 
-  /// Cached cores are bounded, as are the overlays attached to each one; a
-  /// server cycling through more distinct scenario sets (or bases) than
-  /// this simply re-plans the excess (correctness never depends on the
+  /// Cached cores are bounded, as are the per-base plans kept beside each
+  /// one; a server cycling through more distinct scenario sets (or bases)
+  /// than this simply re-plans the excess (correctness never depends on the
   /// cache).
   static constexpr std::size_t kPlanCacheMaxEntries = 64;
-  static constexpr std::size_t kMaxOverlaysPerEntry = 8;
+  static constexpr std::size_t kMaxBasesPerEntry = 8;
 
   std::shared_ptr<const Artifacts> artifacts_;
   /// The default meta valuation's shared state (pool-sized values,
@@ -760,7 +748,7 @@ class CompiledSession
   /// Lookups take the lock shared; only a miss's insert takes it exclusive.
   /// `plan_cache_order_` records insertion order so core eviction at
   /// capacity is FIFO (oldest core first) instead of whatever the map's
-  /// bucket layout puts at begin(); evicting a core drops all its overlays.
+  /// bucket layout puts at begin(); evicting a core drops all its plans.
   mutable std::shared_mutex plan_mutex_;
   mutable std::unordered_map<PlanCacheKey, PlanCacheEntry, PlanCacheKeyHash>
       plan_cache_;

@@ -176,15 +176,15 @@ util::Status LowerScenarios(std::span<const Scenario> scenarios,
 // ---------------------------------------------------------------- ScenarioSet
 
 util::Result<ScenarioSet::Handle> ScenarioSet::Add(std::string name) {
-  if (!names_.insert(name).second) {
-    return util::Status::InvalidArgument("ScenarioSet: duplicate scenario name \"" +
-                                         name + "\"");
-  }
-  scenarios_.push_back(Scenario{std::move(name), {}});
-  return Handle(this, scenarios_.size() - 1);
+  return Add(Scenario{std::move(name), {}});
 }
 
 util::Result<ScenarioSet::Handle> ScenarioSet::Add(Scenario scenario) {
+  if (scenario.name.empty()) {
+    return util::Status::InvalidArgument(
+        "ScenarioSet: empty scenario name (scenario " +
+        std::to_string(scenarios_.size()) + ")");
+  }
   if (!names_.insert(scenario.name).second) {
     return util::Status::InvalidArgument("ScenarioSet: duplicate scenario name \"" +
                                          scenario.name + "\"");

@@ -89,13 +89,13 @@ class ScenarioSet {
 
   /// Appends an empty scenario and returns an index-stable handle for delta
   /// chaining. The handle remains valid across later Add() calls. Fails with
-  /// `InvalidArgument` (and leaves the set unchanged) when the name is
-  /// already taken.
+  /// `InvalidArgument` (and leaves the set unchanged) when the name is empty
+  /// or already taken.
   util::Result<Handle> Add(std::string name);
 
   /// Appends a fully-built scenario and returns an index-stable handle, like
   /// the name overload. Fails with `InvalidArgument` (set unchanged) when
-  /// the scenario's name is already taken.
+  /// the scenario's name is empty or already taken.
   util::Result<Handle> Add(Scenario scenario);
 
   /// Pre-allocates capacity for `n` scenarios (names and storage); purely an

@@ -13,70 +13,54 @@ namespace {
 /// The blocked kernel's compile-time lane count.
 constexpr int kLanes = static_cast<int>(EvalProgram::kMaxLanes);
 
-/// The raw view of a BlockOverrides table the kernels scan: a sorted var
-/// array with a kLanes-wide value row per var, the [lo, hi] guard band, and
-/// the optional dense row index covering [lo, hi].
-struct LaneTableView {
-  const VarId* vars = nullptr;
-  const double* values = nullptr;
-  const std::int32_t* dense = nullptr;  ///< nullptr => binary search.
-  std::size_t rows = 0;
-  VarId lo = kInvalidVar;
-  VarId hi = 0;
-};
-
-/// Looks up `var`'s per-lane value row, or nullptr when the block does not
-/// override `var`. The guard band rejects most factors with two compares;
-/// inside the band the dense index resolves the row with one load when the
-/// union's id span is small, and a binary search over the factor-sorted var
-/// array (O(log k) in the union size k) otherwise — wide scenario unions no
-/// longer pay a linear scan per factor.
-inline const double* FindLaneRow(const LaneTableView& table, VarId var) {
-  if (var < table.lo || var > table.hi) return nullptr;
-  if (table.dense != nullptr) {
-    const std::int32_t row = table.dense[var - table.lo];
-    return row < 0 ? nullptr
-                   : table.values + static_cast<std::size_t>(row) * kLanes;
-  }
-  const VarId* it = std::lower_bound(table.vars, table.vars + table.rows, var);
-  if (it == table.vars + table.rows || *it != var) return nullptr;
-  return table.values + static_cast<std::size_t>(it - table.vars) * kLanes;
-}
-
 /// Everything the blocked kernel's per-term paths read: the program's
-/// compiled arrays, the shared base valuation, every term's product under
-/// that base, and the block's lane table.
+/// compiled arrays, the base valuation and its term products, the block's
+/// override rows, and the side's factor-row array.
 struct KernelView {
   const std::uint32_t* term_starts = nullptr;
   const double* coeffs = nullptr;
   const VarId* factors = nullptr;
   const double* base = nullptr;
   const double* base_products = nullptr;
-  LaneTableView table;
+  const double* values = nullptr;       ///< The block's rows.
+  const std::uint64_t* masks = nullptr;
+  const std::uint32_t* factor_rows = nullptr;
 };
 
-/// Accumulates the kLanes products of touched term `t` into `sum`. Per
-/// factor the base value is loaded once and broadcast, overridden variables
-/// read their per-lane row, and the accumulators advance in lockstep — each
-/// lane runs the scalar path's exact operation sequence (prod = coeff,
-/// prod *= value per factor, sum += prod), so per-lane results are
-/// bit-identical to the scalar sparse scan while one pass over the compiled
-/// arrays serves kLanes scenarios.
-inline void AddBlockedTerm(const KernelView& k, std::size_t t, double* sum) {
+/// Accumulates the kLanes products of touched term `touched` into `sum`.
+/// Per factor the base value is loaded once; a factor no lane overrides
+/// multiplies every lane by it, any other factor multiplies each lane by a
+/// bitwise select of its row's lane value against it. The accumulators
+/// advance in lockstep — each lane runs the scalar path's exact operation
+/// sequence (prod = coeff, prod *= value per factor, sum += prod) on the
+/// scalar path's values, so per-lane results are bit-identical to the
+/// scalar sparse scan while one pass over the compiled arrays serves kLanes
+/// scenarios.
+inline void AddBlockedTerm(const KernelView& k, const TouchedTerm& touched,
+                           double* sum) {
   double prod[kLanes];
+  const std::uint32_t t = touched.term;
   const double c = k.coeffs[t];
 #pragma omp simd
   for (int l = 0; l < kLanes; ++l) prod[l] = c;
-  for (std::uint32_t f = k.term_starts[t]; f < k.term_starts[t + 1]; ++f) {
-    const VarId var = k.factors[f];
-    const double* row = FindLaneRow(k.table, var);
-    if (row != nullptr) {
-#pragma omp simd
-      for (int l = 0; l < kLanes; ++l) prod[l] *= row[l];
-    } else {
-      const double v = k.base[var];
+  const std::uint32_t* row_of = k.factor_rows + touched.rows;
+  for (std::uint32_t f = k.term_starts[t]; f < k.term_starts[t + 1];
+       ++f, ++row_of) {
+    const double v = k.base[k.factors[f]];
+    if (*row_of == TouchedPrograms::kBaseRow) {
 #pragma omp simd
       for (int l = 0; l < kLanes; ++l) prod[l] *= v;
+    } else {
+      const std::size_t at = static_cast<std::size_t>(*row_of) * kLanes;
+      const double* values = k.values + at;
+      const std::uint64_t* masks = k.masks + at;
+      const std::uint64_t base_bits = std::bit_cast<std::uint64_t>(v);
+#pragma omp simd
+      for (int l = 0; l < kLanes; ++l) {
+        prod[l] *= std::bit_cast<double>(
+            (std::bit_cast<std::uint64_t>(values[l]) & masks[l]) |
+            (base_bits & ~masks[l]));
+      }
     }
   }
 #pragma omp simd
@@ -84,107 +68,152 @@ inline void AddBlockedTerm(const KernelView& k, std::size_t t, double* sum) {
 }
 
 /// Accumulates terms [t, end) into the kLanes lane sums, in term order.
-/// The ascending touched ids from `*next` on take the per-lane factor path;
-/// every other term adds its base product to all lanes, which is exactly
-/// the product each lane's factor path would form, since no lane overrides
-/// any of that term's variables. `*next` advances past the touched ids
-/// consumed. A touched list that is not ascending can only cost speed or
-/// correctness of the sums, never an out-of-bounds read.
+/// The ascending touched terms from `*next` on take the per-lane factor
+/// path; every other term adds its base product to all lanes, which is
+/// exactly the product each lane's factor path would form, since no lane
+/// overrides any of that term's variables. `*next` advances past the
+/// touched terms consumed.
 inline void AddTermSpan(const KernelView& k, std::uint32_t t,
-                        std::uint32_t end, const std::uint32_t** next,
-                        const std::uint32_t* touched_end, double* sum) {
-  const std::uint32_t* n = *next;
+                        std::uint32_t end, const TouchedTerm** next,
+                        const TouchedTerm* touched_end, double* sum) {
+  const TouchedTerm* n = *next;
   while (t < end) {
-    while (n != touched_end && *n < t) ++n;
-    const std::uint32_t stop = n != touched_end && *n < end ? *n : end;
+    while (n != touched_end && n->term < t) ++n;
+    const std::uint32_t stop = n != touched_end && n->term < end ? n->term : end;
     for (; t < stop; ++t) {
       const double p = k.base_products[t];
 #pragma omp simd
       for (int l = 0; l < kLanes; ++l) sum[l] += p;
     }
-    if (t < end) AddBlockedTerm(k, t++, sum);
+    if (t < end) {
+      AddBlockedTerm(k, *n++, sum);
+      ++t;
+    }
   }
   *next = n;
 }
 
+/// The first touched term at or after term `t`.
+const TouchedTerm* FirstTouchedFrom(std::span<const TouchedTerm> terms,
+                                    std::uint32_t t) {
+  return std::lower_bound(
+      terms.data(), terms.data() + terms.size(), t,
+      [](const TouchedTerm& a, std::uint32_t term) { return a.term < term; });
+}
+
 }  // namespace
 
-BlockOverrides MakeBlockOverridesSkeleton(const OverrideSpan* lanes,
-                                          std::size_t num_lanes) {
-  COBRA_CHECK_MSG(
-      num_lanes >= 1 && num_lanes <= EvalProgram::kMaxLanes,
-      "MakeBlockOverridesSkeleton: lane count outside [1, kMaxLanes]");
-  BlockOverrides block;
-  block.num_lanes_ = num_lanes;
-  for (std::size_t l = 0; l < num_lanes; ++l) {
-    for (std::size_t o = 0; o < lanes[l].size; ++o) {
-      block.vars_.push_back(lanes[l].data[o].var);
+BlockRows::BlockRows(std::span<const OverrideSpan> lanes) {
+  const std::size_t blocks = (lanes.size() + kLanes - 1) / kLanes;
+  std::size_t overrides = 0;
+  for (const OverrideSpan& lane : lanes) overrides += lane.size;
+  lanes_.reserve(blocks);
+  offsets_.reserve(blocks + 1);
+  vars_.reserve(overrides);
+  auto same_vars = [](const OverrideSpan& a, const OverrideSpan& b) {
+    return a.size == b.size &&
+           std::equal(a.data, a.data + a.size, b.data,
+                      [](const VarOverride& x, const VarOverride& y) {
+                        return x.var == y.var;
+                      });
+  };
+  // The unions first, so the rows are allocated once at their final size.
+  for (std::size_t first = 0; first < lanes.size(); first += kLanes) {
+    const std::size_t count =
+        std::min<std::size_t>(kLanes, lanes.size() - first);
+    const OverrideSpan& head = lanes[first];
+    bool shared = true;  // Every lane overrides exactly the head's variables.
+    for (std::size_t l = first + 1; shared && l < first + count; ++l) {
+      shared = same_vars(lanes[l], head);
     }
-  }
-  std::sort(block.vars_.begin(), block.vars_.end());
-  block.vars_.erase(std::unique(block.vars_.begin(), block.vars_.end()),
-                    block.vars_.end());
-  if (!block.vars_.empty()) {
-    block.lo_ = block.vars_.front();
-    block.hi_ = block.vars_.back();
-  }
-  // Value rows stay zero until RebindBlockOverrides() binds a base — a
-  // skeleton handed to a kernel would multiply everything by 0, not crash,
-  // which is why only the rebinding path may publish one.
-  block.values_.assign(block.vars_.size() * EvalProgram::kMaxLanes, 0.0);
-  // O(1) lookup fast path: when the union's id span is small, one row-index
-  // array covers it (wider unions binary-search the sorted var array).
-  if (!block.vars_.empty()) {
-    const std::size_t span =
-        static_cast<std::size_t>(block.hi_ - block.lo_) + 1;
-    if (span <= BlockOverrides::kDenseIndexMaxSpan) {
-      block.dense_index_.assign(span, -1);
-      for (std::size_t r = 0; r < block.vars_.size(); ++r) {
-        block.dense_index_[block.vars_[r] - block.lo_] =
-            static_cast<std::int32_t>(r);
+    const std::size_t begin = vars_.size();
+    for (std::size_t l = first; l < (shared ? first + 1 : first + count);
+         ++l) {
+      for (std::size_t o = 0; o < lanes[l].size; ++o) {
+        vars_.push_back(lanes[l].data[o].var);
       }
     }
+    if (!shared) {
+      const auto union_begin =
+          vars_.begin() + static_cast<std::ptrdiff_t>(begin);
+      std::sort(union_begin, vars_.end());
+      vars_.erase(std::unique(union_begin, vars_.end()), vars_.end());
+    }
+    lanes_.push_back(static_cast<std::uint8_t>(count));
+    offsets_.push_back(vars_.size());
   }
-  return block;
-}
-
-BlockOverrides RebindBlockOverrides(const BlockOverrides& block,
-                                    const Valuation& base,
-                                    const OverrideSpan* lanes,
-                                    std::size_t num_lanes) {
-  COBRA_CHECK_MSG(num_lanes == block.num_lanes_,
-                  "RebindBlockOverrides: lane count does not match the "
-                  "skeleton");
-  BlockOverrides bound = block;
-  if (!bound.vars_.empty()) {
-    COBRA_CHECK_MSG(bound.vars_.back() < base.size(),
-                    "RebindBlockOverrides: override variable outside the "
-                    "base valuation");
-  }
-  // Every row defaults to the broadcast base value (this also covers the
-  // padding lanes), then each lane patches in its own overrides.
-  for (std::size_t r = 0; r < bound.vars_.size(); ++r) {
-    const double v = base.values()[bound.vars_[r]];
-    std::fill_n(bound.values_.begin() + r * EvalProgram::kMaxLanes,
-                EvalProgram::kMaxLanes, v);
-  }
-  for (std::size_t l = 0; l < num_lanes; ++l) {
+  values_.assign(vars_.size() * kLanes, 0.0);
+  masks_.assign(vars_.size() * kLanes, 0);
+  // Each lane's ascending list finds its rows in its block's ascending
+  // union.
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    const std::size_t block = l / kLanes;
+    const VarId* row = vars_.data() + offsets_[block];
+    const VarId* end = vars_.data() + offsets_[block + 1];
     for (std::size_t o = 0; o < lanes[l].size; ++o) {
-      const std::size_t r =
-          std::lower_bound(bound.vars_.begin(), bound.vars_.end(),
-                           lanes[l].data[o].var) -
-          bound.vars_.begin();
-      bound.values_[r * EvalProgram::kMaxLanes + l] = lanes[l].data[o].value;
+      row = std::lower_bound(row, end, lanes[l].data[o].var);
+      const std::size_t at =
+          static_cast<std::size_t>(row - vars_.data()) * kLanes + l % kLanes;
+      values_[at] = lanes[l].data[o].value;
+      masks_[at] = ~std::uint64_t{0};
     }
   }
-  return bound;
 }
 
-BlockOverrides MakeBlockOverrides(const Valuation& base,
-                                  const OverrideSpan* lanes,
-                                  std::size_t num_lanes) {
-  return RebindBlockOverrides(MakeBlockOverridesSkeleton(lanes, num_lanes),
-                              base, lanes, num_lanes);
+std::span<const double> BlockRows::values(std::size_t block) const {
+  return {values_.data() + offsets_[block] * kLanes,
+          values_.data() + offsets_[block + 1] * kLanes};
+}
+
+std::span<const std::uint64_t> BlockRows::masks(std::size_t block) const {
+  return {masks_.data() + offsets_[block] * kLanes,
+          masks_.data() + offsets_[block + 1] * kLanes};
+}
+
+TouchedPrograms::TouchedPrograms(const EvalProgram& program,
+                                 const VarTermIndex& index,
+                                 const BlockRows& rows) {
+  const std::vector<std::uint32_t>& term_starts = program.term_starts();
+  const std::vector<VarId>& factors = program.factors();
+  COBRA_CHECK_MSG(factors.size() < kBaseRow,
+                  "TouchedPrograms: program too large for 32-bit rows");
+  program_of_.reserve(rows.num_blocks());
+  // `seen` marks the block's touched terms and `row_of` each of their
+  // factors' rows; emitting a program reads both back and clears them.
+  std::vector<std::uint64_t> seen((program.NumTerms() + 63) / 64, 0);
+  std::vector<std::uint32_t> row_of(factors.size(), kBaseRow);
+  for (std::size_t b = 0; b < rows.num_blocks(); ++b) {
+    const std::span<const VarId> vars = rows.vars(b);
+    if (b > 0 && std::ranges::equal(vars, rows.vars(b - 1))) {
+      program_of_.push_back(program_of_.back());
+      continue;
+    }
+    for (std::uint32_t r = 0; r < vars.size(); ++r) {
+      const VarId var = vars[r];
+      for (std::uint32_t t : index.Terms(var)) {
+        seen[t / 64] |= std::uint64_t{1} << (t % 64);
+        for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
+          if (factors[f] == var) row_of[f] = r;
+        }
+      }
+    }
+    for (std::size_t w = 0; w < seen.size(); ++w) {
+      for (std::uint64_t bits = seen[w]; bits != 0; bits &= bits - 1) {
+        const std::uint32_t t = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+        COBRA_CHECK_MSG(factor_rows_.size() < kBaseRow,
+                        "TouchedPrograms: factor rows overflow 32 bits");
+        terms_.push_back({t, static_cast<std::uint32_t>(factor_rows_.size())});
+        for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
+          factor_rows_.push_back(row_of[f]);
+          row_of[f] = kBaseRow;
+        }
+      }
+      seen[w] = 0;
+    }
+    program_of_.push_back(static_cast<std::uint32_t>(term_offsets_.size() - 1));
+    term_offsets_.push_back(terms_.size());
+  }
 }
 
 EvalProgram::EvalProgram(const PolySet& set) {
@@ -344,39 +373,72 @@ void EvalProgram::EvalRangeWithOverrides(const Valuation& base,
   }
 }
 
-void EvalProgram::EvalRangeBlocked(const Valuation& base,
-                                   const BlockOverrides& block,
-                                   std::span<const std::uint32_t> touched_terms,
-                                   std::span<const double> base_products,
-                                   std::size_t poly_begin,
+BaseSums EvalProgram::BaseSumsUnder(const Valuation& valuation) const {
+  BaseSums sums;
+  sums.products = TermProducts(valuation);
+  sums.prefix.resize(NumTerms());
+  sums.values.resize(NumPolys());
+  for (std::size_t p = 0; p < NumPolys(); ++p) {
+    double sum = 0.0;
+    for (std::uint32_t t = poly_starts_[p]; t < poly_starts_[p + 1]; ++t) {
+      sums.prefix[t] = sum;
+      sum += sums.products[t];
+    }
+    sums.values[p] = sum;
+  }
+  return sums;
+}
+
+void EvalProgram::CheckBlockInputs(const Valuation& base, const BaseSums& sums,
+                                   const BlockRows& rows,
+                                   const TouchedPrograms& touched,
+                                   std::size_t block) const {
+  COBRA_CHECK_MSG(base.size() >= min_valuation_size_,
+                  "EvalProgram blocked kernel: valuation too small");
+  COBRA_CHECK_MSG(sums.products.size() == NumTerms() &&
+                      sums.prefix.size() == NumTerms() &&
+                      sums.values.size() == NumPolys(),
+                  "EvalProgram blocked kernel: base sums do not cover the "
+                  "program");
+  COBRA_CHECK_MSG(block < rows.num_blocks() &&
+                      touched.num_blocks() == rows.num_blocks(),
+                  "EvalProgram blocked kernel: block outside the block "
+                  "program");
+}
+
+void EvalProgram::EvalRangeBlocked(const Valuation& base, const BaseSums& sums,
+                                   const BlockRows& rows,
+                                   const TouchedPrograms& touched,
+                                   std::size_t block, std::size_t poly_begin,
                                    std::size_t poly_end, double* out,
                                    std::size_t lane_stride) const {
-  COBRA_CHECK_MSG(base.size() >= min_valuation_size_,
-                  "EvalProgram::EvalRangeBlocked: valuation too small");
+  CheckBlockInputs(base, sums, rows, touched, block);
   COBRA_CHECK_MSG(poly_begin <= poly_end && poly_end <= NumPolys(),
                   "EvalProgram::EvalRangeBlocked: bad poly range");
-  COBRA_CHECK_MSG(base_products.size() == NumTerms(),
-                  "EvalProgram::EvalRangeBlocked: base products do not cover "
-                  "the terms");
-  const KernelView k{
-      term_starts_.data(), coeffs_.data(), factors_.data(),
-      base.values().data(), base_products.data(),
-      {block.vars_.data(), block.values_.data(),
-       block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
-       block.vars_.size(), block.lo_, block.hi_}};
-  const std::uint32_t* touched = touched_terms.data();
-  const std::uint32_t* touched_end = touched + touched_terms.size();
-  const std::uint32_t* next =
-      std::lower_bound(touched, touched_end, poly_starts_[poly_begin]);
+  const KernelView k{term_starts_.data(),       coeffs_.data(),
+                     factors_.data(),           base.values().data(),
+                     sums.products.data(),      rows.values(block).data(),
+                     rows.masks(block).data(),  touched.factor_rows().data()};
+  const std::span<const TouchedTerm> terms = touched.terms(block);
+  const TouchedTerm* touched_end = terms.data() + terms.size();
+  const TouchedTerm* next = FirstTouchedFrom(terms, poly_starts_[poly_begin]);
+  const std::size_t lanes = rows.num_lanes(block);
   for (std::size_t p = poly_begin; p < poly_end; ++p) {
-    double sum[kLanes];
-#pragma omp simd
-    for (int l = 0; l < kLanes; ++l) sum[l] = 0.0;
-    AddTermSpan(k, poly_starts_[p], poly_starts_[p + 1], &next, touched_end,
-                sum);
-    for (std::size_t l = 0; l < block.num_lanes_; ++l) {
-      out[l * lane_stride + p] = sum[l];
+    const std::uint32_t last = poly_starts_[p + 1];
+    while (next != touched_end && next->term < poly_starts_[p]) ++next;
+    if (next == touched_end || next->term >= last) {
+      // No lane overrides a variable of this polynomial.
+      const double value = sums.values[p];
+      for (std::size_t l = 0; l < lanes; ++l) out[l * lane_stride + p] = value;
+      continue;
     }
+    // Every lane shares the base prefix up to the first touched term.
+    double sum[kLanes];
+    const double prefix = sums.prefix[next->term];
+#pragma omp simd
+    for (int l = 0; l < kLanes; ++l) sum[l] = prefix;
+    AddTermSpan(k, next->term, last, &next, touched_end, sum);
+    for (std::size_t l = 0; l < lanes; ++l) out[l * lane_stride + p] = sum[l];
   }
 }
 
@@ -408,33 +470,26 @@ double EvalProgram::EvalTermRangeWithOverrides(const Valuation& base,
 }
 
 void EvalProgram::EvalTermRangeBlocked(
-    const Valuation& base, const BlockOverrides& block,
-    std::span<const std::uint32_t> touched_terms,
-    std::span<const double> base_products, std::size_t term_begin,
+    const Valuation& base, const BaseSums& sums, const BlockRows& rows,
+    const TouchedPrograms& touched, std::size_t block, std::size_t term_begin,
     std::size_t term_end, double* partials, std::size_t lane_stride) const {
-  COBRA_CHECK_MSG(base.size() >= min_valuation_size_,
-                  "EvalProgram::EvalTermRangeBlocked: valuation too small");
+  CheckBlockInputs(base, sums, rows, touched, block);
   COBRA_CHECK_MSG(term_begin <= term_end && term_end <= NumTerms(),
                   "EvalProgram::EvalTermRangeBlocked: bad term range");
-  COBRA_CHECK_MSG(base_products.size() == NumTerms(),
-                  "EvalProgram::EvalTermRangeBlocked: base products do not "
-                  "cover the terms");
-  const KernelView k{
-      term_starts_.data(), coeffs_.data(), factors_.data(),
-      base.values().data(), base_products.data(),
-      {block.vars_.data(), block.values_.data(),
-       block.dense_index_.empty() ? nullptr : block.dense_index_.data(),
-       block.vars_.size(), block.lo_, block.hi_}};
-  const std::uint32_t* touched = touched_terms.data();
-  const std::uint32_t* touched_end = touched + touched_terms.size();
-  const std::uint32_t* next = std::lower_bound(
-      touched, touched_end, static_cast<std::uint32_t>(term_begin));
+  const KernelView k{term_starts_.data(),       coeffs_.data(),
+                     factors_.data(),           base.values().data(),
+                     sums.products.data(),      rows.values(block).data(),
+                     rows.masks(block).data(),  touched.factor_rows().data()};
+  const std::span<const TouchedTerm> terms = touched.terms(block);
+  const TouchedTerm* next =
+      FirstTouchedFrom(terms, static_cast<std::uint32_t>(term_begin));
   double sum[kLanes];
 #pragma omp simd
   for (int l = 0; l < kLanes; ++l) sum[l] = 0.0;
   AddTermSpan(k, static_cast<std::uint32_t>(term_begin),
-              static_cast<std::uint32_t>(term_end), &next, touched_end, sum);
-  for (std::size_t l = 0; l < block.num_lanes_; ++l) {
+              static_cast<std::uint32_t>(term_end), &next,
+              terms.data() + terms.size(), sum);
+  for (std::size_t l = 0; l < rows.num_lanes(block); ++l) {
     partials[l * lane_stride] = sum[l];
   }
 }
@@ -602,34 +657,6 @@ std::span<const std::uint32_t> VarTermIndex::Terms(VarId var) const {
   if (static_cast<std::size_t>(var) + 1 >= offsets_.size()) return {};
   return {postings_.data() + offsets_[var],
           postings_.data() + offsets_[var + 1]};
-}
-
-void VarTermIndex::TouchedTerms(std::span<const VarId> vars,
-                                std::vector<std::uint64_t>* scratch,
-                                std::vector<std::uint32_t>* out) const {
-  out->clear();
-  std::vector<std::uint64_t>& seen = *scratch;
-  const std::size_t words = (num_terms_ + 63) / 64;
-  if (seen.size() < words) seen.resize(words, 0);
-  // Mark every posting in the bitmap, counting the distinct terms.
-  std::size_t count = 0;
-  for (VarId var : vars) {
-    for (std::uint32_t t : Terms(var)) {
-      const std::uint64_t bit = std::uint64_t{1} << (t % 64);
-      count += (seen[t / 64] & bit) == 0 ? 1 : 0;
-      seen[t / 64] |= bit;
-    }
-  }
-  // Read the bitmap back word by word, which emits the set ascending into
-  // an exactly-sized list and leaves the bitmap clear.
-  out->reserve(count);
-  for (std::size_t w = 0; w < words; ++w) {
-    for (std::uint64_t bits = seen[w]; bits != 0; bits &= bits - 1) {
-      out->push_back(static_cast<std::uint32_t>(
-          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
-    }
-    seen[w] = 0;
-  }
 }
 
 const char* EvalLayoutName(EvalLayout layout) {

@@ -28,100 +28,130 @@ struct OverrideSpan {
   std::size_t size = 0;
 };
 
-/// The per-block patch table of the scenario-blocked kernel: the union of up
-/// to `EvalProgram::kMaxLanes` scenarios' override variables, with one
-/// kMaxLanes-wide row of values per variable (lane l reads its own override
-/// value, or the shared base value when lane l does not override that
-/// variable). Built once per scenario block by `MakeBlockOverrides()` and
-/// reused across every (poly-range | term-range) tile the block is scheduled
-/// on. Factor lookups are O(log k) in the union size k: a [lo, hi] guard
-/// band rejects most factors with two compares, then either a dense
-/// row-index array (when the union's id span is small — one load) or a
-/// binary search over the factor-sorted var array resolves the row, so wide
-/// scenarios (large unions) no longer pay a linear scan per factor.
-class BlockOverrides {
+class EvalProgram;
+class VarTermIndex;
+
+/// The base-free override rows of a run of scenario blocks — the lane half
+/// of a blocked plan's block program. Per block: the ascending union of its
+/// lanes' override variables and, per union variable (one "row"), the
+/// `EvalProgram::kMaxLanes` lane values with one select mask per lane. A
+/// lane that overrides the row's variable holds its override value under an
+/// all-ones mask; every other slot, padding lanes included, holds 0.0 under
+/// an all-zeros mask, so the kernel's bitwise select yields the base value
+/// there. Nothing here reads a base valuation: one set of rows serves every
+/// base a plan is executed on. The rows live in flat arrays with per-block
+/// offsets, built at once and immutable afterwards.
+class BlockRows {
  public:
-  /// Number of scenario lanes the block carries (1..kMaxLanes). The kernel
-  /// always runs all kMaxLanes lanes; padding lanes replicate the base
-  /// value, so they execute the same instruction stream without affecting
-  /// real lanes.
-  std::size_t num_lanes() const { return num_lanes_; }
+  BlockRows() = default;
 
-  /// Number of distinct variables in the block's override union.
-  std::size_t union_size() const { return vars_.size(); }
+  /// Builds the rows of `lanes` cut into blocks of EvalProgram::kMaxLanes
+  /// consecutive lanes, the last block ragged when the count does not
+  /// divide. Every lane list must be strictly ascending by variable — the
+  /// lowered form the planner checks before it builds rows.
+  explicit BlockRows(std::span<const OverrideSpan> lanes);
 
-  /// Whether lookups resolve through the dense per-span row index (true when
-  /// the union's id span is at most kDenseIndexMaxSpan) instead of binary
-  /// search. Exposed for tests; both paths return identical rows.
-  bool uses_dense_index() const { return !dense_index_.empty(); }
+  std::size_t num_blocks() const { return lanes_.size(); }
 
-  /// The block's override-union variables, sorted ascending and
-  /// duplicate-free — the invariant the per-factor binary search relies on.
-  /// Read-only; exposed for the static verifier (verify/verify.h).
-  const std::vector<VarId>& vars() const { return vars_; }
+  /// Real lanes of block `block`; a ragged tail block has fewer than
+  /// kMaxLanes, and the kernel writes results for these lanes only.
+  std::size_t num_lanes(std::size_t block) const { return lanes_[block]; }
 
-  /// The value rows: union_size() rows of EvalProgram::kMaxLanes lane
-  /// values, row-major (row r holds variable vars()[r]'s per-lane values).
-  /// Read-only; exposed for the static verifier, which re-derives every row
-  /// from the base valuation and the lanes' override lists.
-  const std::vector<double>& values() const { return values_; }
+  /// Block `block`'s override union, ascending and duplicate-free; row r
+  /// belongs to `vars(block)[r]`.
+  std::span<const VarId> vars(std::size_t block) const {
+    return {vars_.data() + offsets_[block],
+            vars_.data() + offsets_[block + 1]};
+  }
 
-  /// Largest (hi - lo + 1) id span for which the dense row index is built;
-  /// wider unions fall back to binary search.
-  static constexpr std::size_t kDenseIndexMaxSpan = 4096;
+  /// Block `block`'s lane values and select masks: `vars(block).size()`
+  /// rows of kMaxLanes entries each, row-major.
+  std::span<const double> values(std::size_t block) const;
+  std::span<const std::uint64_t> masks(std::size_t block) const;
 
  private:
-  friend class EvalProgram;
-  friend BlockOverrides MakeBlockOverridesSkeleton(const OverrideSpan* lanes,
-                                                   std::size_t num_lanes);
-  friend BlockOverrides RebindBlockOverrides(const BlockOverrides& block,
-                                             const Valuation& base,
-                                             const OverrideSpan* lanes,
-                                             std::size_t num_lanes);
-
-  std::vector<VarId> vars_;     ///< Sorted union of overridden variables.
-  std::vector<double> values_;  ///< vars_.size() rows of kMaxLanes values.
-  /// When the union spans at most kDenseIndexMaxSpan ids, dense_index_[v -
-  /// lo_] is the row index of variable v (or -1 when v is not overridden) —
-  /// the O(1) fast path. Empty for wider unions (binary search instead).
-  std::vector<std::int32_t> dense_index_;
-  std::size_t num_lanes_ = 0;
-  // Inclusive guard band so factors outside [lo_, hi_] skip the row lookup;
-  // an empty table uses lo_ > hi_ so the guard never matches.
-  VarId lo_ = kInvalidVar;
-  VarId hi_ = 0;
+  std::vector<std::uint8_t> lanes_;      ///< Real lanes per block.
+  std::vector<std::size_t> offsets_{0};  ///< Block b's rows: [o[b], o[b+1]).
+  std::vector<VarId> vars_;
+  std::vector<double> values_;           ///< kMaxLanes per row.
+  std::vector<std::uint64_t> masks_;     ///< kMaxLanes per row.
 };
 
-/// Builds the base-independent skeleton of a block patch table: the sorted
-/// override union, guard band and dense row index for `num_lanes`
-/// (1..EvalProgram::kMaxLanes) scenario override lists, with every value
-/// row zero-initialized. The skeleton is everything about the table that
-/// does not depend on the base valuation — a plan core caches it and binds
-/// it to each base with RebindBlockOverrides(), so sweeping many bases pays
-/// the sort/unique/index construction once. The kernels must never read a
-/// skeleton directly.
-BlockOverrides MakeBlockOverridesSkeleton(const OverrideSpan* lanes,
-                                          std::size_t num_lanes);
+/// One touched term of a block's touched program: the term id and where its
+/// factors' rows start in the program side's flat factor-row array.
+struct TouchedTerm {
+  std::uint32_t term = 0;
+  std::uint32_t rows = 0;
+};
 
-/// Returns a copy of `block` with every value row re-derived from `base`:
-/// lane l reads its own override value (the same `lanes` lists the block
-/// was built from), every other slot — non-overriding lanes and padding —
-/// reads `base`. The union structure (vars, dense index, guard band, lane
-/// count) is reused unchanged, so rebinding is O(union × kMaxLanes) with no
-/// sorting and no index rebuild. Every union variable must be covered by
-/// `base`.
-BlockOverrides RebindBlockOverrides(const BlockOverrides& block,
-                                    const Valuation& base,
-                                    const OverrideSpan* lanes,
-                                    std::size_t num_lanes);
+/// The touched programs of one program side over a `BlockRows`: per block,
+/// the ascending terms with a factor in the block's override union, and for
+/// each factor of those terms the union row it reads, or `kBaseRow` when no
+/// lane can override it. The blocked kernel re-evaluates only these terms
+/// per lane and never searches a row. A block whose union equals the
+/// previous block's shares that block's program — every block of a window
+/// that sweeps the same few variables. Flat arrays with per-program
+/// offsets; immutable once built.
+class TouchedPrograms {
+ public:
+  /// The factor-row value of a factor no lane of the block overrides.
+  static constexpr std::uint32_t kBaseRow = ~std::uint32_t{0};
 
-/// Builds the block patch table for `num_lanes` (1..EvalProgram::kMaxLanes)
-/// scenario override lists over the shared `base` valuation — equivalent to
-/// rebinding a fresh skeleton. Every override variable must be covered by
-/// `base`.
-BlockOverrides MakeBlockOverrides(const Valuation& base,
-                                  const OverrideSpan* lanes,
-                                  std::size_t num_lanes);
+  TouchedPrograms() = default;
+
+  /// Builds one program per block of `rows` for `program` through its
+  /// var→term `index`, resolving every touched factor's row while walking
+  /// the union variables' postings. `index` must be built from `program`.
+  TouchedPrograms(const EvalProgram& program, const VarTermIndex& index,
+                  const BlockRows& rows);
+
+  std::size_t num_blocks() const { return program_of_.size(); }
+
+  /// Distinct programs: at most num_blocks(), fewer when blocks share.
+  std::size_t num_programs() const { return term_offsets_.size() - 1; }
+
+  /// Per block, the program it runs: blocks that share one hold the same
+  /// index, and each fresh program is numbered one past the last.
+  const std::vector<std::uint32_t>& block_programs() const {
+    return program_of_;
+  }
+
+  /// Block `block`'s touched terms, ascending by term id.
+  std::span<const TouchedTerm> terms(std::size_t block) const {
+    const std::size_t p = program_of_[block];
+    return {terms_.data() + term_offsets_[p],
+            terms_.data() + term_offsets_[p + 1]};
+  }
+
+  /// The side's flat factor-row array: touched term `t` of any block reads
+  /// its factors' rows from `factor_rows()[t.rows]` on, one per factor in
+  /// compiled order.
+  const std::vector<std::uint32_t>& factor_rows() const {
+    return factor_rows_;
+  }
+
+ private:
+  std::vector<std::uint32_t> program_of_;       ///< Per block.
+  std::vector<std::size_t> term_offsets_{0};    ///< Per program, plus one.
+  std::vector<TouchedTerm> terms_;
+  std::vector<std::uint32_t> factor_rows_;
+};
+
+/// One program's sums under one base valuation: what the blocked kernel
+/// adds for every term no lane overrides, and where it starts a polynomial.
+/// Built by `EvalProgram::BaseSumsUnder`; every entry is computed with the
+/// kernel's own operation sequence, so reading it instead of recomputing
+/// changes no bit of any lane.
+struct BaseSums {
+  /// Per term: coeff × base value per factor, in compiled order.
+  std::vector<double> products;
+  /// Per term: the products of the earlier terms of its polynomial, summed
+  /// from 0.0 in term order (0.0 for a polynomial's first term).
+  std::vector<double> prefix;
+  /// Per polynomial: all its products summed from 0.0 in term order — its
+  /// value under the base.
+  std::vector<double> values;
+};
 
 /// A compiled, cache-friendly form of a `PolySet` for repeated valuation.
 ///
@@ -205,28 +235,33 @@ class EvalProgram {
   /// of whose variables is overridden. Aborts on an undersized valuation.
   std::vector<double> TermProducts(const Valuation& valuation) const;
 
+  /// The base sums of this program under `valuation` (see BaseSums).
+  /// Aborts on an undersized valuation.
+  BaseSums BaseSumsUnder(const Valuation& valuation) const;
+
   /// Touched-term scenario-blocked kernel: evaluates polynomials
-  /// [poly_begin, poly_end) for all of `block`'s scenario lanes in ONE scan
-  /// of the compiled arrays. `touched_terms` lists, ascending, the terms
-  /// that contain a variable of the block's override union (built with
-  /// VarTermIndex::TouchedTerms from `block.vars()`); `base_products` is
-  /// TermProducts(base). A touched term runs the per-lane factor path: per
-  /// factor the shared base value is loaded once and broadcast, variables
-  /// in the block's patch table read their per-lane row. Every other term
-  /// adds its base product to all lanes — in each lane that is exactly the
-  /// product the factor path would form, because no lane overrides any of
-  /// its variables. Lane l writes `out[l * lane_stride + p]` for each p in
-  /// the range. Each lane therefore performs the scalar path's operation
-  /// sequence (prod = coeff; prod *= value per factor; sum += prod), so
-  /// per-lane results are bit-identical to EvalRangeWithOverrides() with
-  /// that lane's override list. Listing every term as touched is the
-  /// no-skip special case. Aborts on an undersized base, a bad range, or
-  /// products that do not cover NumTerms().
-  void EvalRangeBlocked(const Valuation& base, const BlockOverrides& block,
-                        std::span<const std::uint32_t> touched_terms,
-                        std::span<const double> base_products,
-                        std::size_t poly_begin, std::size_t poly_end,
-                        double* out, std::size_t lane_stride) const;
+  /// [poly_begin, poly_end) for all lanes of block `block` in ONE scan of
+  /// the compiled arrays. `rows` holds the block's override rows and
+  /// `touched` its touched program for this program side; `sums` is
+  /// BaseSumsUnder(base). Per polynomial, every lane starts at the prefix
+  /// of the block's first touched term there — or takes the polynomial's
+  /// base value when the block touches none of its terms — then adds the
+  /// base product of each later untouched term and runs the per-lane factor
+  /// path for each touched one: a factor whose row is kBaseRow multiplies
+  /// every lane by its base value, any other factor by a bitwise select of
+  /// its row's lane value against that base value. Lane l writes
+  /// `out[l * lane_stride + p]` for each p in the range, for its real lanes
+  /// only. Each lane thereby performs the scalar path's operation sequence
+  /// (sum from 0.0; prod = coeff; prod *= value per factor; sum += prod) on
+  /// the same values, so per-lane results are bit-identical to
+  /// EvalRangeWithOverrides() with that lane's override list. Aborts on an
+  /// undersized base, a bad range or block, or sums that do not cover the
+  /// program.
+  void EvalRangeBlocked(const Valuation& base, const BaseSums& sums,
+                        const BlockRows& rows, const TouchedPrograms& touched,
+                        std::size_t block, std::size_t poly_begin,
+                        std::size_t poly_end, double* out,
+                        std::size_t lane_stride) const;
 
   /// Partial-sum form of EvalRangeWithOverrides() for term-range splitting:
   /// returns the sum of term products over the absolute term range
@@ -244,11 +279,12 @@ class EvalProgram {
                                     std::size_t term_end) const;
 
   /// Blocked form of EvalTermRangeWithOverrides(): lane l's partial sum is
-  /// written to `partials[l * lane_stride]`. Same inputs and bit-identity
-  /// contract as EvalRangeBlocked() against the scalar term-range scan.
-  void EvalTermRangeBlocked(const Valuation& base, const BlockOverrides& block,
-                            std::span<const std::uint32_t> touched_terms,
-                            std::span<const double> base_products,
+  /// written to `partials[l * lane_stride]`. A slice starts at 0.0, not at
+  /// a prefix; otherwise the same inputs and bit-identity contract as
+  /// EvalRangeBlocked() against the scalar term-range scan.
+  void EvalTermRangeBlocked(const Valuation& base, const BaseSums& sums,
+                            const BlockRows& rows,
+                            const TouchedPrograms& touched, std::size_t block,
                             std::size_t term_begin, std::size_t term_end,
                             double* partials, std::size_t lane_stride) const;
 
@@ -311,6 +347,11 @@ class EvalProgram {
 
   void EvalUnchecked(const Valuation& valuation, std::vector<double>* out) const;
 
+  /// The blocked kernels' shared input checks (aborting).
+  void CheckBlockInputs(const Valuation& base, const BaseSums& sums,
+                        const BlockRows& rows, const TouchedPrograms& touched,
+                        std::size_t block) const;
+
   // poly_starts_[p] .. poly_starts_[p+1] indexes into coeffs_/term_starts_.
   std::vector<std::uint32_t> poly_starts_;
   // term_starts_[t] .. term_starts_[t+1] indexes into factors_.
@@ -326,8 +367,8 @@ class EvalProgram {
 /// with x twice after a leaf→meta remap, lists x once). A CSR over the ids
 /// [0, program.MinValuationSize()): one offset per id plus one flat posting
 /// array. Built once per compiled program and immutable afterwards; the
-/// planner maps a scenario block's override union through it to the terms
-/// the blocked kernel must re-evaluate per lane.
+/// planner walks a scenario block's override union through it to build the
+/// block's touched program (see TouchedPrograms).
 class VarTermIndex {
  public:
   explicit VarTermIndex(const EvalProgram& program);
@@ -335,16 +376,6 @@ class VarTermIndex {
   /// The terms containing `var`, ascending; empty for ids the program never
   /// references.
   std::span<const std::uint32_t> Terms(VarId var) const;
-
-  /// Writes to `out` the ascending, duplicate-free ids of the terms that
-  /// contain at least one of `vars` — a scenario block's touched set —
-  /// reserving exactly that many entries, so a fresh `out` is allocated at
-  /// its final size. `scratch` is a bitmap the caller keeps across calls
-  /// (sized here on first use; all bits clear on entry and on return), so a
-  /// planner building one set per block pays no per-block clearing.
-  void TouchedTerms(std::span<const VarId> vars,
-                    std::vector<std::uint64_t>* scratch,
-                    std::vector<std::uint32_t>* out) const;
 
  private:
   std::vector<std::uint32_t> offsets_;  ///< Terms(v) = postings_[o[v], o[v+1]).

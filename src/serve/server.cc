@@ -251,9 +251,11 @@ void CobraServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
       return;
     }
     if (closed) return;
-    util::Result<WireRequest> request = DecodeRequest(payload);
+    std::uint64_t request_id = 0;
+    util::Result<WireRequest> request = DecodeRequest(payload, &request_id);
     if (!request.ok()) {
       WireResponse response;
+      response.request_id = request_id;
       response.code = WireCode::kInvalidArgument;
       response.message = request.status().message();
       SendResponse(conn, response);

@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -246,11 +247,14 @@ std::string EncodeRequest(const WireRequest& request) {
   return w.Take();
 }
 
-util::Result<WireRequest> DecodeRequest(std::string_view payload) {
+util::Result<WireRequest> DecodeRequest(std::string_view payload,
+                                        std::uint64_t* request_id) {
   Reader reader(payload);
   WireRequest request;
+  if (request_id != nullptr) *request_id = 0;
   COBRA_RETURN_IF_ERROR(CheckVersionAndType(&reader, &request.type));
   COBRA_RETURN_IF_ERROR(reader.U64(&request.request_id, "request id"));
+  if (request_id != nullptr) *request_id = request.request_id;
   COBRA_RETURN_IF_ERROR(reader.U32(&request.deadline_ms, "deadline"));
   if (request.type == MsgType::kAssignBatch) {
     std::size_t num_scenarios = 0;
@@ -267,6 +271,10 @@ util::Result<WireRequest> DecodeRequest(std::string_view payload) {
     for (std::size_t i = 0; i < num_scenarios; ++i) {
       core::Scenario scenario;
       COBRA_RETURN_IF_ERROR(reader.Str(&scenario.name, "scenario name"));
+      if (scenario.name.empty()) {
+        return util::Status::InvalidArgument(
+            util::StrFormat("wire: scenario %zu has an empty name", i));
+      }
       std::size_t num_deltas = 0;
       // A delta is at least a var length + value: 12 bytes, so the count is
       // bounded by the payload before the list is sized from it.
@@ -282,6 +290,12 @@ util::Result<WireRequest> DecodeRequest(std::string_view payload) {
       for (core::Scenario::Delta& delta : scenario.deltas) {
         COBRA_RETURN_IF_ERROR(reader.Str(&delta.var, "delta variable"));
         COBRA_RETURN_IF_ERROR(reader.F64(&delta.value, "delta value"));
+        if (!std::isfinite(delta.value)) {
+          return util::Status::InvalidArgument(util::StrFormat(
+              "wire: scenario %zu (\"%s\") sets \"%s\" to the non-finite "
+              "value %g",
+              i, scenario.name.c_str(), delta.var.c_str(), delta.value));
+        }
       }
       util::Result<core::ScenarioSet::Handle> added =
           request.scenarios.Add(std::move(scenario));

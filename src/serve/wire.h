@@ -124,9 +124,13 @@ std::string EncodeRequest(const WireRequest& request);
 std::string EncodeResponse(const WireResponse& response);
 
 /// Decodes a frame payload. Truncated, oversized-count, or wrong-version
-/// payloads fail with InvalidArgument naming the offending field; nothing
-/// is ever partially applied.
-util::Result<WireRequest> DecodeRequest(std::string_view payload);
+/// payloads fail with InvalidArgument naming the offending field, and so do
+/// an empty scenario name and a NaN or infinite delta value, naming the
+/// scenario's index; nothing is ever partially applied. `request_id`, when
+/// non-null, receives the header's request id as soon as it is read (0
+/// before), so a refusal can be answered under the id the client waits on.
+util::Result<WireRequest> DecodeRequest(std::string_view payload,
+                                        std::uint64_t* request_id = nullptr);
 util::Result<WireResponse> DecodeResponse(std::string_view payload);
 
 /// Writes one frame (length prefix + payload) to socket `fd`, handling

@@ -287,96 +287,250 @@ std::size_t VerifyProgramArrays(const std::vector<std::uint32_t>& poly_starts,
   return max_factor_plus_one;
 }
 
-/// Audits one program side's touched-term data. Blocked engine: every
-/// block's touched set must list, ascending, exactly the terms with a factor
-/// in that block's override union — found here by scanning the factors, not
-/// through the var→term index the planner used, so the index is checked
-/// too — and every base product must recompute bit for bit from the overlay
-/// base (the kernel adds it, unchecked, for every untouched term). Scalar
-/// engine: neither may be present.
-void VerifyTouchedSide(const core::BatchPlan& plan,
-                       const prov::EvalProgram& program,
-                       const core::ProgramSchedule& schedule,
-                       std::span<const double> products, const char* side,
-                       bool blocked, VerifyReport* report) {
-  if (!blocked) {
-    if (!schedule.touched_terms.empty() || !products.empty()) {
-      report->AddError("plan", 0,
-                       util::StrFormat("%s side: touched-term sets or base "
-                                       "products on a scalar engine",
-                                       side));
-    }
+/// The union row of `var` in the ascending `vars`, or kBaseRow.
+std::uint32_t RowOf(std::span<const prov::VarId> vars, prov::VarId var) {
+  const auto it = std::lower_bound(vars.begin(), vars.end(), var);
+  return it != vars.end() && *it == var
+             ? static_cast<std::uint32_t>(it - vars.begin())
+             : prov::TouchedPrograms::kBaseRow;
+}
+
+/// Audits the block rows of a blocked plan: one block per scenario block
+/// with the real lane count, each union exactly the ascending union of its
+/// lanes' lowered override variables, and every lane value and mask word
+/// re-derived from those lanes' overrides (the value and an all-ones mask
+/// where the lane overrides the row's variable, 0.0 and an all-zeros mask
+/// everywhere else, padding lanes included). A missing union entry or a
+/// flipped mask silently serves the base value for an overridden variable.
+void VerifyBlockRows(const core::BatchPlan& plan, std::size_t pool_size,
+                     VerifyReport* report) {
+  const prov::BlockRows& rows = plan.block_rows();
+  const std::size_t n = plan.num_scenarios();
+  const std::size_t lanes = plan.lanes();
+  if (rows.num_blocks() != plan.num_blocks()) {
+    report->AddError("plan", 0,
+                     util::StrFormat("%zu blocks of override rows for %zu "
+                                     "scenario blocks",
+                                     rows.num_blocks(), plan.num_blocks()));
     return;
   }
-  const std::vector<prov::BlockOverrides>& skeletons =
-      plan.core()->block_skeletons();
-  const std::vector<std::uint32_t>& term_starts = program.term_starts();
-  const std::vector<prov::VarId>& factors = program.factors();
-  if (schedule.touched_terms.size() != skeletons.size()) {
-    report->AddError("plan", 0,
-                     util::StrFormat("%s side: %zu touched-term sets for "
-                                     "%zu blocks",
-                                     side, schedule.touched_terms.size(),
-                                     skeletons.size()));
-  } else {
-    for (std::size_t b = 0; b < skeletons.size(); ++b) {
-      const std::vector<prov::VarId>& vars = skeletons[b].vars();
-      const std::vector<std::uint32_t>& listed = schedule.touched_terms[b];
-      std::size_t next = 0;
-      bool ok = true;
-      for (std::uint32_t t = 0; ok && t < program.NumTerms(); ++t) {
-        bool touched = false;
-        for (std::uint32_t f = term_starts[t];
-             !touched && f < term_starts[t + 1]; ++f) {
-          touched = std::binary_search(vars.begin(), vars.end(), factors[f]);
+  constexpr std::size_t kWidth = prov::EvalProgram::kMaxLanes;
+  for (std::size_t b = 0; b < rows.num_blocks(); ++b) {
+    const std::size_t first = b * lanes;
+    // A block count that does not match the scenarios is already a finding.
+    const std::size_t want = first < n ? std::min(lanes, n - first) : 0;
+    if (rows.num_lanes(b) != want) {
+      report->AddError("plan block", b,
+                       util::StrFormat("rows carry %zu lanes (want %zu)",
+                                       rows.num_lanes(b), want));
+    }
+    std::vector<prov::VarId> expected;
+    for (std::size_t i = first; i < first + want; ++i) {
+      for (const prov::VarOverride& ov : plan.lowered().scenario(i)) {
+        expected.push_back(ov.var);
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    const std::span<const prov::VarId> vars = rows.vars(b);
+    if (!std::ranges::equal(vars, expected)) {
+      report->AddError("plan block", b,
+                       util::StrFormat("override union holds %zu variables "
+                                       "but is not the ascending union of "
+                                       "the %zu distinct variables the "
+                                       "block's lanes override",
+                                       vars.size(), expected.size()));
+      continue;
+    }
+    if (!vars.empty() && vars.back() >= pool_size) {
+      report->AddError("plan block", b,
+                       util::StrFormat("override union reaches variable id "
+                                       "%u outside the frozen pool (%zu)",
+                                       vars.back(), pool_size));
+    }
+    const std::span<const double> values = rows.values(b);
+    const std::span<const std::uint64_t> masks = rows.masks(b);
+    for (std::size_t r = 0; r < vars.size(); ++r) {
+      for (std::size_t l = 0; l < kWidth; ++l) {
+        double value = 0.0;
+        std::uint64_t mask = 0;
+        if (l < want) {
+          for (const prov::VarOverride& ov :
+               plan.lowered().scenario(first + l)) {
+            if (ov.var == vars[r]) {
+              value = ov.value;
+              mask = ~std::uint64_t{0};
+            }
+          }
         }
-        const bool has = next < listed.size() && listed[next] == t;
-        if (has) ++next;
-        if (touched != has) {
+        const std::size_t at = r * kWidth + l;
+        if (masks[at] != mask || !SameBits(values[at], value)) {
           report->AddError(
               "plan block", b,
-              util::StrFormat(touched ? "%s side: touched set misses term "
-                                        "%u, which has a factor in the "
-                                        "block's override union"
-                                      : "%s side: touched set lists term "
-                                        "%u, which has no factor in the "
-                                        "block's override union",
-                              side, t));
-          ok = false;
+              util::StrFormat("%s of row %zu lane %zu does not re-derive "
+                              "from the lane's overrides",
+                              masks[at] != mask ? "mask word" : "value", r,
+                              l));
+          r = vars.size();  // One finding per block.
+          break;
         }
-      }
-      if (ok && next != listed.size()) {
-        report->AddError("plan block", b,
-                         util::StrFormat("%s side: touched set is not "
-                                         "strictly ascending inside the "
-                                         "program's %zu terms",
-                                         side, program.NumTerms()));
       }
     }
   }
+}
 
-  if (products.size() != program.NumTerms()) {
-    report->AddError("plan overlay", 0,
-                     util::StrFormat("%s side: %zu base products for %zu "
-                                     "terms",
-                                     side, products.size(),
-                                     program.NumTerms()));
+/// Audits one program side's touched programs against the plan's block
+/// rows. Per block: a program shared with an earlier block must belong to
+/// an equal union; otherwise the program's terms must be, ascending,
+/// exactly the terms with a factor in the block's union — found here by
+/// scanning the factors, not through the var→term index the planner used,
+/// so the index is checked too — and each of their factors must read its
+/// variable's union row, or the base where the union lacks it.
+void VerifyTouchedSide(const core::BatchPlan& plan,
+                       const prov::EvalProgram& program,
+                       const prov::TouchedPrograms& touched, const char* side,
+                       VerifyReport* report) {
+  const prov::BlockRows& rows = plan.block_rows();
+  if (touched.num_blocks() != rows.num_blocks()) {
+    report->AddError("plan", 0,
+                     util::StrFormat("%s side: %zu touched programs for %zu "
+                                     "blocks",
+                                     side, touched.num_blocks(),
+                                     rows.num_blocks()));
+    return;
+  }
+  const std::vector<std::uint32_t>& term_starts = program.term_starts();
+  const std::vector<prov::VarId>& factors = program.factors();
+  const std::vector<std::uint32_t>& factor_rows = touched.factor_rows();
+  // The first block that ran each program, whose union the others must
+  // share.
+  std::unordered_map<std::uint32_t, std::size_t> first_block;
+  for (std::size_t b = 0; b < touched.num_blocks(); ++b) {
+    const std::uint32_t p = touched.block_programs()[b];
+    if (p >= touched.num_programs()) {
+      report->AddError("plan block", b,
+                       util::StrFormat("%s side: touched program %u of %zu",
+                                       side, p, touched.num_programs()));
+      continue;
+    }
+    const auto [it, fresh] = first_block.emplace(p, b);
+    const std::span<const prov::VarId> vars = rows.vars(b);
+    if (!fresh) {
+      if (!std::ranges::equal(vars, rows.vars(it->second))) {
+        report->AddError("plan block", b,
+                         util::StrFormat("%s side: shares block %zu's "
+                                         "touched program, whose override "
+                                         "union differs",
+                                         side, it->second));
+      }
+      continue;  // Equal unions: the program was audited with block it.
+    }
+    const std::span<const prov::TouchedTerm> listed = touched.terms(b);
+    std::size_t next = 0;
+    bool ok = true;
+    for (std::uint32_t t = 0; ok && t < program.NumTerms(); ++t) {
+      bool is_touched = false;
+      for (std::uint32_t f = term_starts[t];
+           !is_touched && f < term_starts[t + 1]; ++f) {
+        is_touched = RowOf(vars, factors[f]) != prov::TouchedPrograms::kBaseRow;
+      }
+      const bool has = next < listed.size() && listed[next].term == t;
+      if (is_touched != has) {
+        report->AddError(
+            "plan block", b,
+            util::StrFormat(is_touched ? "%s side: touched set misses term "
+                                         "%u, which has a factor in the "
+                                         "block's override union"
+                                       : "%s side: touched set lists term "
+                                         "%u, which has no factor in the "
+                                         "block's override union",
+                            side, t));
+        ok = false;
+      } else if (has) {
+        const prov::TouchedTerm& entry = listed[next++];
+        const std::size_t width = term_starts[t + 1] - term_starts[t];
+        if (entry.rows > factor_rows.size() ||
+            width > factor_rows.size() - entry.rows) {
+          report->AddError("plan block", b,
+                           util::StrFormat("%s side: term %u's factor rows "
+                                           "run past the side's %zu",
+                                           side, t, factor_rows.size()));
+          ok = false;
+          continue;
+        }
+        for (std::size_t f = 0; ok && f < width; ++f) {
+          const std::uint32_t want = RowOf(vars, factors[term_starts[t] + f]);
+          if (factor_rows[entry.rows + f] != want) {
+            report->AddError(
+                "plan block", b,
+                util::StrFormat("%s side: factor %zu of term %u reads row "
+                                "%u, but its variable's row is %u",
+                                side, f, t, factor_rows[entry.rows + f],
+                                want));
+            ok = false;
+          }
+        }
+      }
+    }
+    if (ok && next != listed.size()) {
+      report->AddError("plan block", b,
+                       util::StrFormat("%s side: touched set is not "
+                                       "strictly ascending inside the "
+                                       "program's %zu terms",
+                                       side, program.NumTerms()));
+    }
+  }
+}
+
+/// Audits one program side's base sums against the plan's base: every term
+/// product, in-polynomial prefix and polynomial value must recompute bit for
+/// bit (the kernel adds a product, unchecked, for every untouched term,
+/// starts each lane at a prefix, and writes a value for every untouched
+/// polynomial).
+void VerifyBaseSums(const prov::EvalProgram& program,
+                    const prov::BaseSums& sums, const prov::Valuation& base,
+                    const char* side, VerifyReport* report) {
+  if (sums.products.size() != program.NumTerms() ||
+      sums.prefix.size() != program.NumTerms() ||
+      sums.values.size() != program.NumPolys()) {
+    report->AddError("plan base", 0,
+                     util::StrFormat("%s side: base sums cover %zu/%zu terms "
+                                     "and %zu polynomials (want %zu and %zu)",
+                                     side, sums.products.size(),
+                                     sums.prefix.size(), sums.values.size(),
+                                     program.NumTerms(), program.NumPolys()));
     return;
   }
   // An undersized base is already a finding; re-deriving would read past it.
-  if (plan.base().size() < program.MinValuationSize()) return;
-  const std::vector<double>& base = plan.base().values();
-  for (std::size_t t = 0; t < program.NumTerms(); ++t) {
-    double product = program.coeffs()[t];
-    for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
-      product *= base[factors[f]];
+  if (base.size() < program.MinValuationSize()) return;
+  const std::vector<std::uint32_t>& poly_starts = program.poly_starts();
+  const std::vector<std::uint32_t>& term_starts = program.term_starts();
+  for (std::size_t p = 0; p < program.NumPolys(); ++p) {
+    double sum = 0.0;
+    for (std::uint32_t t = poly_starts[p]; t < poly_starts[p + 1]; ++t) {
+      double product = program.coeffs()[t];
+      for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
+        product *= base.values()[program.factors()[f]];
+      }
+      const char* wrong = !SameBits(sums.products[t], product) ? "product"
+                          : !SameBits(sums.prefix[t], sum)     ? "prefix"
+                                                               : nullptr;
+      if (wrong != nullptr) {
+        report->AddError("plan base", t,
+                         util::StrFormat("%s side: base %s of term %u does "
+                                         "not re-derive from the plan's base",
+                                         side, wrong, t));
+        return;
+      }
+      sum += product;
     }
-    if (!SameBits(products[t], product)) {
-      report->AddError("plan overlay", t,
-                       util::StrFormat("%s side: base product of term %zu "
-                                       "does not re-derive from the overlay "
+    if (!SameBits(sums.values[p], sum)) {
+      report->AddError("plan base", p,
+                       util::StrFormat("%s side: base value of polynomial %zu "
+                                       "does not re-derive from the plan's "
                                        "base",
-                                       side, t));
+                                       side, p));
       return;
     }
   }
@@ -568,17 +722,11 @@ VerifyReport VerifyPlanRules(const core::BatchPlan& plan,
         break;
       }
       if (!std::isfinite(overrides[o].value)) {
-        report.AddWarning("plan scenario", i,
-                          util::StrFormat("override %zu value is not finite",
-                                          o));
+        report.AddError("plan scenario", i,
+                        util::StrFormat("override %zu value is not finite",
+                                        o));
       }
     }
-  }
-
-  // The overlay's shared base state: every read below goes through it.
-  if (plan.overlay().base == nullptr) {
-    report.AddError("plan overlay", 0, "overlay references no base state");
-    return report;
   }
 
   // Base valuation: the kernels index it with any factor id the programs
@@ -590,171 +738,17 @@ VerifyReport VerifyPlanRules(const core::BatchPlan& plan,
                                     plan.base().size(), pool_size));
   }
 
-  // Overlay base fingerprint: the plan cache keys overlays by this, so a
+  // Base fingerprint: the plan cache keys per-base plans by this, so a
   // fingerprint that does not recompute from the stored base would serve
-  // another base's value tables on the next warm lookup.
+  // another base's answers on the next warm lookup.
   {
     const core::BaseFingerprint recomputed =
         core::FingerprintBase(plan.base(), pool_size);
-    if (recomputed != plan.overlay().base->fingerprint) {
-      report.AddError("plan overlay", 0,
-                      "base fingerprint does not recompute from the "
-                      "overlay's base valuation");
+    if (recomputed != plan.base_state()->fingerprint) {
+      report.AddError("plan base", 0,
+                      "base fingerprint does not recompute from the plan's "
+                      "base valuation");
     }
-  }
-
-  // Block override-union tables: one per block for the blocked engine
-  // (ragged tail carries the real lane count), none otherwise.
-  if (blocked) {
-    if (plan.block_tables().size() != plan.num_blocks()) {
-      report.AddError("plan", 0,
-                      util::StrFormat("%zu block tables for %zu blocks",
-                                      plan.block_tables().size(),
-                                      plan.num_blocks()));
-    } else if (plan.core()->block_skeletons().size() !=
-               plan.block_tables().size()) {
-      report.AddError("plan", 0,
-                      util::StrFormat("core holds %zu block skeletons for "
-                                      "%zu overlay tables",
-                                      plan.core()->block_skeletons().size(),
-                                      plan.block_tables().size()));
-    } else {
-      for (std::size_t b = 0; b < plan.block_tables().size(); ++b) {
-        const prov::BlockOverrides& table = plan.block_tables()[b];
-        const std::size_t want = std::min(lanes, n - b * lanes);
-        if (table.num_lanes() != want) {
-          report.AddError("plan block", b,
-                          util::StrFormat("table carries %zu lanes (want "
-                                          "%zu)",
-                                          table.num_lanes(), want));
-        }
-
-        // Union table: sorted ascending, duplicate-free (the per-factor
-        // binary search relies on it), inside the pool, and resolved via
-        // the dense row index exactly when the id span permits.
-        const std::vector<prov::VarId>& vars = table.vars();
-        bool union_ok = true;
-        for (std::size_t o = 0; o < vars.size(); ++o) {
-          if (vars[o] >= pool_size) {
-            report.AddError("plan block", b,
-                            util::StrFormat("union entry %zu is variable id "
-                                            "%u outside the frozen pool "
-                                            "(%zu)",
-                                            o, vars[o], pool_size));
-            union_ok = false;
-            break;
-          }
-          if (o > 0 && vars[o - 1] >= vars[o]) {
-            report.AddError("plan block", b,
-                            util::StrFormat("override union is not strictly "
-                                            "sorted at entry %zu (var %u "
-                                            "after %u)",
-                                            o, vars[o], vars[o - 1]));
-            union_ok = false;
-            break;
-          }
-        }
-        if (union_ok && !vars.empty()) {
-          const std::size_t span = vars.back() - vars.front() + 1;
-          const bool want_dense =
-              span <= prov::BlockOverrides::kDenseIndexMaxSpan;
-          if (table.uses_dense_index() != want_dense) {
-            report.AddError("plan block", b,
-                            util::StrFormat("dense row index %s for union "
-                                            "id span %zu (threshold %zu)",
-                                            table.uses_dense_index()
-                                                ? "present"
-                                                : "missing",
-                                            span,
-                                            prov::BlockOverrides::
-                                                kDenseIndexMaxSpan));
-          }
-        }
-
-        // The union must be exactly the union of the block's lanes'
-        // compiled override variables — a missing entry silently serves
-        // the base value for an overridden variable.
-        if (union_ok && b * lanes < n) {
-          std::vector<prov::VarId> expected;
-          const std::size_t lane_end = std::min(n, b * lanes + want);
-          for (std::size_t i = b * lanes; i < lane_end; ++i) {
-            for (const prov::VarOverride& ov : lowered.scenario(i)) {
-              expected.push_back(ov.var);
-            }
-          }
-          std::sort(expected.begin(), expected.end());
-          expected.erase(std::unique(expected.begin(), expected.end()),
-                         expected.end());
-          if (expected != vars) {
-            report.AddError("plan block", b,
-                            util::StrFormat("override union holds %zu "
-                                            "variables but the block's "
-                                            "lanes override %zu distinct "
-                                            "variables",
-                                            vars.size(), expected.size()));
-          }
-        }
-
-        // Core/overlay split: the overlay table must share the skeleton's
-        // structure exactly — only the value rows may differ between bases.
-        const prov::BlockOverrides& skeleton =
-            plan.core()->block_skeletons()[b];
-        if (skeleton.vars() != vars ||
-            skeleton.num_lanes() != table.num_lanes() ||
-            skeleton.uses_dense_index() != table.uses_dense_index()) {
-          report.AddError("plan block", b,
-                          "overlay table structure disagrees with the "
-                          "core's block skeleton");
-        }
-
-        // Value rows: every (row, lane) cell must rebind bit-for-bit from
-        // the overlay's base and the lane's compiled overrides. Any other
-        // bit pattern means the table was bound against a different base
-        // (or corrupted after binding).
-        if (union_ok && plan.base().size() >= pool_size) {
-          const std::vector<double>& values = table.values();
-          const std::size_t width = prov::EvalProgram::kMaxLanes;
-          bool rows_ok = values.size() == vars.size() * width;
-          if (!rows_ok) {
-            report.AddError("plan block", b,
-                            util::StrFormat("value table holds %zu entries "
-                                            "(want %zu rows of width %zu)",
-                                            values.size(), vars.size(),
-                                            width));
-          }
-          for (std::size_t r = 0; rows_ok && r < vars.size(); ++r) {
-            for (std::size_t l = 0; rows_ok && l < width; ++l) {
-              double expected = plan.base().values()[vars[r]];
-              if (l < table.num_lanes() && b * lanes + l < n) {
-                const std::span<const prov::VarOverride> lane_overrides =
-                    lowered.scenario(b * lanes + l);
-                const auto it = std::lower_bound(
-                    lane_overrides.begin(), lane_overrides.end(), vars[r],
-                    [](const prov::VarOverride& o, prov::VarId v) {
-                      return o.var < v;
-                    });
-                if (it != lane_overrides.end() && it->var == vars[r]) {
-                  expected = it->value;
-                }
-              }
-              if (!SameBits(values[r * width + l], expected)) {
-                report.AddError(
-                    "plan block", b,
-                    util::StrFormat("value row %zu lane %zu does not rebind "
-                                    "from the overlay base and the lane's "
-                                    "overrides",
-                                    r, l));
-                rows_ok = false;
-              }
-            }
-          }
-        }
-      }
-    }
-  } else if (!plan.block_tables().empty()) {
-    report.AddError("plan", 0,
-                    util::StrFormat("%zu block tables on a scalar engine",
-                                    plan.block_tables().size()));
   }
 
   // Tile schedules partition the (scenario-block × poly-range) space
@@ -764,15 +758,28 @@ VerifyReport VerifyPlanRules(const core::BatchPlan& plan,
   VerifySchedule(plan.compressed_schedule(), session.compressed_program(),
                  "plan compressed schedule", &report);
 
-  // Touched-term sets and base products, per side: a set missing a term
-  // serves the base value for an overridden variable, and a stale product
-  // serves another base's answer, both silently.
-  VerifyTouchedSide(plan, session.sweep_full_program(), plan.full_schedule(),
-                    plan.overlay().full_products, "full", blocked, &report);
-  VerifyTouchedSide(plan, session.compressed_program(),
-                    plan.compressed_schedule(),
-                    plan.overlay().compressed_products, "compressed", blocked,
-                    &report);
+  // The block program (blocked engine only): override rows, per side the
+  // touched programs, and the base sums they run against. A wrong row,
+  // mask, touched term or sum changes answers without any crash.
+  const core::BaseState& base = *plan.base_state();
+  if (blocked) {
+    VerifyBlockRows(plan, pool_size, &report);
+    if (plan.block_rows().num_blocks() == plan.num_blocks()) {
+      VerifyTouchedSide(plan, session.sweep_full_program(),
+                        plan.full_schedule().touched, "full", &report);
+      VerifyTouchedSide(plan, session.compressed_program(),
+                        plan.compressed_schedule().touched, "compressed",
+                        &report);
+    }
+    VerifyBaseSums(session.sweep_full_program(), base.full, base.values,
+                   "full", &report);
+    VerifyBaseSums(session.compressed_program(), base.compressed,
+                   base.values, "compressed", &report);
+  } else if (plan.block_rows().num_blocks() != 0 ||
+             plan.full_schedule().touched.num_blocks() != 0 ||
+             plan.compressed_schedule().touched.num_blocks() != 0) {
+    report.AddError("plan", 0, "block program on a scalar engine");
+  }
 
   // Fingerprint and lowering cross-check against the scenario set the plan
   // claims to serve (available at the plan-cache insert boundary).

@@ -136,26 +136,26 @@ VerifyReport VerifyProgram(const core::EvalProgramImage& image,
 /// Statically verifies a compiled `BatchPlan` against the session it will
 /// execute on. Checks: the plan's origin is `session`; the resolved engine
 /// is never `kAuto`; the lane count is 16 (`EvalProgram::kMaxLanes`) for
-/// the blocked engine and 1 for the scalar engine; the block count and
-/// per-block override-union
-/// tables are consistent with the scenario count; the core carries one
-/// name per scenario or none (a streamed chunk); the lowered offsets
-/// partition the flat override array, and every lowered override list is
-/// sorted, duplicate-free and within the frozen pool; the base valuation is
-/// pool-sized; and each side's tile schedule partitions the
+/// the blocked engine and 1 for the scalar engine; the block count is
+/// consistent with the scenario count; the core carries one name per
+/// scenario or none (a streamed chunk); the lowered offsets partition the
+/// flat override array, and every lowered override list is sorted,
+/// duplicate-free, within the frozen pool and finite; the base valuation is
+/// pool-sized and its fingerprint recomputes (the plan cache keys per-base
+/// plans by it); and each side's tile schedule partitions the
 /// (scenario-block × poly-range) space exactly once — sorted disjoint
 /// whole-poly ranges covering every polynomial, with the term-split
 /// polynomial's slices exactly tiling its term range.
 ///
-/// A plan is a base-invariant `PlanCore` plus a per-base
-/// `PlanBaseOverlay`, and the pass proves the two halves agree: the
-/// overlay's base fingerprint recomputes from its shared base valuation
-/// (the plan cache keys overlays by it), each overlay block table shares
-/// its core skeleton's structure (union, lane count, width, dense index),
-/// every value-table cell rebinds bit-for-bit from the overlay base and the
-/// owning lane's lowered overrides, and (blocked engine only; a scalar plan
-/// carries no touched sets or products) every touched set and base product
-/// re-derives by brute force. The plan carries one name per scenario.
+/// A plan is a base-free `PlanCore` plus a shared `BaseState`. For the
+/// blocked engine the pass re-derives the core's block program by brute
+/// force: each block's union, lane values and mask words from its lanes'
+/// lowered overrides; per side, each block's touched terms by scanning the
+/// program's factors and each touched factor's row from the union; a
+/// touched program shared by two blocks only between equal unions; and the
+/// base state's term products, in-polynomial prefixes (where each lane
+/// starts) and polynomial values bit for bit from the base. A scalar plan
+/// carries no block program.
 ///
 /// When `scenarios` is non-null the pass additionally recomputes the
 /// scenario-set content fingerprint, compares the names, and re-lowers

@@ -1,10 +1,10 @@
 // Tests for the base-invariant plan split and the 2-D grid sweep:
 // AssignGrid cells must be bit-identical to per-base AssignBatch calls for
 // every engine, a warm same-scenario/different-base AssignBatch must reuse
-// the cached PlanCore (core hit, no re-planning), the overlay cache must
-// account hits/misses and stay bounded, and a grid sweep must not flush the
-// serving cache's overlays. A randomized property test drives random bases
-// through random scenario sets for every engine.
+// the cached PlanCore (core hit, no re-planning), the per-base plans beside
+// a cached core must account hits/misses and stay bounded, and a grid sweep
+// must not flush the serving cache's per-base plans. A randomized property
+// test drives random bases through random scenario sets for every engine.
 
 #include <gtest/gtest.h>
 
@@ -155,7 +155,7 @@ TEST(AssignGridTest, EmptyBaseListIsRejected) {
 
 // The acceptance check for the base-invariant split: re-planning the same
 // scenario set under a DIFFERENT base must reuse the cached PlanCore (a
-// core hit — only the cheap overlay is rebuilt), not re-run full planning.
+// core hit — only the base's state is built), not re-run full planning.
 TEST(AssignGridTest, DifferentBaseReusesTheCachedPlanCore) {
   Session session;
   LoadPaperSession(&session);
@@ -169,19 +169,19 @@ TEST(AssignGridTest, DifferentBaseReusesTheCachedPlanCore) {
   EXPECT_FALSE(cold.plan_core_hit);
   CompiledSession::PlanCacheStats after_cold = snapshot->plan_cache_stats();
   EXPECT_EQ(after_cold.entries, 1u);
-  EXPECT_EQ(after_cold.overlays, 1u);
+  EXPECT_EQ(after_cold.bases, 1u);
   EXPECT_EQ(after_cold.misses, 1u);
   EXPECT_EQ(after_cold.core_hits, 0u);
 
-  // Same scenarios, different base: core hit, overlay rebuilt, not a full
-  // cache hit (the per-base tables had to be rebound).
+  // Same scenarios, different base: core hit, not a full cache hit (the
+  // base's state had to be built).
   BatchAssignReport warm_core =
       snapshot->AssignBatch(scenarios, bases[1]).ValueOrDie();
   EXPECT_FALSE(warm_core.plan_cache_hit);
   EXPECT_TRUE(warm_core.plan_core_hit);
   CompiledSession::PlanCacheStats after_core = snapshot->plan_cache_stats();
-  EXPECT_EQ(after_core.entries, 1u);  // same core entry, one more overlay
-  EXPECT_EQ(after_core.overlays, 2u);
+  EXPECT_EQ(after_core.entries, 1u);  // same core entry, one more base
+  EXPECT_EQ(after_core.bases, 2u);
   EXPECT_EQ(after_core.misses, 1u);  // no second full planning
   EXPECT_EQ(after_core.core_hits, 1u);
 
@@ -197,12 +197,12 @@ TEST(AssignGridTest, DifferentBaseReusesTheCachedPlanCore) {
   auto plan_a = snapshot->PlanBatch(scenarios, bases[0], {}, &hit).ValueOrDie();
   auto plan_b = snapshot->PlanBatch(scenarios, bases[1], {}, &hit).ValueOrDie();
   EXPECT_EQ(plan_a->core().get(), plan_b->core().get());
-  EXPECT_NE(&plan_a->overlay(), &plan_b->overlay());
+  EXPECT_NE(plan_a->base_state(), plan_b->base_state());
 
-  // The cached-plan table reports the per-entry overlay count.
+  // The cached-plan table reports the per-entry base count.
   std::vector<CompiledSession::CachedPlanInfo> table = snapshot->CachedPlans();
   ASSERT_EQ(table.size(), 1u);
-  EXPECT_EQ(table[0].overlays, 2u);
+  EXPECT_EQ(table[0].bases, 2u);
 }
 
 TEST(AssignGridTest, OverlayCacheIsBoundedFifo) {
@@ -217,7 +217,7 @@ TEST(AssignGridTest, OverlayCacheIsBoundedFifo) {
   }
   CompiledSession::PlanCacheStats stats = snapshot->plan_cache_stats();
   EXPECT_EQ(stats.entries, 1u);     // one core entry for the whole sweep
-  EXPECT_LE(stats.overlays, 8u);    // overlays FIFO-bounded per entry
+  EXPECT_LE(stats.bases, 8u);       // per-base plans FIFO-bounded per entry
   EXPECT_EQ(stats.misses, 1u);      // full planning ran exactly once
   EXPECT_EQ(stats.core_hits, 11u);  // every later base reused the core
 
@@ -233,36 +233,40 @@ TEST(AssignGridTest, OverlayCacheIsBoundedFifo) {
   EXPECT_TRUE(evicted.plan_core_hit);
 }
 
-TEST(AssignGridTest, GridDoesNotFlushTheOverlayCache) {
+TEST(AssignGridTest, GridDoesNotFlushThePlanCache) {
   Session session;
   LoadPaperSession(&session);
   auto snapshot = session.Snapshot().ValueOrDie();
   ScenarioSet scenarios = MakeScenarios(*snapshot, 6);
   std::vector<prov::Valuation> bases = MakeBases(*snapshot, 12);
 
-  // A 12-base grid materializes 11 overlays locally; only the first base's
-  // plan enters the cache, so a serving tier's overlays survive the sweep.
+  // A 12-base grid builds 11 base states locally; only the first base's
+  // plan enters the cache, so a serving tier's per-base plans survive the
+  // sweep.
   GridAssignReport grid =
       snapshot->AssignGrid(scenarios, bases).ValueOrDie();
   EXPECT_FALSE(grid.plan_cache_hit);
   EXPECT_FALSE(grid.plan_core_hit);
-  EXPECT_EQ(grid.overlay_cache_hits, 0u);
   CompiledSession::PlanCacheStats stats = snapshot->plan_cache_stats();
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.overlays, 1u);
+  EXPECT_EQ(stats.bases, 1u);
 
-  // A second grid over the same scenarios: core hit, and the first base's
-  // cached overlay is found read-only.
+  // A second grid over the same scenarios: the first base's plan is a full
+  // hit, and bases 1.. are still never inserted.
   GridAssignReport again =
       snapshot->AssignGrid(scenarios, bases).ValueOrDie();
-  EXPECT_TRUE(again.plan_cache_hit);  // first base fully cached
+  EXPECT_TRUE(again.plan_cache_hit);
   EXPECT_TRUE(again.plan_core_hit);
-  EXPECT_EQ(again.overlay_cache_hits, 0u);  // bases 1.. were never inserted
+  EXPECT_EQ(snapshot->plan_cache_stats().bases, 1u);
 
-  // Warm a second overlay through AssignBatch, then the grid reuses it.
+  // A base a serving tier warmed through AssignBatch stays cached across a
+  // grid sweep.
   snapshot->AssignBatch(scenarios, bases[1]).ValueOrDie();
-  GridAssignReport third = snapshot->AssignGrid(scenarios, bases).ValueOrDie();
-  EXPECT_EQ(third.overlay_cache_hits, 1u);
+  snapshot->AssignGrid(scenarios, bases).ValueOrDie();
+  EXPECT_EQ(snapshot->plan_cache_stats().bases, 2u);
+  bool hit = false;
+  snapshot->PlanBatch(scenarios, bases[1], {}, &hit).ValueOrDie();
+  EXPECT_TRUE(hit);
 }
 
 // --------------------------------------------------- randomized property

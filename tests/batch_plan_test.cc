@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -272,7 +275,7 @@ TEST(BatchPlanTest, PlansReportTheirLaneCountAndTheAoSLayout) {
     auto blocked_plan = snapshot->PlanBatch(scenarios, blocked).ValueOrDie();
     EXPECT_EQ(blocked_plan->lanes(), 16u) << n;
     EXPECT_EQ(blocked_plan->num_blocks(), (n + 15) / 16) << n;
-    EXPECT_EQ(blocked_plan->block_tables().size(), (n + 15) / 16) << n;
+    EXPECT_EQ(blocked_plan->block_rows().num_blocks(), (n + 15) / 16) << n;
     EXPECT_STREQ(prov::EvalLayoutName(blocked_plan->layout()), "AoS");
 
     BatchOptions sparse;
@@ -280,7 +283,7 @@ TEST(BatchPlanTest, PlansReportTheirLaneCountAndTheAoSLayout) {
     auto sparse_plan = snapshot->PlanBatch(scenarios, sparse).ValueOrDie();
     EXPECT_EQ(sparse_plan->lanes(), 1u) << n;
     EXPECT_EQ(sparse_plan->num_blocks(), n) << n;
-    EXPECT_TRUE(sparse_plan->block_tables().empty()) << n;
+    EXPECT_EQ(sparse_plan->block_rows().num_blocks(), 0u) << n;
     EXPECT_STREQ(prov::EvalLayoutName(sparse_plan->layout()), "AoS");
   }
 
@@ -404,23 +407,21 @@ TEST(BatchPlanTest, DefaultBasePlansShareOneBaseState) {
   auto by_copy =
       snapshot->PlanBatch(b, snapshot->default_meta_valuation(), options)
           .ValueOrDie();
-  EXPECT_EQ(by_default->overlay().base, shared);
-  EXPECT_EQ(by_copy->overlay().base, shared);
-  EXPECT_EQ(by_default->overlay().full_products.data(),
-            shared->full_products.data());
+  EXPECT_EQ(by_default->base_state(), shared);
+  EXPECT_EQ(by_copy->base_state(), shared);
 
   prov::Valuation shifted = snapshot->default_meta_valuation();
   shifted.Set(snapshot->meta_vars().front().var, 2.0);
   auto other = snapshot->PlanBatch(a, shifted, options).ValueOrDie();
-  EXPECT_NE(other->overlay().base, shared);
+  EXPECT_NE(other->base_state(), shared);
   EXPECT_EQ(other->core(), by_default->core());
   const verify::VerifyReport report = verify::VerifyPlan(*other, *snapshot, &a);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-// A state built for another base carries term products only for a blocked
-// plan, the one engine that reads them: a scalar plan on that base builds
-// none, and both plans verify clean.
+// A state built for another base carries base sums only for a blocked plan,
+// the one engine that reads them: a scalar plan on that base builds none,
+// and both plans verify clean.
 TEST(BatchPlanTest, ScalarPlansOnOtherBasesBuildNoProducts) {
   Session session;
   LoadPaperSession(&session);
@@ -435,16 +436,258 @@ TEST(BatchPlanTest, ScalarPlansOnOtherBasesBuildNoProducts) {
   blocked.sweep = BatchOptions::Sweep::kBlocked;
   auto scalar_plan = snapshot->PlanBatch(a, shifted, scalar).ValueOrDie();
   auto blocked_plan = snapshot->PlanBatch(a, shifted, blocked).ValueOrDie();
-  EXPECT_TRUE(scalar_plan->overlay().base->full_products.empty());
-  EXPECT_TRUE(scalar_plan->overlay().base->compressed_products.empty());
-  EXPECT_EQ(blocked_plan->overlay().base->full_products.size(),
+  EXPECT_TRUE(scalar_plan->base_state()->full.products.empty());
+  EXPECT_TRUE(scalar_plan->base_state()->compressed.products.empty());
+  EXPECT_EQ(blocked_plan->base_state()->full.products.size(),
             snapshot->sweep_full_program().NumTerms());
-  EXPECT_EQ(blocked_plan->overlay().base->compressed_products.size(),
+  EXPECT_EQ(blocked_plan->base_state()->compressed.products.size(),
             snapshot->compressed_program().NumTerms());
   for (const auto& plan : {scalar_plan, blocked_plan}) {
     const verify::VerifyReport report =
         verify::VerifyPlan(*plan, *snapshot, &a);
     EXPECT_TRUE(report.ok()) << report.ToString();
+  }
+}
+
+/// A random session for the block-program property test: polynomials whose
+/// terms multiply at most one leaf of a two-node tree (the compressor's
+/// single-tree rule) with up to two free variables, some squared, one
+/// polynomial long enough to be term-split, compressed so that the leaves
+/// merge into meta-variables.
+void LoadRandomSession(util::Rng* rng, Session* session) {
+  const char* const leaves[] = {"a0", "a1", "a2", "b0", "b1"};
+  const char* const free_vars[] = {"z0", "z1", "z2"};
+  auto factor = [&](const char* var) {
+    return std::string(" * ") + var + (rng->NextBool(0.25) ? "^2" : "");
+  };
+  std::string text;
+  const std::size_t polys = 2 + rng->NextBelow(3);
+  for (std::size_t p = 0; p < polys; ++p) {
+    text += "P" + std::to_string(p) + " = ";
+    const std::size_t terms = p == 0 ? 40 : 1 + rng->NextBelow(8);
+    for (std::size_t t = 0; t < terms; ++t) {
+      if (t > 0) text += " + ";
+      text += std::to_string(1 + rng->NextBelow(9)) + "." +
+              std::to_string(rng->NextBelow(100));
+      if (rng->NextBool(0.8)) {
+        text += factor(leaves[rng->NextBelow(std::size(leaves))]);
+      }
+      const std::size_t extra = rng->NextBelow(3);
+      for (std::size_t f = 0; f < extra; ++f) {
+        text += factor(free_vars[rng->NextBelow(std::size(free_vars))]);
+      }
+    }
+    text += "\n";
+  }
+  session->LoadPolynomialsText(text).CheckOK();
+  session->SetTreeText("R\n  G\n    a0\n    a1\n    a2\n  H\n    b0\n    b1\n")
+      .CheckOK();
+  session->SetBound(1);
+  session->Compress().ValueOrDie();
+}
+
+/// The scalar engine's row for `overrides` on `program` under `schedule`'s
+/// split: the unsplit scan everywhere, and for a term-split polynomial its
+/// slices' partials added in slice order from 0.0 — what every engine
+/// computes for that schedule.
+std::vector<double> ScalarRow(const prov::EvalProgram& program,
+                              const ProgramSchedule& schedule,
+                              const prov::Valuation& base,
+                              std::span<const prov::VarOverride> overrides) {
+  std::vector<double> row(program.NumPolys());
+  program.EvalRangeWithOverrides(base, overrides.data(), overrides.size(), 0,
+                                 row.size(), row.data());
+  if (schedule.term_slices() > 0) {
+    double sum = 0.0;
+    for (std::size_t k = 0; k < schedule.term_slices(); ++k) {
+      sum += program.EvalTermRangeWithOverrides(
+          base, overrides.data(), overrides.size(), schedule.term_bounds[k],
+          schedule.term_bounds[k + 1]);
+    }
+    row[schedule.split_poly] = sum;
+  }
+  return row;
+}
+
+// Randomized block programs through the whole planner, against the scalar
+// scans bit for bit: random sessions (multi-factor terms, squared leaves
+// the full side remaps to a repeated meta-variable, terms mixing overridden
+// and untouched variables), random sets of 1-40 scenarios (so ragged tail
+// blocks) that override meta-variables, free variables and merged leaves
+// no program reads, and 1-4 threads with term-range slices forced on the
+// long polynomial. Every row equals EvalRangeWithOverrides, with a split
+// polynomial's slices reduced in slice order; a polynomial no override of
+// the scenario reaches reads its base value.
+TEST(BatchPlanTest, RandomizedBlockProgramsMatchTheScalarEngine) {
+  util::Rng rng(0xB10C5EEDULL);
+  std::size_t split_plans = 0;
+  std::size_t base_valued_rows = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Session session;
+    LoadRandomSession(&rng, &session);
+    auto snapshot = session.Snapshot().ValueOrDie();
+    std::vector<std::string> names = {"z0", "z1", "z2", "a0", "b1"};
+    for (const MetaVar& meta : snapshot->meta_vars()) {
+      names.push_back(meta.name);
+    }
+    ScenarioSet scenarios;
+    const std::size_t n = 1 + rng.NextBelow(40);
+    for (std::size_t i = 0; i < n; ++i) {
+      auto handle = scenarios.Add("s" + std::to_string(i)).ValueOrDie();
+      const std::size_t deltas = rng.NextBelow(4);
+      for (std::size_t d = 0; d < deltas; ++d) {
+        handle.Set(names[rng.NextBelow(names.size())],
+                   rng.NextDoubleInRange(0.5, 1.5));
+      }
+    }
+    const prov::EvalProgram& full_program = snapshot->sweep_full_program();
+    const prov::Valuation& base = snapshot->default_meta_valuation();
+    const std::vector<double>& base_full =
+        snapshot->default_base_state()->full.values;
+    for (std::size_t threads = 1; threads <= 4; ++threads) {
+      BatchOptions options;
+      options.sweep = BatchOptions::Sweep::kBlocked;
+      options.num_threads = threads;
+      options.partition_min_terms = 1;
+      options.split_min_terms = 4;
+      auto plan = snapshot->PlanBatch(scenarios, options).ValueOrDie();
+      const verify::VerifyReport report =
+          verify::VerifyPlan(*plan, *snapshot, &scenarios);
+      ASSERT_TRUE(report.ok()) << report.ToString();
+      split_plans += plan->full_schedule().term_slices() > 0 ? 1 : 0;
+      const BatchAssignReport got = snapshot->Execute(*plan).ValueOrDie();
+      ASSERT_EQ(got.reports.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::span<const prov::VarOverride> ov =
+            plan->core()->overrides(i);
+        const std::vector<double> full =
+            ScalarRow(full_program, plan->full_schedule(), base, ov);
+        const std::vector<double> compressed =
+            ScalarRow(snapshot->compressed_program(),
+                      plan->compressed_schedule(), base, ov);
+        const std::vector<ResultDelta::Row>& rows = got.reports[i].delta.rows;
+        ASSERT_EQ(rows.size(), full.size());
+        for (std::size_t g = 0; g < rows.size(); ++g) {
+          EXPECT_EQ(std::memcmp(&rows[g].full, &full[g], sizeof(double)), 0)
+              << "scenario " << i << " group " << g << " threads " << threads;
+          EXPECT_EQ(std::memcmp(&rows[g].compressed, &compressed[g],
+                                sizeof(double)),
+                    0)
+              << "scenario " << i << " group " << g << " threads " << threads;
+          // No override of this scenario reaches the group: its base value.
+          const std::uint32_t first = full_program.poly_starts()[g];
+          const std::uint32_t last = full_program.poly_starts()[g + 1];
+          const bool reaches = std::any_of(
+              ov.begin(), ov.end(), [&](const prov::VarOverride& o) {
+                const std::span<const std::uint32_t> terms =
+                    snapshot->sweep_full_term_index().Terms(o.var);
+                return std::any_of(terms.begin(), terms.end(),
+                                   [&](std::uint32_t t) {
+                                     return t >= first && t < last;
+                                   });
+              });
+          if (g != plan->full_schedule().split_poly && !reaches) {
+            EXPECT_EQ(
+                std::memcmp(&rows[g].full, &base_full[g], sizeof(double)), 0)
+                << "scenario " << i << " group " << g;
+            ++base_valued_rows;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(split_plans, 0u);
+  EXPECT_GT(base_valued_rows, 0u);
+}
+
+// The blocks of a CartesianSource window all override the same variables,
+// so they share one touched program per side; a block whose union differs
+// by one variable gets its own, and so does the block after it.
+TEST(BatchPlanTest, EqualUnionsShareOneTouchedProgram) {
+  Session session;
+  LoadPaperSession(&session);
+  auto snapshot = session.Snapshot().ValueOrDie();
+  const std::vector<MetaVar>& meta = snapshot->meta_vars();
+  ASSERT_GE(meta.size(), 3u);
+  auto source = CartesianSource::Create({LinSpace(meta[0].name, 0.5, 1.5, 8),
+                                         LinSpace(meta[1].name, 0.5, 1.5, 8)})
+                    .ValueOrDie();
+  BatchOptions options;
+  options.sweep = BatchOptions::Sweep::kBlocked;
+  auto stream = StreamPlan::Create(snapshot, *source, options).ValueOrDie();
+  LoweredScenarios window;
+  ASSERT_TRUE(
+      source->Lower(0, 64, snapshot->resolver(), &window, nullptr).ok());
+  auto core = stream->PlanChunk(window, 0).ValueOrDie();
+  ASSERT_EQ(core->num_blocks(), 4u);
+  for (const ProgramSchedule* side :
+       {&core->full_schedule(), &core->compressed_schedule()}) {
+    EXPECT_EQ(side->touched.num_programs(), 1u);
+    EXPECT_EQ(side->touched.block_programs(),
+              (std::vector<std::uint32_t>{0, 0, 0, 0}));
+  }
+
+  // Scenario 40 (block 2) also overrides a third variable.
+  LoweredScenarios widened;
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    for (const prov::VarOverride& ov : window.scenario(i)) {
+      widened.overrides.push_back(ov);
+    }
+    if (i == 40) {
+      widened.overrides.push_back({meta[2].var, 2.0});
+      std::sort(widened.overrides.begin() +
+                    static_cast<std::ptrdiff_t>(widened.offsets.back()),
+                widened.overrides.end(),
+                [](const prov::VarOverride& a, const prov::VarOverride& b) {
+                  return a.var < b.var;
+                });
+    }
+    widened.offsets.push_back(widened.overrides.size());
+  }
+  auto wide = PlanCore::Create(snapshot, std::move(widened), {}, options)
+                  .ValueOrDie();
+  for (const ProgramSchedule* side :
+       {&wide->full_schedule(), &wide->compressed_schedule()}) {
+    EXPECT_EQ(side->touched.block_programs(),
+              (std::vector<std::uint32_t>{0, 0, 1, 2}));
+  }
+  const BatchAssignReport report =
+      snapshot->Execute(*BatchPlan::FromParts(wide,
+                                              snapshot->default_base_state()))
+          .ValueOrDie();
+  EXPECT_EQ(report.size(), 64u);
+}
+
+// A non-finite override is refused when a core is planned — from a
+// ScenarioSet and from a source's lowered window alike — in every build,
+// naming the scenario and the value.
+TEST(BatchPlanTest, NonFiniteOverridesAreRefusedAtPlanning) {
+  Session session;
+  LoadPaperSession(&session);
+  auto snapshot = session.Snapshot().ValueOrDie();
+  const std::string& var = snapshot->meta_vars().front().name;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    ScenarioSet scenarios = MakeScenarios(*snapshot, 3);
+    scenarios.Add("bad").ValueOrDie().Set(var, bad);
+    util::Result<BatchAssignReport> batch = snapshot->AssignBatch(scenarios);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(batch.status().message().find("lowered scenario 3"),
+              std::string::npos)
+        << batch.status().message();
+    EXPECT_NE(batch.status().message().find("non-finite"), std::string::npos)
+        << batch.status().message();
+
+    LoweredScenarios lowered;
+    ASSERT_TRUE(LowerScenarios(scenarios.scenarios(), snapshot->resolver(),
+                               &lowered)
+                    .ok());
+    util::Result<std::shared_ptr<const PlanCore>> core =
+        PlanCore::Create(snapshot, std::move(lowered), {}, {});
+    ASSERT_FALSE(core.ok());
+    EXPECT_EQ(core.status().code(), util::StatusCode::kInvalidArgument);
   }
 }
 

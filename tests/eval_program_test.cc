@@ -322,22 +322,31 @@ std::vector<VarOverride> RandomOverrides(util::Rng* rng,
   return overrides;
 }
 
-/// The blocked kernel's per-program inputs for one block: the touched-term
-/// set built through the program's var→term index from the block's override
-/// union (exactly as the planner builds it), and every term's product under
-/// the base.
-struct KernelInputs {
-  std::vector<std::uint32_t> touched;
-  std::vector<double> products;
+/// A one-block block program and the base sums it runs against: the
+/// block's override rows, its touched program built through the program's
+/// var→term index (exactly as the planner builds it), and the base sums.
+struct OneBlock {
+  BlockRows rows;
+  TouchedPrograms touched;
+  BaseSums sums;
 };
 
-KernelInputs InputsFor(const EvalProgram& program, const BlockOverrides& block,
-                       const Valuation& base) {
-  KernelInputs in;
-  std::vector<std::uint64_t> scratch;
-  VarTermIndex(program).TouchedTerms(block.vars(), &scratch, &in.touched);
-  in.products = program.TermProducts(base);
-  return in;
+OneBlock BuildBlock(const EvalProgram& program, const OverrideSpan* lanes,
+                    std::size_t num_lanes, const Valuation& base) {
+  OneBlock block;
+  block.rows = BlockRows(std::span<const OverrideSpan>(lanes, num_lanes));
+  block.touched =
+      TouchedPrograms(program, VarTermIndex(program), block.rows);
+  block.sums = program.BaseSumsUnder(base);
+  return block;
+}
+
+/// The touched term ids of `block` of `touched`.
+std::vector<std::uint32_t> TermIds(const TouchedPrograms& touched,
+                                   std::size_t block) {
+  std::vector<std::uint32_t> ids;
+  for (const TouchedTerm& t : touched.terms(block)) ids.push_back(t.term);
+  return ids;
 }
 
 // The blocked kernel's contract: for every lane count (including ragged
@@ -366,16 +375,16 @@ TEST(EvalProgramBlockedTest, BlockedLanesBitIdenticalToScalarRandomized) {
         lane_lists[l] = RandomOverrides(&rng, pool.size());
         spans[l] = {lane_lists[l].data(), lane_lists[l].size()};
       }
-      BlockOverrides block = MakeBlockOverrides(base, spans, num_lanes);
-      EXPECT_EQ(block.num_lanes(), num_lanes);
-      EXPECT_EQ(block.values().size(),
-                block.union_size() * EvalProgram::kMaxLanes);
+      const OneBlock block = BuildBlock(program, spans, num_lanes, base);
+      EXPECT_EQ(block.rows.num_lanes(0), num_lanes);
+      EXPECT_EQ(block.rows.values(0).size(),
+                block.rows.vars(0).size() * EvalProgram::kMaxLanes);
+      EXPECT_EQ(block.rows.masks(0).size(), block.rows.values(0).size());
 
       const std::size_t polys = program.NumPolys();
       std::vector<double> blocked(num_lanes * polys, -1.0);
-      const KernelInputs in = InputsFor(program, block, base);
-      program.EvalRangeBlocked(base, block, in.touched, in.products, 0, polys,
-                               blocked.data(), polys);
+      program.EvalRangeBlocked(base, block.sums, block.rows, block.touched, 0,
+                               0, polys, blocked.data(), polys);
 
       for (std::size_t l = 0; l < num_lanes; ++l) {
         std::vector<double> want;
@@ -433,8 +442,12 @@ EvalProgram RandomCompiledProgram(util::Rng* rng, std::size_t num_vars,
 // every term and values equal to the base value; random poly sub-ranges
 // (polys outside the range stay untouched) and random term slices. Every
 // block's touched set comes from the var→term index, which must equal a
-// brute-force scan of the factors, and listing every term as touched (the
-// no-skip special case) must give the same bits.
+// brute-force scan of the factors, and every touched factor's row must be
+// its variable's union row — including terms that mix union and other
+// variables, with union variables no term reads. A polynomial the block
+// does not touch returns its base value. Touching every term that has a
+// factor (the no-skip case: each lane also overrides every other variable
+// with its base value) must give the same bits.
 TEST(EvalProgramBlockedTest, BlockedSubRangesBitIdenticalToScalarRandomized) {
   util::Rng rng(20260808);
   std::size_t constant_terms = 0;
@@ -443,6 +456,9 @@ TEST(EvalProgramBlockedTest, BlockedSubRangesBitIdenticalToScalarRandomized) {
   std::size_t base_valued_overrides = 0;
   std::size_t touched_total = 0;
   std::size_t untouched_total = 0;
+  std::size_t mixed_terms = 0;
+  std::size_t unread_union_vars = 0;
+  std::size_t untouched_polys = 0;
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t num_vars = 4 + rng.NextBelow(16);
     const EvalProgram program =
@@ -467,17 +483,14 @@ TEST(EvalProgramBlockedTest, BlockedSubRangesBitIdenticalToScalarRandomized) {
       base.Set(static_cast<VarId>(v), rng.NextDoubleInRange(0.25, 2.0));
     }
     const VarTermIndex index(program);
-    const std::vector<double> products = program.TermProducts(base);
-    std::vector<std::uint32_t> all_terms(program.NumTerms());
-    for (std::size_t t = 0; t < all_terms.size(); ++t) {
-      all_terms[t] = static_cast<std::uint32_t>(t);
-    }
-    std::vector<std::uint64_t> scratch;
+    const BaseSums sums = program.BaseSumsUnder(base);
 
     for (std::size_t num_lanes = 1; num_lanes <= EvalProgram::kMaxLanes;
          ++num_lanes) {
       std::vector<std::vector<VarOverride>> lane_lists(num_lanes);
+      std::vector<std::vector<VarOverride>> every_var(num_lanes);
       OverrideSpan spans[EvalProgram::kMaxLanes];
+      OverrideSpan every_spans[EvalProgram::kMaxLanes];
       for (std::size_t l = 0; l < num_lanes; ++l) {
         lane_lists[l] = RandomOverrides(&rng, num_vars);
         for (VarOverride& ov : lane_lists[l]) {
@@ -487,32 +500,68 @@ TEST(EvalProgramBlockedTest, BlockedSubRangesBitIdenticalToScalarRandomized) {
           }
         }
         spans[l] = {lane_lists[l].data(), lane_lists[l].size()};
+        std::size_t o = 0;
+        for (VarId v = 0; v < num_vars; ++v) {
+          const bool own = o < lane_lists[l].size() && lane_lists[l][o].var == v;
+          every_var[l].push_back(own ? lane_lists[l][o++]
+                                     : VarOverride{v, base.Get(v)});
+        }
+        every_spans[l] = {every_var[l].data(), every_var[l].size()};
       }
-      const BlockOverrides block = MakeBlockOverrides(base, spans, num_lanes);
+      const BlockRows rows(std::span<const OverrideSpan>(spans, num_lanes));
+      const TouchedPrograms touched(program, index, rows);
+      const BlockRows every_rows(
+          std::span<const OverrideSpan>(every_spans, num_lanes));
+      const TouchedPrograms every_touched(program, index, every_rows);
 
-      std::vector<std::uint32_t> touched;
-      index.TouchedTerms(block.vars(), &scratch, &touched);
+      const std::span<const VarId> vars = rows.vars(0);
       std::vector<std::uint32_t> brute;
       for (std::uint32_t t = 0; t < program.NumTerms(); ++t) {
         for (std::uint32_t f = term_starts[t]; f < term_starts[t + 1]; ++f) {
-          if (std::binary_search(block.vars().begin(), block.vars().end(),
-                                 factors[f])) {
+          if (std::binary_search(vars.begin(), vars.end(), factors[f])) {
             brute.push_back(t);
             break;
           }
         }
       }
-      ASSERT_EQ(touched, brute) << "trial " << trial << " lanes " << num_lanes;
-      touched_total += touched.size();
-      untouched_total += program.NumTerms() - touched.size();
+      ASSERT_EQ(TermIds(touched, 0), brute)
+          << "trial " << trial << " lanes " << num_lanes;
+      for (const VarId var : vars) {
+        unread_union_vars += index.Terms(var).empty() ? 1 : 0;
+      }
+      for (const TouchedTerm& entry : touched.terms(0)) {
+        bool base_factor = false;
+        for (std::uint32_t f = term_starts[entry.term];
+             f < term_starts[entry.term + 1]; ++f) {
+          base_factor = base_factor ||
+                        !std::binary_search(vars.begin(), vars.end(),
+                                            factors[f]);
+        }
+        mixed_terms += base_factor ? 1 : 0;
+        for (std::uint32_t f = term_starts[entry.term];
+             f < term_starts[entry.term + 1]; ++f) {
+          const auto it = std::lower_bound(vars.begin(), vars.end(), factors[f]);
+          const std::uint32_t want =
+              it != vars.end() && *it == factors[f]
+                  ? static_cast<std::uint32_t>(it - vars.begin())
+                  : TouchedPrograms::kBaseRow;
+          ASSERT_EQ(touched.factor_rows()[entry.rows + f -
+                                          term_starts[entry.term]],
+                    want)
+              << "trial " << trial << " term " << entry.term;
+        }
+      }
+      touched_total += brute.size();
+      untouched_total += program.NumTerms() - brute.size();
 
       const std::size_t polys = program.NumPolys();
       const std::size_t begin = rng.NextBelow(polys);
       const std::size_t end = begin + 1 + rng.NextBelow(polys - begin);
-      for (const std::vector<std::uint32_t>* list : {&touched, &all_terms}) {
+      for (const bool every : {false, true}) {
         std::vector<double> blocked(num_lanes * polys, -1.0);
-        program.EvalRangeBlocked(base, block, *list, products, begin, end,
-                                 blocked.data(), polys);
+        program.EvalRangeBlocked(base, sums, every ? every_rows : rows,
+                                 every ? every_touched : touched, 0, begin,
+                                 end, blocked.data(), polys);
         for (std::size_t l = 0; l < num_lanes; ++l) {
           std::vector<double> want(polys, -1.0);
           program.EvalRangeWithOverrides(base, lane_lists[l].data(),
@@ -522,8 +571,21 @@ TEST(EvalProgramBlockedTest, BlockedSubRangesBitIdenticalToScalarRandomized) {
             EXPECT_TRUE(SameBits(blocked[l * polys + p], want[p]))
                 << "trial " << trial << " lanes " << num_lanes << " lane " << l
                 << " poly " << p << " [" << begin << ", " << end << ") "
-                << (list == &touched ? "touched" : "all terms") << ": "
+                << (every ? "every variable" : "touched") << ": "
                 << blocked[l * polys + p] << " vs " << want[p];
+          }
+        }
+        // A polynomial without a touched term reads its base value.
+        for (std::size_t p = begin; p < end && !every; ++p) {
+          const bool hit = std::any_of(
+              brute.begin(), brute.end(), [&](std::uint32_t t) {
+                return t >= poly_starts[p] && t < poly_starts[p + 1];
+              });
+          if (hit) continue;
+          ++untouched_polys;
+          for (std::size_t l = 0; l < num_lanes; ++l) {
+            EXPECT_TRUE(SameBits(blocked[l * polys + p], sums.values[p]))
+                << "trial " << trial << " poly " << p;
           }
         }
       }
@@ -538,10 +600,11 @@ TEST(EvalProgramBlockedTest, BlockedSubRangesBitIdenticalToScalarRandomized) {
       const std::uint32_t term_end =
           term_begin + 1 +
           static_cast<std::uint32_t>(rng.NextBelow(last - term_begin));
-      for (const std::vector<std::uint32_t>* list : {&touched, &all_terms}) {
+      for (const bool every : {false, true}) {
         double partials[EvalProgram::kMaxLanes];
-        program.EvalTermRangeBlocked(base, block, *list, products, term_begin,
-                                     term_end, partials, 1);
+        program.EvalTermRangeBlocked(base, sums, every ? every_rows : rows,
+                                     every ? every_touched : touched, 0,
+                                     term_begin, term_end, partials, 1);
         for (std::size_t l = 0; l < num_lanes; ++l) {
           const double want = program.EvalTermRangeWithOverrides(
               base, lane_lists[l].data(), lane_lists[l].size(), term_begin,
@@ -549,7 +612,7 @@ TEST(EvalProgramBlockedTest, BlockedSubRangesBitIdenticalToScalarRandomized) {
           EXPECT_TRUE(SameBits(partials[l], want))
               << "trial " << trial << " lanes " << num_lanes << " lane " << l
               << " terms [" << term_begin << ", " << term_end << ") "
-              << (list == &touched ? "touched" : "all terms");
+              << (every ? "every variable" : "touched");
         }
       }
     }
@@ -561,13 +624,18 @@ TEST(EvalProgramBlockedTest, BlockedSubRangesBitIdenticalToScalarRandomized) {
   EXPECT_GT(base_valued_overrides, 0u);
   EXPECT_GT(touched_total, 0u);
   EXPECT_GT(untouched_total, 0u);
+  EXPECT_GT(mixed_terms, 0u);
+  EXPECT_GT(unread_union_vars, 0u);
+  EXPECT_GT(untouched_polys, 0u);
 }
 
 // The var→term index lists a term once per variable however often the
 // variable repeats inside it (x^3, or non-adjacent as after a leaf→meta
-// remap), nothing for ids the program never references, and maps a union
-// to its ascending touched set with the scratch bitmap left clear. Term
-// products are each term's scalar product.
+// remap), and nothing for ids the program never references. A block's
+// touched program built through it lists its union's terms ascending, with
+// every factor's union row or kBaseRow, and a block whose union equals the
+// previous block's shares that program. Term products are each term's
+// scalar product.
 TEST(VarTermIndexTest, ListsEachTermOncePerVariable) {
   // P0 = 2*x0^3*x1 + 3*x2*x0, P1 = 5, P2 = 1*x1*x2*x1.
   const EvalProgram program =
@@ -585,20 +653,46 @@ TEST(VarTermIndexTest, ListsEachTermOncePerVariable) {
   EXPECT_TRUE(index.Terms(3).empty());
   EXPECT_TRUE(index.Terms(1000).empty());
 
-  std::vector<std::uint64_t> scratch;
-  std::vector<std::uint32_t> touched;
-  const std::vector<VarId> union_a = {0, 7};
-  index.TouchedTerms(union_a, &scratch, &touched);
-  EXPECT_EQ(touched, (std::vector<std::uint32_t>{0, 1}));
-  const std::vector<VarId> union_b = {1, 2};
-  index.TouchedTerms(union_b, &scratch, &touched);
-  EXPECT_EQ(touched, (std::vector<std::uint32_t>{0, 1, 3}));
-  index.TouchedTerms({}, &scratch, &touched);
-  EXPECT_TRUE(touched.empty());
-  for (std::uint64_t word : scratch) EXPECT_EQ(word, 0u);
+  // Blocks with unions {0, 7}, {1, 2}, {1, 2} again, and {} (one lane).
+  const std::vector<VarOverride> a0 = {{0, 2.0}}, a1 = {{7, 3.0}};
+  const std::vector<VarOverride> b0 = {{1, 2.0}, {2, 0.5}}, b1 = {{2, 4.0}};
+  std::vector<OverrideSpan> lanes(3 * EvalProgram::kMaxLanes + 1);
+  lanes[0] = {a0.data(), a0.size()};
+  lanes[1] = {a1.data(), a1.size()};
+  lanes[EvalProgram::kMaxLanes] = {b0.data(), b0.size()};
+  lanes[EvalProgram::kMaxLanes + 1] = {b1.data(), b1.size()};
+  lanes[2 * EvalProgram::kMaxLanes] = {b1.data(), b1.size()};
+  lanes[2 * EvalProgram::kMaxLanes + 1] = {b0.data(), b0.size()};
+  const BlockRows rows(lanes);
+  ASSERT_EQ(rows.num_blocks(), 4u);
+  EXPECT_EQ(rows.num_lanes(2), EvalProgram::kMaxLanes);
+  EXPECT_EQ(rows.num_lanes(3), 1u);
+  const TouchedPrograms touched(program, index, rows);
+  EXPECT_EQ(TermIds(touched, 0), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(TermIds(touched, 1), (std::vector<std::uint32_t>{0, 1, 3}));
+  EXPECT_EQ(TermIds(touched, 2), TermIds(touched, 1));
+  EXPECT_TRUE(TermIds(touched, 3).empty());
+  EXPECT_EQ(touched.block_programs(),
+            (std::vector<std::uint32_t>{0, 1, 1, 2}));
+  EXPECT_EQ(touched.num_programs(), 3u);
+  // Rows: union {0, 7} puts x0 at row 0; union {1, 2} x1 at 0 and x2 at 1.
+  constexpr std::uint32_t kBase = TouchedPrograms::kBaseRow;
+  auto rows_of = [&](std::size_t block, std::size_t i) {
+    const TouchedTerm entry = touched.terms(block)[i];
+    const std::size_t width = program.term_starts()[entry.term + 1] -
+                              program.term_starts()[entry.term];
+    return std::vector<std::uint32_t>(
+        touched.factor_rows().begin() + entry.rows,
+        touched.factor_rows().begin() + entry.rows + width);
+  };
+  EXPECT_EQ(rows_of(0, 0), (std::vector<std::uint32_t>{0, 0, 0, kBase}));
+  EXPECT_EQ(rows_of(0, 1), (std::vector<std::uint32_t>{kBase, 0}));
+  EXPECT_EQ(rows_of(1, 0), (std::vector<std::uint32_t>{kBase, kBase, kBase, 0}));
+  EXPECT_EQ(rows_of(1, 1), (std::vector<std::uint32_t>{1, kBase}));
+  EXPECT_EQ(rows_of(1, 2), (std::vector<std::uint32_t>{0, 1, 0}));
 
-  // A set spread over several bitmap words comes out ascending whatever the
-  // union's order: 200 terms x_i, union {150, 5}.
+  // A touched set spread over several bitmap words comes out ascending:
+  // 200 terms x_i, union {150, 5} given in that order.
   std::vector<std::uint32_t> starts(201);
   std::vector<VarId> single(200);
   for (std::uint32_t t = 0; t <= 200; ++t) starts[t] = t;
@@ -607,10 +701,12 @@ TEST(VarTermIndexTest, ListsEachTermOncePerVariable) {
       EvalProgram::FromParts({0, 200}, starts, std::vector<double>(200, 1.0),
                              single)
           .ValueOrDie();
-  const std::vector<VarId> spread_union = {150, 5};
-  VarTermIndex(wide).TouchedTerms(spread_union, &scratch, &touched);
-  EXPECT_EQ(touched, (std::vector<std::uint32_t>{5, 150}));
-  for (std::uint64_t word : scratch) EXPECT_EQ(word, 0u);
+  const std::vector<VarOverride> far = {{150, 2.0}}, near = {{5, 2.0}};
+  const OverrideSpan spread[] = {{far.data(), far.size()},
+                                 {near.data(), near.size()}};
+  const BlockRows spread_rows(spread);
+  EXPECT_EQ(TermIds(TouchedPrograms(wide, VarTermIndex(wide), spread_rows), 0),
+            (std::vector<std::uint32_t>{5, 150}));
 
   Valuation base(3);
   base.Set(0, 1.5);
@@ -625,14 +721,11 @@ TEST(VarTermIndexTest, ListsEachTermOncePerVariable) {
   }
 }
 
-// The override-union lookup has two O(log k)-or-better paths: a dense
-// per-block row index when the union's id span is small, and a binary
-// search over the factor-sorted var array when it is wide. Both must
-// resolve exactly the same rows, i.e. stay bit-identical to the scalar
-// sparse path — here with a union spanning far more than
-// kDenseIndexMaxSpan ids so the binary-search path actually runs.
-TEST(EvalProgramBlockedTest, WideUnionBinarySearchMatchesScalar) {
-  const VarId far = static_cast<VarId>(BlockOverrides::kDenseIndexMaxSpan * 3);
+// A union whose ids span far apart — the two ends of a large pool — must
+// resolve each factor's row as exactly as a narrow one: every lane stays
+// bit-identical to the scalar sparse path.
+TEST(EvalProgramBlockedTest, WideIdSpanUnionMatchesScalar) {
+  const VarId far = 12288;
   // One polynomial: 2*x0*x_far + 3*x_far, plus one untouched poly 5*x1.
   EvalProgram program =
       EvalProgram::FromParts({0, 2, 3}, {0, 2, 3, 4}, {2.0, 3.0, 5.0},
@@ -650,14 +743,12 @@ TEST(EvalProgramBlockedTest, WideUnionBinarySearchMatchesScalar) {
       {lane0.data(), lane0.size()},
       {lane1.data(), lane1.size()},
       {lane2.data(), lane2.size()}};
-  BlockOverrides wide = MakeBlockOverrides(base, spans, 3);
-  EXPECT_FALSE(wide.uses_dense_index());
-  EXPECT_EQ(wide.union_size(), 2u);
+  const OneBlock wide = BuildBlock(program, spans, 3, base);
+  EXPECT_EQ(wide.rows.vars(0).size(), 2u);
 
   const std::size_t polys = program.NumPolys();
   std::vector<double> blocked(3 * polys, -1.0);
-  const KernelInputs wide_in = InputsFor(program, wide, base);
-  program.EvalRangeBlocked(base, wide, wide_in.touched, wide_in.products, 0,
+  program.EvalRangeBlocked(base, wide.sums, wide.rows, wide.touched, 0, 0,
                            polys, blocked.data(), polys);
   const std::vector<VarOverride>* lanes[] = {&lane0, &lane1, &lane2};
   for (std::size_t l = 0; l < 3; ++l) {
@@ -669,16 +760,14 @@ TEST(EvalProgramBlockedTest, WideUnionBinarySearchMatchesScalar) {
     }
   }
 
-  // A narrow union over the same base takes the dense-index path and agrees.
+  // A narrow union over the same base agrees too.
   std::vector<VarOverride> near0 = {{0, 0.5}};
   std::vector<VarOverride> near1 = {{1, 4.0}};
   OverrideSpan near_spans[EvalProgram::kMaxLanes] = {
       {near0.data(), near0.size()}, {near1.data(), near1.size()}};
-  BlockOverrides narrow = MakeBlockOverrides(base, near_spans, 2);
-  EXPECT_TRUE(narrow.uses_dense_index());
+  const OneBlock narrow = BuildBlock(program, near_spans, 2, base);
   std::vector<double> narrow_out(2 * polys, -1.0);
-  const KernelInputs narrow_in = InputsFor(program, narrow, base);
-  program.EvalRangeBlocked(base, narrow, narrow_in.touched, narrow_in.products,
+  program.EvalRangeBlocked(base, narrow.sums, narrow.rows, narrow.touched, 0,
                            0, polys, narrow_out.data(), polys);
   const std::vector<VarOverride>* near_lanes[] = {&near0, &near1};
   for (std::size_t l = 0; l < 2; ++l) {
@@ -699,19 +788,18 @@ TEST(EvalProgramBlockedTest, SubRangesComposeToWholeProgram) {
   Valuation base(pool);
   std::vector<VarOverride> ov = {{1, 0.5}, {3, 2.5}};
   OverrideSpan spans[2] = {{ov.data(), ov.size()}, {nullptr, 0}};
-  BlockOverrides block = MakeBlockOverrides(base, spans, 2);
+  const OneBlock block = BuildBlock(program, spans, 2, base);
 
   const std::size_t polys = program.NumPolys();
   std::vector<double> whole(2 * polys, 0.0);
-  const KernelInputs in = InputsFor(program, block, base);
-  program.EvalRangeBlocked(base, block, in.touched, in.products, 0, polys,
-                           whole.data(), polys);
+  program.EvalRangeBlocked(base, block.sums, block.rows, block.touched, 0, 0,
+                           polys, whole.data(), polys);
 
   std::vector<double> pieces(2 * polys, 0.0);
   const std::vector<std::uint32_t> bounds = program.PartitionPolys(4);
   for (std::size_t r = 0; r + 1 < bounds.size(); ++r) {
-    program.EvalRangeBlocked(base, block, in.touched, in.products, bounds[r],
-                             bounds[r + 1], pieces.data(), polys);
+    program.EvalRangeBlocked(base, block.sums, block.rows, block.touched, 0,
+                             bounds[r], bounds[r + 1], pieces.data(), polys);
   }
   for (std::size_t i = 0; i < whole.size(); ++i) {
     EXPECT_EQ(pieces[i], whole[i]);
@@ -808,15 +896,15 @@ TEST(EvalProgramTermRangeTest, BlockedTermRangeMatchesScalarPartials) {
     lane_lists[l] = RandomOverrides(&rng, pool.size());
     spans[l] = {lane_lists[l].data(), lane_lists[l].size()};
   }
-  BlockOverrides block = MakeBlockOverrides(base, spans, lane_lists.size());
-  const KernelInputs in = InputsFor(program, block, base);
+  const OneBlock block = BuildBlock(program, spans, lane_lists.size(), base);
 
   for (std::size_t p = 0; p < program.NumPolys(); ++p) {
     const std::vector<std::uint32_t> bounds = program.PartitionTerms(p, 3);
     for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
       double partials[EvalProgram::kMaxLanes];
-      program.EvalTermRangeBlocked(base, block, in.touched, in.products,
-                                   bounds[k], bounds[k + 1], partials, 1);
+      program.EvalTermRangeBlocked(base, block.sums, block.rows,
+                                   block.touched, 0, bounds[k], bounds[k + 1],
+                                   partials, 1);
       for (std::size_t l = 0; l < lane_lists.size(); ++l) {
         EXPECT_EQ(partials[l],
                   program.EvalTermRangeWithOverrides(

@@ -867,7 +867,7 @@ TEST_F(ScenarioSourceTest, ConcurrentStreamsAndBatchesShareTheDefaultBase) {
       snapshot_->CachedPlanHandles();
   ASSERT_FALSE(plans.empty());
   for (const std::shared_ptr<const BatchPlan>& plan : plans) {
-    EXPECT_EQ(plan->overlay().base, snapshot_->default_base_state());
+    EXPECT_EQ(plan->base_state(), snapshot_->default_base_state());
   }
 }
 

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -382,10 +383,43 @@ TEST(ServeSwapTest, StreamedRequestNeitherReadsNorFillsThePlanCache) {
   server.Stop();
   EXPECT_EQ(response.code, WireCode::kOk) << response.message;
   EXPECT_EQ(after.entries, before.entries);
-  EXPECT_EQ(after.overlays, before.overlays);
+  EXPECT_EQ(after.bases, before.bases);
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.core_hits, before.core_hits);
   EXPECT_EQ(after.misses, before.misses);
+}
+
+// A non-finite delta gets the same answer whether the request is served as
+// one whole batch (2 scenarios) or streamed in windows (300, over the
+// default deadline_check_scenarios of 256): refused at decode, naming the
+// scenario and the value, with the daemon still serving afterwards.
+TEST(ServeSwapTest, NonFiniteDeltaIsRefusedOnEveryServingPath) {
+  Session session;
+  std::shared_ptr<const CompiledSession> snapshot =
+      ExampleSnapshot(&session);
+  CobraServer server(ServerOptions{});
+  server.set_log([](const std::string&) {});
+  ASSERT_TRUE(server.Start().ok());
+  server.Swap(snapshot, "v1");
+  for (const std::size_t count : {std::size_t{2}, std::size_t{300}}) {
+    SCOPED_TRACE(std::to_string(count) + " scenarios");
+    ScenarioSet scenarios =
+        SeededScenarios(*snapshot, count - 1, /*seed=*/0xF1);
+    scenarios.Add("bad")
+        .ValueOrDie()
+        .Set(snapshot->meta_vars().front().name,
+             std::numeric_limits<double>::quiet_NaN());
+    const WireResponse refused = Send(server, scenarios);
+    EXPECT_EQ(refused.code, WireCode::kInvalidArgument);
+    EXPECT_NE(refused.message.find("scenario " + std::to_string(count - 1)),
+              std::string::npos)
+        << refused.message;
+    EXPECT_NE(refused.message.find("non-finite value nan"), std::string::npos)
+        << refused.message;
+    const WireResponse served = Send(server, ExampleScenarios());
+    EXPECT_EQ(served.code, WireCode::kOk) << served.message;
+  }
+  server.Stop();
 }
 
 }  // namespace

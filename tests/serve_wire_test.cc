@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -326,6 +328,60 @@ TEST(WireTest, DuplicateScenarioNamesRejectedAtDecode) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_NE(decoded.status().message().find("twin-a"), std::string::npos);
+}
+
+// A NaN or infinite delta value would serve NaN rows on one daemon path
+// and fail an audit on the other, so the decoder refuses it outright,
+// naming the scenario's index and the value.
+TEST(WireTest, NonFiniteDeltaValuesRejectedAtDecode) {
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  const char* const printed[] = {"nan", "inf", "-inf"};
+  for (std::size_t k = 0; k < std::size(bad_values); ++k) {
+    SCOPED_TRACE(printed[k]);
+    WireRequest request;
+    request.type = MsgType::kAssignBatch;
+    request.request_id = 42;
+    request.scenarios.Add("fine").ValueOrDie().Set("x", 1.5);
+    request.scenarios.Add("bad").ValueOrDie().Set("x", 1.0).Set("y",
+                                                                bad_values[k]);
+    // The refusal still reports the request id, so the daemon can answer
+    // under it.
+    std::uint64_t request_id = 0;
+    util::Result<WireRequest> decoded =
+        DecodeRequest(EncodeRequest(request), &request_id);
+    EXPECT_EQ(request_id, 42u);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), util::StatusCode::kInvalidArgument);
+    const std::string& message = decoded.status().message();
+    EXPECT_NE(message.find("scenario 1"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::string("non-finite value ") + printed[k]),
+              std::string::npos)
+        << message;
+  }
+}
+
+// An empty scenario name is refused at decode, with the scenario's index.
+// ScenarioSet::Add refuses one too, so the frame is spliced by hand: the
+// second name's length prefix is zeroed and its one byte dropped.
+TEST(WireTest, EmptyScenarioNameRejectedAtDecode) {
+  WireRequest request;
+  request.type = MsgType::kAssignBatch;
+  request.scenarios.Add("first").ValueOrDie();
+  request.scenarios.Add("Z").ValueOrDie();
+  std::string payload = EncodeRequest(request);
+  const std::size_t pos = payload.find('Z');
+  ASSERT_NE(pos, std::string::npos);
+  ASSERT_GE(pos, 4u);
+  payload.erase(pos, 1);
+  payload[pos - 4] = '\0';
+  util::Result<WireRequest> decoded = DecodeRequest(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("scenario 1 has an empty name"),
+            std::string::npos)
+      << decoded.status().message();
 }
 
 }  // namespace

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -479,7 +481,7 @@ TEST_F(VerifyPlanTest, RaggedBlockedPlanVerifiesClean) {
   }
   plan = snapshot_->PlanBatch(seventeen, options).ValueOrDie();
   EXPECT_EQ(plan->num_blocks(), 2u);
-  EXPECT_EQ(plan->block_tables().back().num_lanes(), 1u);
+  EXPECT_EQ(plan->block_rows().num_lanes(1), 1u);
   EXPECT_TRUE(VerifyPlan(*plan, *snapshot_, &seventeen).ok());
 }
 
@@ -544,8 +546,7 @@ TEST_F(VerifyPlanTest, DroppedScenarioNamesAreDetected) {
             .ValueOrDie();
     ASSERT_TRUE(nameless->scenario_names().empty());
     std::shared_ptr<const core::BatchPlan> tampered =
-        core::BatchPlan::FromParts(
-            nameless, nameless->MakeOverlay(plan->overlay().base));
+        core::BatchPlan::FromParts(nameless, plan->base_state());
     const ScenarioSet* const sets[] = {&scenarios_, nullptr};
     for (const ScenarioSet* set : sets) {
       const VerifyReport report = VerifyPlan(*tampered, *snapshot_, set);
@@ -601,21 +602,18 @@ TEST_F(VerifyPlanTest, AssignBatchWithVerifyPlansMatchesWithout) {
   }
 }
 
-// The overlay half of a plan is data a cache replays across calls, so each
-// way it can rot — stale fingerprint, tables bound against another base,
-// dropped table, undersized base — must be caught before execution. The
-// corrupt overlays are assembled from the public parts API exactly as an
-// external plan store would.
+// The base half of a plan is data a cache replays across calls, so each way
+// it can rot — stale fingerprint, undersized base — must be caught before
+// execution. The corrupt plans are assembled from the public parts API
+// exactly as an external plan store would.
 
 TEST_F(VerifyPlanTest, CorruptedOverlayFingerprintIsDetected) {
   std::shared_ptr<const core::BatchPlan> plan =
       snapshot_->PlanBatch(scenarios_).ValueOrDie();
-  auto base = std::make_shared<core::BaseState>(*plan->overlay().base);
+  auto base = std::make_shared<core::BaseState>(*plan->base_state());
   base->fingerprint.lo ^= 1;
-  auto bad = std::make_shared<core::PlanBaseOverlay>(plan->overlay());
-  bad->base = base;
   std::shared_ptr<const core::BatchPlan> tampered =
-      core::BatchPlan::FromParts(plan->core(), bad);
+      core::BatchPlan::FromParts(plan->core(), base);
   const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(HasFindingContaining(report,
@@ -623,53 +621,13 @@ TEST_F(VerifyPlanTest, CorruptedOverlayFingerprintIsDetected) {
       << report.ToString();
 }
 
-TEST_F(VerifyPlanTest, OverlayTablesBoundToADifferentBaseAreDetected) {
-  BatchOptions options;
-  options.sweep = BatchOptions::Sweep::kBlocked;
-  std::shared_ptr<const core::BatchPlan> plan =
-      snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
-
-  // Bind the block tables against a shifted base, then splice them into an
-  // overlay that still claims the original base: structurally perfect, but
-  // the value rows no longer rebind from the stored base.
-  prov::Valuation other(snapshot_->pool_size());
-  for (const core::MetaVar& meta : snapshot_->meta_vars()) {
-    other.Set(meta.var, 2.0);
-  }
-  std::shared_ptr<const core::PlanBaseOverlay> shifted =
-      plan->core()->MakeOverlay(snapshot_->MakeBaseState(other));
-  auto bad = std::make_shared<core::PlanBaseOverlay>(plan->overlay());
-  bad->block_tables = shifted->block_tables;
-  std::shared_ptr<const core::BatchPlan> tampered =
-      core::BatchPlan::FromParts(plan->core(), bad);
-  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(HasFindingContaining(report, "does not rebind"))
-      << report.ToString();
-}
-
-TEST_F(VerifyPlanTest, DroppedOverlayBlockTableIsDetected) {
-  BatchOptions options;
-  options.sweep = BatchOptions::Sweep::kBlocked;
-  std::shared_ptr<const core::BatchPlan> plan =
-      snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
-  auto bad = std::make_shared<core::PlanBaseOverlay>(plan->overlay());
-  ASSERT_FALSE(bad->block_tables.empty());
-  bad->block_tables.pop_back();
-  std::shared_ptr<const core::BatchPlan> tampered =
-      core::BatchPlan::FromParts(plan->core(), bad);
-  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(HasFindingContaining(report, "block tables"))
-      << report.ToString();
-}
-
-// The touched-term data: per block and side, the terms the blocked kernel
-// re-evaluates per lane, and per side the base products it adds for every
-// other term. A dropped touched term or a stale product changes answers
-// without any crash, so each must be caught, naming the block and the side.
-// The plan below has two blocks (17 scenarios at 16 lanes), so the finding's
-// offset proves which block is named.
+// The block program: per block the override rows, per block and side the
+// touched terms the blocked kernel re-evaluates per lane with each factor's
+// row, and per side the base sums it adds and starts from for every other
+// term. A wrong row, mask, touched term or sum changes answers without any
+// crash, so each must be caught, naming the block and the side. The plans
+// below have two blocks (17 scenarios at 16 lanes) with different unions,
+// so the finding's offset proves which block is named.
 
 /// The first finding whose message contains `needle`, or null.
 const Finding* FindingContaining(const VerifyReport& report,
@@ -680,19 +638,26 @@ const Finding* FindingContaining(const VerifyReport& report,
   return nullptr;
 }
 
-/// `plan` with one side's schedule edited by `mutate`. The plan core has no
-/// parts API (only the planner builds one), so this edits a private copy
-/// through the const accessor — well-defined, because the copy itself is
-/// not a const object.
-std::shared_ptr<const core::BatchPlan> WithEditedSchedule(
-    const core::BatchPlan& plan, bool full_side,
-    const std::function<void(core::ProgramSchedule*)>& mutate) {
+/// `plan` with its core edited by `mutate`. The plan core has no parts API
+/// (only the planner builds one), so this edits a private copy through the
+/// const accessors — well-defined, because neither the copy nor the arrays
+/// it owns are const objects.
+std::shared_ptr<const core::BatchPlan> WithEditedCore(
+    const core::BatchPlan& plan,
+    const std::function<void(core::PlanCore*)>& mutate) {
   auto core = std::make_shared<core::PlanCore>(*plan.core());
-  const core::ProgramSchedule& schedule =
-      full_side ? core->full_schedule() : core->compressed_schedule();
-  mutate(const_cast<core::ProgramSchedule*>(&schedule));
-  return core::BatchPlan::FromParts(
-      core, std::make_shared<core::PlanBaseOverlay>(plan.overlay()));
+  mutate(core.get());
+  return core::BatchPlan::FromParts(core, plan.base_state());
+}
+
+/// The writable touched terms of `block` in one side of a core copy.
+std::span<prov::TouchedTerm> EditableTerms(core::PlanCore* core,
+                                           bool full_side,
+                                           std::size_t block) {
+  const std::span<const prov::TouchedTerm> terms =
+      (full_side ? core->full_schedule() : core->compressed_schedule())
+          .touched.terms(block);
+  return {const_cast<prov::TouchedTerm*>(terms.data()), terms.size()};
 }
 
 ScenarioSet SeventeenScenarios() {
@@ -713,13 +678,15 @@ TEST_F(VerifyPlanTest, ClearedTouchedTermIsDetected) {
       snapshot_->PlanBatch(scenarios, options).ValueOrDie();
   ASSERT_EQ(plan->num_blocks(), 2u);
   ASSERT_TRUE(VerifyPlan(*plan, *snapshot_, &scenarios).ok());
-  const std::vector<std::uint32_t>& listed =
-      plan->full_schedule().touched_terms[1];
-  ASSERT_FALSE(listed.empty());
-  const std::uint32_t dropped = listed.front();
-  std::shared_ptr<const core::BatchPlan> tampered = WithEditedSchedule(
-      *plan, /*full_side=*/true, [](core::ProgramSchedule* schedule) {
-        schedule->touched_terms[1].erase(schedule->touched_terms[1].begin());
+  const std::span<const prov::TouchedTerm> listed =
+      plan->full_schedule().touched.terms(1);
+  ASSERT_GE(listed.size(), 2u);
+  const std::uint32_t dropped = listed.front().term;
+  // The first entry takes the second's term: `dropped` is no longer listed.
+  std::shared_ptr<const core::BatchPlan> tampered =
+      WithEditedCore(*plan, [](core::PlanCore* core) {
+        std::span<prov::TouchedTerm> terms = EditableTerms(core, true, 1);
+        terms[0] = terms[1];
       });
   const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios);
   ASSERT_FALSE(report.ok());
@@ -738,19 +705,26 @@ TEST_F(VerifyPlanTest, ExtraTouchedTermIsDetected) {
       snapshot_->PlanBatch(scenarios, options).ValueOrDie();
   ASSERT_EQ(plan->num_blocks(), 2u);
   // Block 1 overrides only Business, so some compressed term is untouched.
-  const std::vector<std::uint32_t>& listed =
-      plan->compressed_schedule().touched_terms[1];
+  const std::span<const prov::TouchedTerm> listed =
+      plan->compressed_schedule().touched.terms(1);
+  auto is_listed = [&](std::uint32_t t) {
+    return std::any_of(listed.begin(), listed.end(),
+                       [t](const prov::TouchedTerm& e) { return e.term == t; });
+  };
   std::uint32_t extra = 0;
   while (extra < snapshot_->compressed_program().NumTerms() &&
-         std::binary_search(listed.begin(), listed.end(), extra)) {
+         is_listed(extra)) {
     ++extra;
   }
   ASSERT_LT(extra, snapshot_->compressed_program().NumTerms());
-  std::shared_ptr<const core::BatchPlan> tampered = WithEditedSchedule(
-      *plan, /*full_side=*/false, [extra](core::ProgramSchedule* schedule) {
-        std::vector<std::uint32_t>& terms = schedule->touched_terms[1];
-        terms.insert(std::lower_bound(terms.begin(), terms.end(), extra),
-                     extra);
+  // The first listed term past `extra` is relabelled `extra`, so the list
+  // stays ascending and names one untouched term.
+  std::size_t k = 0;
+  while (k < listed.size() && listed[k].term < extra) ++k;
+  ASSERT_LT(k, listed.size());
+  std::shared_ptr<const core::BatchPlan> tampered =
+      WithEditedCore(*plan, [extra, k](core::PlanCore* core) {
+        EditableTerms(core, false, 1)[k].term = extra;
       });
   const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios);
   ASSERT_FALSE(report.ok());
@@ -762,40 +736,190 @@ TEST_F(VerifyPlanTest, ExtraTouchedTermIsDetected) {
   EXPECT_EQ(finding->offset, 1u);
 }
 
+// A flipped mask word makes a lane read the base value for a variable it
+// overrides (or its 0.0 slot for one it does not).
+TEST_F(VerifyPlanTest, FlippedMaskWordIsDetected) {
+  BatchOptions options;
+  options.sweep = BatchOptions::Sweep::kBlocked;
+  const ScenarioSet scenarios = SeventeenScenarios();
+  std::shared_ptr<const core::BatchPlan> plan =
+      snapshot_->PlanBatch(scenarios, options).ValueOrDie();
+  ASSERT_EQ(plan->num_blocks(), 2u);
+  ASSERT_FALSE(plan->block_rows().vars(1).empty());
+  std::shared_ptr<const core::BatchPlan> tampered =
+      WithEditedCore(*plan, [](core::PlanCore* core) {
+        const std::span<const std::uint64_t> masks =
+            core->block_rows().masks(1);
+        const_cast<std::uint64_t*>(masks.data())[0] ^= ~std::uint64_t{0};
+      });
+  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios);
+  ASSERT_FALSE(report.ok());
+  const Finding* finding = FindingContaining(
+      report, "mask word of row 0 lane 0 does not re-derive");
+  ASSERT_NE(finding, nullptr) << report.ToString();
+  EXPECT_EQ(finding->artifact, "plan block");
+  EXPECT_EQ(finding->offset, 1u);
+}
+
+// A factor row that points at another union row reads another variable's
+// override.
+TEST_F(VerifyPlanTest, WrongFactorRowIsDetected) {
+  BatchOptions options;
+  options.sweep = BatchOptions::Sweep::kBlocked;
+  const ScenarioSet scenarios = SeventeenScenarios();
+  std::shared_ptr<const core::BatchPlan> plan =
+      snapshot_->PlanBatch(scenarios, options).ValueOrDie();
+  const std::size_t union_size = plan->block_rows().vars(0).size();
+  ASSERT_GE(union_size, 2u);
+  const prov::TouchedPrograms& touched = plan->full_schedule().touched;
+  // The first factor of block 0 that reads a union row.
+  std::size_t at = touched.factor_rows().size();
+  std::uint32_t term = 0;
+  for (const prov::TouchedTerm& entry : touched.terms(0)) {
+    const std::uint32_t width =
+        snapshot_->sweep_full_program().term_starts()[entry.term + 1] -
+        snapshot_->sweep_full_program().term_starts()[entry.term];
+    for (std::uint32_t f = 0; f < width && at == touched.factor_rows().size();
+         ++f) {
+      if (touched.factor_rows()[entry.rows + f] !=
+          prov::TouchedPrograms::kBaseRow) {
+        at = entry.rows + f;
+        term = entry.term;
+      }
+    }
+    if (at != touched.factor_rows().size()) break;
+  }
+  ASSERT_LT(at, touched.factor_rows().size());
+  std::shared_ptr<const core::BatchPlan> tampered =
+      WithEditedCore(*plan, [at, union_size](core::PlanCore* core) {
+        std::uint32_t* rows = const_cast<std::uint32_t*>(
+            core->full_schedule().touched.factor_rows().data());
+        rows[at] = static_cast<std::uint32_t>((rows[at] + 1) % union_size);
+      });
+  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios);
+  ASSERT_FALSE(report.ok());
+  const Finding* finding =
+      FindingContaining(report, "of term " + std::to_string(term) + " reads row");
+  ASSERT_NE(finding, nullptr) << report.ToString();
+  EXPECT_EQ(finding->artifact, "plan block");
+  EXPECT_EQ(finding->offset, 0u);
+}
+
+// Two blocks may share a touched program only when their unions are equal.
+TEST_F(VerifyPlanTest, SharedProgramBetweenUnequalUnionsIsDetected) {
+  BatchOptions options;
+  options.sweep = BatchOptions::Sweep::kBlocked;
+  const ScenarioSet scenarios = SeventeenScenarios();
+  std::shared_ptr<const core::BatchPlan> plan =
+      snapshot_->PlanBatch(scenarios, options).ValueOrDie();
+  ASSERT_FALSE(std::ranges::equal(plan->block_rows().vars(0),
+                                  plan->block_rows().vars(1)));
+  ASSERT_NE(plan->compressed_schedule().touched.block_programs()[0],
+            plan->compressed_schedule().touched.block_programs()[1]);
+  std::shared_ptr<const core::BatchPlan> tampered =
+      WithEditedCore(*plan, [](core::PlanCore* core) {
+        auto& programs = const_cast<std::vector<std::uint32_t>&>(
+            core->compressed_schedule().touched.block_programs());
+        programs[1] = programs[0];
+      });
+  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios);
+  ASSERT_FALSE(report.ok());
+  const Finding* finding = FindingContaining(
+      report, "compressed side: shares block 0's touched program");
+  ASSERT_NE(finding, nullptr) << report.ToString();
+  EXPECT_EQ(finding->artifact, "plan block");
+  EXPECT_EQ(finding->offset, 1u);
+}
+
+// A block program for another number of blocks than the plan sweeps.
+TEST_F(VerifyPlanTest, DroppedBlockRowsAreDetected) {
+  BatchOptions options;
+  options.sweep = BatchOptions::Sweep::kBlocked;
+  const ScenarioSet scenarios = SeventeenScenarios();
+  std::shared_ptr<const core::BatchPlan> plan =
+      snapshot_->PlanBatch(scenarios, options).ValueOrDie();
+  ASSERT_EQ(plan->num_blocks(), 2u);
+  std::shared_ptr<const core::BatchPlan> tampered =
+      WithEditedCore(*plan, [](core::PlanCore* core) {
+        std::vector<prov::OverrideSpan> spans;
+        for (std::size_t i = 0; i < 16; ++i) {
+          const std::span<const prov::VarOverride> ov = core->overrides(i);
+          spans.push_back({ov.data(), ov.size()});
+        }
+        const_cast<prov::BlockRows&>(core->block_rows()) =
+            prov::BlockRows(spans);
+      });
+  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(HasFindingContaining(report, "1 blocks of override rows for 2"))
+      << report.ToString();
+}
+
 TEST_F(VerifyPlanTest, FlippedBaseProductBitIsDetected) {
   BatchOptions options;
   options.sweep = BatchOptions::Sweep::kBlocked;
   std::shared_ptr<const core::BatchPlan> plan =
       snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
-  auto base = std::make_shared<core::BaseState>(*plan->overlay().base);
-  ASSERT_GT(base->full_products.size(), 2u);
+  auto base = std::make_shared<core::BaseState>(*plan->base_state());
+  ASSERT_GT(base->full.products.size(), 2u);
   std::uint64_t bits = 0;
-  std::memcpy(&bits, &base->full_products[2], sizeof bits);
+  std::memcpy(&bits, &base->full.products[2], sizeof bits);
   bits ^= 1;  // the lowest mantissa bit: a one-ulp change
-  std::memcpy(&base->full_products[2], &bits, sizeof bits);
-  auto bad = std::make_shared<core::PlanBaseOverlay>(plan->overlay());
-  bad->full_products = base->full_products;
-  bad->base = base;
+  std::memcpy(&base->full.products[2], &bits, sizeof bits);
   std::shared_ptr<const core::BatchPlan> tampered =
-      core::BatchPlan::FromParts(plan->core(), bad);
+      core::BatchPlan::FromParts(plan->core(), base);
   const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
   ASSERT_FALSE(report.ok());
   const Finding* finding = FindingContaining(
       report, "full side: base product of term 2 does not re-derive");
   ASSERT_NE(finding, nullptr) << report.ToString();
-  EXPECT_EQ(finding->artifact, "plan overlay");
+  EXPECT_EQ(finding->artifact, "plan base");
   EXPECT_EQ(finding->offset, 2u);
+}
+
+// A lane that starts one term late (or early) adds a product twice (or
+// not at all): every prefix must re-derive from the base.
+TEST_F(VerifyPlanTest, PrefixStartOffByOneTermIsDetected) {
+  BatchOptions options;
+  options.sweep = BatchOptions::Sweep::kBlocked;
+  std::shared_ptr<const core::BatchPlan> plan =
+      snapshot_->PlanBatch(scenarios_, options).ValueOrDie();
+  const prov::EvalProgram& program = snapshot_->sweep_full_program();
+  // The first touched term of block 0 with a later term in its polynomial.
+  std::uint32_t term = program.NumTerms();
+  for (const prov::TouchedTerm& entry : plan->full_schedule().touched.terms(0)) {
+    const std::size_t poly =
+        std::upper_bound(program.poly_starts().begin(),
+                         program.poly_starts().end(), entry.term) -
+        program.poly_starts().begin() - 1;
+    if (entry.term + 1 < program.poly_starts()[poly + 1] &&
+        plan->base_state()->full.products[entry.term] != 0.0) {
+      term = entry.term;
+      break;
+    }
+  }
+  ASSERT_LT(term, program.NumTerms());
+  auto base = std::make_shared<core::BaseState>(*plan->base_state());
+  base->full.prefix[term] = base->full.prefix[term + 1];
+  std::shared_ptr<const core::BatchPlan> tampered =
+      core::BatchPlan::FromParts(plan->core(), base);
+  const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
+  ASSERT_FALSE(report.ok());
+  const Finding* finding = FindingContaining(
+      report, "full side: base prefix of term " + std::to_string(term) +
+                  " does not re-derive");
+  ASSERT_NE(finding, nullptr) << report.ToString();
+  EXPECT_EQ(finding->artifact, "plan base");
+  EXPECT_EQ(finding->offset, term);
 }
 
 TEST_F(VerifyPlanTest, UndersizedOverlayBaseIsDetected) {
   std::shared_ptr<const core::BatchPlan> plan =
       snapshot_->PlanBatch(scenarios_).ValueOrDie();
-  auto base = std::make_shared<core::BaseState>(*plan->overlay().base);
+  auto base = std::make_shared<core::BaseState>(*plan->base_state());
   base->values = prov::Valuation(1);
-  auto bad = std::make_shared<core::PlanBaseOverlay>(plan->overlay());
-  bad->base = base;
   std::shared_ptr<const core::BatchPlan> tampered =
-      core::BatchPlan::FromParts(plan->core(), bad);
+      core::BatchPlan::FromParts(plan->core(), base);
   const VerifyReport report = VerifyPlan(*tampered, *snapshot_, &scenarios_);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(HasFindingContaining(report, "base valuation covers"))
