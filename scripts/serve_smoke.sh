@@ -4,9 +4,12 @@
 # Exercises the full robustness loop against real processes over real TCP:
 #   1. seed a snapshot directory and start cobra_serverd on an ephemeral
 #      port (parsed from its READY line);
-#   2. serve an AssignBatch through cobra_client, then a 300-scenario one
-#      that the daemon streams in windows, and refuse a NaN delta on both
-#      paths;
+#   2. serve an AssignBatch through cobra_client, then 300-scenario ones
+#      that the daemon streams in windows — no-delta scenarios, and
+#      scenarios that each set a meta-variable, every row checked against a
+#      one-scenario call — and refuse a NaN delta on both paths, and a
+#      streamed request with a repeated name or an unknown variable in its
+#      last scenario;
 #   3. drop a NEW snapshot version and assert the daemon hot-swaps to it;
 #   4. drop a CORRUPTED snapshot (full-size, interior bytes flipped — a
 #      checksum mismatch, i.e. permanent damage, not a torn write) and
@@ -97,7 +100,89 @@ for _ in $(seq 1 300); do cat "$WORK/baseline.rows"; done >"$WORK/expected300.ro
 grep '^  ' "$WORK/batch300.out" | cmp -s - "$WORK/expected300.rows" \
   || fail "a streamed scenario's full=/compressed= differs from the baseline"
 
-# 2c. A NaN delta is refused at decode on both serving paths — alone, as a
+# 2c. 300 scenarios that each set a meta-variable, so the daemon lowers
+#     every streamed window from the request frame. The tree's bucket
+#     nodes og<k> are pool variables only where the cut kept them, so the
+#     smoke probes for three. Scenario i sets META[i % 3] to VALUES[i % 5];
+#     its rows must equal the one-scenario call with the same delta.
+META=()
+for g in $(seq 0 200); do
+  if "$BUILD/cobra_client" --port "$PORT" batch "probe:og$g=1.1" \
+      >/dev/null 2>&1; then
+    META+=("og$g")
+    [[ ${#META[@]} -eq 3 ]] && break
+  fi
+done
+[[ ${#META[@]} -eq 3 ]] || fail "found fewer than 3 meta-variables og<k>"
+VALUES=(0.5 0.8 1.25 1.5 2)
+SPECS=()
+for i in $(seq 0 299); do
+  SPECS+=("m$i:${META[$((i % 3))]}=${VALUES[$((i % 5))]}")
+done
+"$BUILD/cobra_client" --port "$PORT" batch "${SPECS[@]}" \
+  >"$WORK/meta300.out" || fail "streamed 300-scenario meta-variable batch failed"
+grep -q '^ok version=1 scenarios=300 ' "$WORK/meta300.out" \
+  || fail "streamed meta-variable batch did not answer 300 scenarios"
+MOVED=0
+for k in $(seq 0 14); do
+  "$BUILD/cobra_client" --port "$PORT" batch \
+    "one:${META[$((k % 3))]}=${VALUES[$((k % 5))]}" >"$WORK/one.out" \
+    || fail "one-scenario call ${META[$((k % 3))]}=${VALUES[$((k % 5))]} failed"
+  grep '^  ' "$WORK/one.out" >"$WORK/one$k.rows"
+  cmp -s "$WORK/one$k.rows" "$WORK/baseline.rows" || MOVED=1
+done
+[[ "$MOVED" -eq 1 ]] || fail "no meta-variable delta moved the answer"
+for i in $(seq 0 299); do cat "$WORK/one$((i % 15)).rows"; done \
+  >"$WORK/expected_meta.rows"
+grep '^  ' "$WORK/meta300.out" | cmp -s - "$WORK/expected_meta.rows" \
+  || fail "a streamed meta-variable row differs from its one-scenario call"
+
+# 2d. A streamed request whose last scenario repeats a name is refused
+#     before admission, naming the name. cobra_client refuses to build such
+#     a request, so the frame is written by hand.
+python3 - "$PORT" >"$WORK/dup.out" <<'PY' || fail "duplicate-name frame exchange failed"
+import socket, struct, sys
+names = [f"d{i}" for i in range(299)] + ["d7"]
+body = struct.pack("<I", len(names))
+for name in names:
+    body += struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", 0)
+payload = struct.pack("<HHQI", 1, 2, 77, 0) + body  # version, batch, id, deadline
+sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+sock.sendall(struct.pack("<I", len(payload)) + payload)
+def read(n):
+    data = b""
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        if not chunk:
+            sys.exit("connection closed")
+        data += chunk
+    return data
+reply = read(struct.unpack("<I", read(4))[0])
+_, _, request_id, code, _, length = struct.unpack_from("<HHQHII", reply)
+print(f"id={request_id} code={code} {reply[22:22 + length].decode()}")
+PY
+grep -q '^id=77 code=1 .*duplicate scenario name "d7"' "$WORK/dup.out" \
+  || fail "duplicate name not refused under its request id: $(cat "$WORK/dup.out")"
+"$BUILD/cobra_client" --port "$PORT" ping >"$WORK/ping.out" \
+  || fail "ping after a refused duplicate-name request failed"
+grep -q '^ok version=1 ' "$WORK/ping.out" \
+  || fail "daemon not serving after a refused duplicate-name request"
+
+# 2e. An unknown variable in the last of 300 scenarios fails that request
+#     in its last window, naming the scenario and the variable.
+# shellcheck disable=SC2046  # one argument per scenario spec
+if "$BUILD/cobra_client" --port "$PORT" batch $(seq -f 'b%g:' 0 298) \
+    last:NoSuchVar=1.1 >"$WORK/unknown.out" 2>"$WORK/unknown.err"; then
+  fail "a request with an unknown variable was served"
+fi
+grep -q 'scenario "last": unknown variable: NoSuchVar' "$WORK/unknown.err" \
+  || fail "unknown-variable refusal does not name the scenario and variable: $(cat "$WORK/unknown.err")"
+"$BUILD/cobra_client" --port "$PORT" ping >"$WORK/ping.out" \
+  || fail "ping after an unknown-variable request failed"
+grep -q '^ok version=1 ' "$WORK/ping.out" \
+  || fail "daemon not serving after an unknown-variable request"
+
+# 2f. A NaN delta is refused at decode on both serving paths — alone, as a
 #     whole batch, and inside a 300-scenario request the daemon would
 #     stream — with an error naming the value; the daemon keeps serving.
 for spec_count in 0 299; do

@@ -67,14 +67,6 @@ util::Status CheckWindow(std::uint64_t begin, std::uint64_t count,
   return util::Status::OK();
 }
 
-/// A resolver failure, attributed to the scenario whose delta caused it.
-util::Status ScenarioError(std::string_view scenario,
-                           const util::Status& cause) {
-  return util::Status::InvalidArgument("AssignBatch scenario \"" +
-                                       std::string(scenario) +
-                                       "\": " + cause.message());
-}
-
 /// `prefix-<i>`, the generators' scenario name for ordinal `i`.
 std::string OrdinalName(const std::string& prefix, std::uint64_t i) {
   return prefix + "-" + std::to_string(i);
@@ -92,7 +84,7 @@ util::Result<std::vector<std::pair<prov::VarId, std::size_t>>> AxisOrder(
   order.reserve(axes.size());
   for (std::size_t a = 0; a < axes.size(); ++a) {
     util::Result<prov::VarId> id = resolver.Resolve(axes[a].var);
-    if (!id.ok()) return ScenarioError(first_name, id.status());
+    if (!id.ok()) return LoweringError(first_name, id.status());
     order.emplace_back(*id, a);
   }
   std::sort(order.begin(), order.end());
@@ -139,36 +131,48 @@ util::Result<prov::VarId> VarResolver::Resolve(std::string_view var) const {
   return id;
 }
 
+util::Status LoweringError(std::string_view scenario,
+                           const util::Status& cause) {
+  return util::Status::InvalidArgument("AssignBatch scenario \"" +
+                                       std::string(scenario) +
+                                       "\": " + cause.message());
+}
+
+void LoweredScenarios::EndUnsortedScenario() {
+  // Deltas apply in order, so a repeated variable keeps its last value. A
+  // stable sort keeps each variable's deltas in input order; collapsing
+  // every run to its last entry leaves the duplicate-free list the kernels
+  // need, in O(d log d) for d deltas.
+  const std::size_t first = offsets.back();
+  prov::VarOverride* list = overrides.data() + first;
+  const std::size_t n = overrides.size() - first;
+  std::stable_sort(list, list + n,
+                   [](const prov::VarOverride& a, const prov::VarOverride& b) {
+                     return a.var < b.var;
+                   });
+  std::size_t kept = 0;
+  for (std::size_t o = 0; o < n; ++o) {
+    if (kept > 0 && list[kept - 1].var == list[o].var) {
+      list[kept - 1].value = list[o].value;
+    } else {
+      list[kept++] = list[o];
+    }
+  }
+  overrides.resize(first + kept);
+  EndScenario();
+}
+
 util::Status LowerScenarios(std::span<const Scenario> scenarios,
                             const VarResolver& resolver,
                             LoweredScenarios* out) {
   out->offsets.reserve(out->offsets.size() + scenarios.size());
   for (const Scenario& scenario : scenarios) {
-    const std::size_t first = out->overrides.size();
     for (const Scenario::Delta& delta : scenario.deltas) {
       util::Result<prov::VarId> id = resolver.Resolve(delta.var);
-      if (!id.ok()) return ScenarioError(scenario.name, id.status());
+      if (!id.ok()) return LoweringError(scenario.name, id.status());
       out->overrides.push_back({*id, delta.value});
     }
-    // Deltas apply in order, so a repeated variable keeps its last value. A
-    // stable sort keeps each variable's deltas in input order; collapsing
-    // every run to its last entry leaves the duplicate-free list the kernels
-    // need, in O(d log d) for d deltas.
-    const auto begin = out->overrides.begin() + first;
-    std::stable_sort(begin, out->overrides.end(),
-                     [](const prov::VarOverride& a,
-                        const prov::VarOverride& b) { return a.var < b.var; });
-    std::size_t kept = first;
-    for (std::size_t o = first; o < out->overrides.size(); ++o) {
-      const prov::VarOverride ov = out->overrides[o];
-      if (kept > first && out->overrides[kept - 1].var == ov.var) {
-        out->overrides[kept - 1].value = ov.value;
-      } else {
-        out->overrides[kept++] = ov;
-      }
-    }
-    out->overrides.resize(kept);
-    out->EndScenario();
+    out->EndUnsortedScenario();
   }
   return util::Status::OK();
 }
@@ -285,29 +289,6 @@ util::Status ExplicitSource::Generate(std::uint64_t begin, std::uint64_t count,
     util::Result<ScenarioSet::Handle> added =
         out->Add(scenarios_.scenario(static_cast<std::size_t>(i)));
     if (!added.ok()) return added.status();
-  }
-  return util::Status::OK();
-}
-
-util::Status ExplicitSource::Lower(std::uint64_t begin, std::uint64_t count,
-                                   const VarResolver& resolver,
-                                   LoweredScenarios* out,
-                                   std::vector<std::string>* names) const {
-  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size(), "ExplicitSource"));
-  COBRA_RETURN_IF_ERROR(LowerScenarios(
-      std::span<const Scenario>(scenarios_.scenarios())
-          .subspan(static_cast<std::size_t>(begin),
-                   static_cast<std::size_t>(count)),
-      resolver, out));
-  return names != nullptr ? Names(begin, count, names) : util::Status::OK();
-}
-
-util::Status ExplicitSource::Names(std::uint64_t begin, std::uint64_t count,
-                                   std::vector<std::string>* out) const {
-  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size(), "ExplicitSource"));
-  out->reserve(out->size() + static_cast<std::size_t>(count));
-  for (std::uint64_t i = begin; i < begin + count; ++i) {
-    out->push_back(scenarios_.scenario(static_cast<std::size_t>(i)).name);
   }
   return util::Status::OK();
 }

@@ -140,6 +140,12 @@ struct LoweredScenarios {
 
   /// Closes the scenario whose overrides were appended since the last call.
   void EndScenario() { offsets.push_back(overrides.size()); }
+
+  /// Closes the scenario whose overrides were appended since the last call
+  /// in delta order, where a variable may repeat: sorts them by variable id
+  /// and keeps each variable's last value, the list the kernels need. Every
+  /// lowering of named deltas ends its scenarios here.
+  void EndUnsortedScenario();
 };
 
 /// Resolves scenario variable names against one session's frozen pool
@@ -167,6 +173,11 @@ class VarResolver {
 util::Status LowerScenarios(std::span<const Scenario> scenarios,
                             const VarResolver& resolver,
                             LoweredScenarios* out);
+
+/// The failure a lowering reports when `resolver` refuses a delta of
+/// scenario `scenario`: `cause`, attributed to the scenario by name.
+util::Status LoweringError(std::string_view scenario,
+                           const util::Status& cause);
 
 /// 128-bit content fingerprint of a scenario *generator spec* (not of the
 /// scenarios it produces): two sources with equal fingerprints generate
@@ -259,9 +270,6 @@ class ScenarioSource {
 /// Wraps an already-materialized `ScenarioSet` as a source, so the streaming
 /// path and the batch path share one entry point. `AssignStream` over an
 /// ExplicitSource is bit-identical to `AssignBatch` over the wrapped set.
-/// `Lower` and `Names` read the held set in place: a window is lowered
-/// straight from its scenarios and its names are copied from them, with no
-/// intermediate `ScenarioSet`.
 class ExplicitSource : public ScenarioSource {
  public:
   /// Fails with `InvalidArgument` on an empty set.
@@ -273,11 +281,6 @@ class ExplicitSource : public ScenarioSource {
   SourceFingerprint fingerprint() const override;
   util::Status Generate(std::uint64_t begin, std::uint64_t count,
                         ScenarioSet* out) const override;
-  util::Status Lower(std::uint64_t begin, std::uint64_t count,
-                     const VarResolver& resolver, LoweredScenarios* out,
-                     std::vector<std::string>* names) const override;
-  util::Status Names(std::uint64_t begin, std::uint64_t count,
-                     std::vector<std::string>* out) const override;
 
   const ScenarioSet& scenarios() const { return scenarios_; }
 

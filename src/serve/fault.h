@@ -39,6 +39,7 @@ enum class FaultPoint : int {
   kSlowLoad,          ///< The watcher's load stalls (sleeps) before reading.
   kQueueOverflow,     ///< Admission treats the request queue as full.
   kSlowWindow,        ///< A streamed request stalls (sleeps) after a window.
+  kSlowLeader,        ///< A whole-batch leader stalls (sleeps) before it runs.
   kNumPoints,         ///< Sentinel; not an injection point.
 };
 

@@ -46,7 +46,7 @@ struct CobraServer::Connection {
 /// request off the version it was admitted against.
 struct CobraServer::PendingRequest {
   std::shared_ptr<Connection> conn;
-  WireRequest request;
+  RequestFrame request;
   ServedSnapshot snapshot;
   Clock::time_point deadline;
 };
@@ -252,7 +252,8 @@ void CobraServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
     }
     if (closed) return;
     std::uint64_t request_id = 0;
-    util::Result<WireRequest> request = DecodeRequest(payload, &request_id);
+    util::Result<RequestFrame> request =
+        ParseRequest(std::move(payload), &request_id);
     if (!request.ok()) {
       WireResponse response;
       response.request_id = request_id;
@@ -297,7 +298,7 @@ void CobraServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
 }
 
 void CobraServer::AdmitOrShed(const std::shared_ptr<Connection>& conn,
-                              WireRequest request) {
+                              RequestFrame request) {
   auto pending = std::make_unique<PendingRequest>();
   pending->conn = conn;
   pending->snapshot = CurrentSnapshot();
@@ -395,14 +396,14 @@ WireResponse ErrorResponse(WireCode code, std::string message) {
 
 }  // namespace
 
-WireResponse CobraServer::RunAssignBatch(PendingRequest& pending,
+WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending,
                                          const ServedSnapshot& snapshot) {
   if (snapshot.session == nullptr) {
     return ErrorResponse(WireCode::kFailedPrecondition,
                          "no servable snapshot loaded yet");
   }
-  core::ScenarioSet& scenarios = pending.request.scenarios;
-  if (scenarios.empty()) {
+  const RequestFrame& request = pending.request;
+  if (request.num_scenarios() == 0) {
     return ErrorResponse(WireCode::kInvalidArgument, "empty scenario set");
   }
   if (Clock::now() >= pending.deadline) {
@@ -410,7 +411,7 @@ WireResponse CobraServer::RunAssignBatch(PendingRequest& pending,
                          "deadline expired before execution started");
   }
 
-  const std::size_t total = scenarios.size();
+  const std::size_t total = request.num_scenarios();
   const std::size_t window =
       options_.deadline_check_scenarios > 0
           ? static_cast<std::size_t>(options_.deadline_check_scenarios)
@@ -418,11 +419,10 @@ WireResponse CobraServer::RunAssignBatch(PendingRequest& pending,
 
   if (total <= window) {
     // Whole-batch path: coalesce identical concurrent batches. The key is
-    // the scenario set's content fingerprint plus the snapshot version —
+    // the frame's hash of its scenario section plus the snapshot version —
     // requests pinned to different versions never share a result.
-    const core::PlanFingerprint fp = core::FingerprintScenarios(scenarios);
-    const auto key = std::make_pair(std::make_pair(fp.lo, fp.hi),
-                                    snapshot.version);
+    const auto key = std::make_pair(
+        std::make_pair(request.hash.lo, request.hash.hi), snapshot.version);
     std::shared_ptr<Inflight> inflight;
     bool leader = false;
     {
@@ -447,10 +447,15 @@ WireResponse CobraServer::RunAssignBatch(PendingRequest& pending,
       coalesced_.fetch_add(1, std::memory_order_relaxed);
       return inflight->result;
     }
-    // Leader: execute, publish, unregister.
+    // Leader: materialize, execute, publish, unregister.
+    COBRA_FAULT_STALL(FaultPoint::kSlowLeader);
     WireResponse response;
+    core::ScenarioSet scenarios;
+    scenarios.Reserve(total);
+    util::Status materialized = request.AppendScenarios(0, total, &scenarios);
     util::Result<core::BatchAssignReport> report =
-        snapshot.session->AssignBatch(scenarios);
+        materialized.ok() ? snapshot.session->AssignBatch(scenarios)
+                          : util::Result<core::BatchAssignReport>(materialized);
     if (report.ok()) {
       response.snapshot_version = snapshot.version;
       response.labels = snapshot.session->labels();
@@ -472,17 +477,13 @@ WireResponse CobraServer::RunAssignBatch(PendingRequest& pending,
     return response;
   }
 
-  // Streamed path: the request's own scenarios become one source, swept in
-  // windows of `window` scenarios with a cooperative deadline check between
-  // windows. Scenarios are independent, so the concatenated rows are
-  // bit-identical to one whole-batch call. The stream neither reads nor
-  // fills the plan cache.
-  util::Result<std::shared_ptr<const core::ExplicitSource>> source =
-      core::ExplicitSource::Create(std::move(scenarios));
-  if (!source.ok()) {
-    return ErrorResponse(ToWireCode(source.status().code()),
-                         source.status().message());
-  }
+  // Streamed path: the request frame becomes one source, swept in windows
+  // of `window` scenarios with a cooperative deadline check between
+  // windows. Each window is lowered and named from the payload bytes.
+  // Scenarios are independent, so the concatenated rows are bit-identical
+  // to one whole-batch call. The stream neither reads nor fills the plan
+  // cache.
+  const FrameSource source(request);
   WireResponse response;
   response.snapshot_version = snapshot.version;
   response.labels = snapshot.session->labels();
@@ -495,7 +496,7 @@ WireResponse CobraServer::RunAssignBatch(PendingRequest& pending,
   // The consumer stops the stream when scenarios remain and the deadline
   // has passed.
   util::Result<core::SweepSummary> summary = snapshot.session->AssignStream(
-      **source, options, [&](const core::StreamBlockView& view) {
+      source, options, [&](const core::StreamBlockView& view) {
         response.scenario_names.insert(response.scenario_names.end(),
                                        view.names->begin(),
                                        view.names->end());

@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/batch_plan.h"
 #include "core/compiled_session.h"
 #include "serve/wire.h"
 #include "util/status.h"
@@ -35,25 +34,31 @@
 ///      shared_ptr keeps it alive), so every response is computed against
 ///      exactly one coherent version — never a mix.
 ///
-///   2. **Bounded admission.** Accepted requests enter a fixed-capacity
-///      queue; when it is full the server sheds instead of buffering
-///      (kUnavailable + retry-after hint), so overload degrades to fast
-///      failure rather than unbounded latency. Every request carries a
-///      deadline; workers check it before execution and — for a request
-///      above `deadline_check_scenarios` — between the windows of its one
-///      `AssignStream`, so a stuck queue cannot make a deadline overshoot
-///      unbounded. Streaming never changes answers: scenarios are
-///      independent, so streamed rows are bit-identical to one whole-batch
-///      call. A streamed request skips the plan cache and coalescing.
+///   2. **Bounded admission.** A connection's reader walks each request
+///      frame once (`ParseRequest`): every malformed request is refused
+///      there, before admission, under its own request id. Accepted
+///      requests enter a fixed-capacity queue as validated frames; when it
+///      is full the server sheds instead of buffering (kUnavailable +
+///      retry-after hint), so overload degrades to fast failure rather than
+///      unbounded latency. Every request carries a deadline; workers check
+///      it before execution and — for a request above
+///      `deadline_check_scenarios` — between the windows of its one
+///      `AssignStream` over the frame (`FrameSource`), so a stuck queue
+///      cannot make a deadline overshoot unbounded. Streaming never changes
+///      answers: scenarios are independent, so streamed rows are
+///      bit-identical to one whole-batch call. A streamed request is never
+///      materialized as a `ScenarioSet`, and skips the plan cache and
+///      coalescing. An unknown variable fails the request in the worker, in
+///      the window that holds it.
 ///
 ///   3. **Drain on stop.** `Stop()` closes the listener, half-closes every
 ///      connection (no new requests), lets the workers finish everything
 ///      already admitted, and only then tears down — an accepted request is
 ///      never abandoned.
 ///
-/// Identical concurrent whole batches coalesce: requests whose scenario sets
-/// share a content fingerprint (and that target the same snapshot version)
-/// execute once and fan the result out.
+/// Identical concurrent whole batches coalesce: requests whose frames hash
+/// alike (`RequestFrame::hash`, over the scenario section's bytes) and that
+/// target the same snapshot version execute once and fan the result out.
 namespace cobra::serve {
 
 struct ServerOptions {
@@ -70,11 +75,12 @@ struct ServerOptions {
   /// The retry hint attached to shed responses.
   int retry_after_ms = 50;
   /// Batches larger than this stream through one `AssignStream` over the
-  /// request's scenarios, in windows of this many, with a cooperative
-  /// deadline check between windows (bit-identical: scenarios are
-  /// independent); they neither read nor fill the plan cache and do not
-  /// coalesce. Batches at or under it run whole — the plan-cache-friendly
-  /// and coalescible path.
+  /// request frame (`FrameSource`), in windows of this many, with a
+  /// cooperative deadline check between windows (bit-identical: scenarios
+  /// are independent); each window is lowered and named from the payload
+  /// bytes, and the request neither reads nor fills the plan cache nor
+  /// coalesces. Batches at or under it are materialized and run whole
+  /// through `AssignBatch` — the plan-cache-friendly and coalescible path.
   int deadline_check_scenarios = 256;
 };
 
@@ -150,16 +156,15 @@ class CobraServer {
   void ConnectionLoop(std::shared_ptr<Connection> conn);
   void WorkerLoop();
 
-  /// Admits one decoded request or answers with a shed/error response.
+  /// Admits one validated request frame or answers with a shed response.
   void AdmitOrShed(const std::shared_ptr<Connection>& conn,
-                   WireRequest request);
+                   RequestFrame request);
 
   /// Executes one admitted request and writes its response.
   void Execute(PendingRequest& pending);
 
-  /// The AssignBatch path: coalescing, streaming, deadline checks. A
-  /// streamed request's scenarios move out of `pending`.
-  WireResponse RunAssignBatch(PendingRequest& pending,
+  /// The AssignBatch path: coalescing, streaming, deadline checks.
+  WireResponse RunAssignBatch(const PendingRequest& pending,
                               const ServedSnapshot& snapshot);
 
   void SendResponse(const std::shared_ptr<Connection>& conn,
@@ -188,8 +193,8 @@ class CobraServer {
   std::mutex conns_mu_;
   std::vector<std::weak_ptr<Connection>> conns_;
 
-  /// Coalescing table: (scenario fingerprint, snapshot version) → the
-  /// in-flight execution other identical requests wait on.
+  /// Coalescing table: (frame hash, snapshot version) → the in-flight
+  /// execution other identical requests wait on.
   std::mutex inflight_mu_;
   std::map<std::pair<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>,
            std::shared_ptr<Inflight>>

@@ -5,36 +5,60 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <utility>
 
+#include "util/hash.h"
 #include "util/str.h"
 
 namespace cobra::serve {
 
 namespace {
 
-/// Little-endian payload writer (same conventions as the snapshot format).
+/// A request's fixed header: version, type, request id, deadline.
+constexpr std::size_t kHeaderBytes = 2 + 2 + 8 + 4;
+
+// Integers are stored little-endian whatever the host; a host that is
+// little-endian itself copies double arrays as they are in memory, which
+// halves the value matrices' share of encoding and decoding a response.
+constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
+
+/// Bytes of a length-prefixed string on the wire.
+std::size_t StrBytes(std::string_view s) { return 4 + s.size(); }
+
+std::size_t StrVecBytes(const std::vector<std::string>& v) {
+  std::size_t bytes = 4;
+  for (const std::string& s : v) bytes += StrBytes(s);
+  return bytes;
+}
+
+std::size_t F64VecBytes(const std::vector<double>& v) {
+  return 4 + 8 * v.size();
+}
+
+/// Little-endian payload writer over a buffer its caller sized exactly
+/// (same conventions as the snapshot format).
 class Writer {
  public:
-  void U16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
+  explicit Writer(std::string* out) : p_(out->data()), end_(p_ + out->size()) {}
+  ~Writer() { assert(p_ == end_); }
+
+  void U16(std::uint16_t v) { Int(v); }
+  void U32(std::uint32_t v) { Int(v); }
+  void U64(std::uint64_t v) { Int(v); }
+  void F64(double v) { Int(std::bit_cast<std::uint64_t>(v)); }
   void Str(std::string_view s) {
     U32(static_cast<std::uint32_t>(s.size()));
-    out_.append(s);
+    Bytes(s.data(), s.size());
   }
   void StrVec(const std::vector<std::string>& v) {
     U32(static_cast<std::uint32_t>(v.size()));
@@ -42,14 +66,39 @@ class Writer {
   }
   void F64Vec(const std::vector<double>& v) {
     U32(static_cast<std::uint32_t>(v.size()));
-    for (double x : v) F64(x);
+    if constexpr (kLittleEndianHost) {
+      Bytes(v.data(), 8 * v.size());
+    } else {
+      for (double x : v) F64(x);
+    }
   }
 
-  std::string Take() { return std::move(out_); }
-
  private:
-  std::string out_;
+  template <typename T>
+  void Int(T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p_[i] = static_cast<char>(v >> (8 * i));
+    }
+    p_ += sizeof(T);
+  }
+  void Bytes(const void* data, std::size_t size) {
+    if (size > 0) std::memcpy(p_, data, size);
+    p_ += size;
+  }
+
+  char* p_;
+  char* const end_;
 };
+
+template <typename T>
+T LoadLittleEndian(const char* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>(v | static_cast<T>(static_cast<unsigned char>(p[i]))
+                               << (8 * i));
+  }
+  return v;
+}
 
 /// Bounds-checked little-endian payload reader. Every failure names the
 /// field, so a malformed frame is diagnosable from the message alone.
@@ -58,43 +107,13 @@ class Reader {
   explicit Reader(std::string_view data) : data_(data) {}
 
   util::Status U16(std::uint16_t* out, const char* what) {
-    COBRA_RETURN_IF_ERROR(Need(2, what));
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) {
-      v = static_cast<std::uint16_t>(
-          v | static_cast<std::uint16_t>(
-                  static_cast<unsigned char>(data_[pos_ + i]))
-                  << (8 * i));
-    }
-    pos_ += 2;
-    *out = v;
-    return util::Status::OK();
+    return Int(out, what);
   }
-
   util::Status U32(std::uint32_t* out, const char* what) {
-    COBRA_RETURN_IF_ERROR(Need(4, what));
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return util::Status::OK();
+    return Int(out, what);
   }
-
   util::Status U64(std::uint64_t* out, const char* what) {
-    COBRA_RETURN_IF_ERROR(Need(8, what));
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
-    return util::Status::OK();
+    return Int(out, what);
   }
 
   util::Status F64(double* out, const char* what) {
@@ -104,12 +123,20 @@ class Reader {
     return util::Status::OK();
   }
 
-  util::Status Str(std::string* out, const char* what) {
+  /// Reads a length-prefixed string as a view into the payload.
+  util::Status View(std::string_view* out, const char* what) {
     std::uint32_t length = 0;
     COBRA_RETURN_IF_ERROR(U32(&length, what));
     COBRA_RETURN_IF_ERROR(Need(length, what));
-    out->assign(data_.substr(pos_, length));
+    *out = data_.substr(pos_, length);
     pos_ += length;
+    return util::Status::OK();
+  }
+
+  util::Status Str(std::string* out, const char* what) {
+    std::string_view view;
+    COBRA_RETURN_IF_ERROR(View(&view, what));
+    out->assign(view);
     return util::Status::OK();
   }
 
@@ -138,16 +165,26 @@ class Reader {
     return util::Status::OK();
   }
 
+  /// Reads a counted double array. The count check bounds the whole array,
+  /// so the values are copied without another check.
   util::Status F64Vec(std::vector<double>* out, const char* what) {
     std::size_t count = 0;
     COBRA_RETURN_IF_ERROR(Count(8, &count, what));
     out->resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      COBRA_RETURN_IF_ERROR(F64(&(*out)[i], what));
+    const char* p = data_.data() + pos_;
+    if constexpr (kLittleEndianHost) {
+      if (count > 0) std::memcpy(out->data(), p, 8 * count);
+    } else {
+      for (std::size_t i = 0; i < count; ++i) {
+        (*out)[i] =
+            std::bit_cast<double>(LoadLittleEndian<std::uint64_t>(p + 8 * i));
+      }
     }
+    pos_ += 8 * count;
     return util::Status::OK();
   }
 
+  std::size_t pos() const { return pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 
   util::Status Fail(const std::string& what) const {
@@ -156,6 +193,14 @@ class Reader {
   }
 
  private:
+  template <typename T>
+  util::Status Int(T* out, const char* what) {
+    COBRA_RETURN_IF_ERROR(Need(sizeof(T), what));
+    *out = LoadLittleEndian<T>(data_.data() + pos_);
+    pos_ += sizeof(T);
+    return util::Status::OK();
+  }
+
   util::Status Need(std::size_t bytes, const char* what) const {
     if (data_.size() - pos_ < bytes) {
       return Fail(util::StrFormat("truncated: expected %s", what));
@@ -165,6 +210,60 @@ class Reader {
 
   std::string_view data_;
   std::size_t pos_ = 0;
+};
+
+/// Reads the fields of a scenario record that `WalkRequest` has checked, so
+/// it checks no bounds.
+class RecordReader {
+ public:
+  RecordReader(std::string_view payload, std::size_t offset)
+      : p_(payload.data() + offset) {}
+
+  std::uint32_t U32() {
+    const std::uint32_t v = LoadLittleEndian<std::uint32_t>(p_);
+    p_ += 4;
+    return v;
+  }
+  double F64() {
+    const double v = std::bit_cast<double>(LoadLittleEndian<std::uint64_t>(p_));
+    p_ += 8;
+    return v;
+  }
+  std::string_view Str() {
+    const std::uint32_t length = U32();
+    const std::string_view s(p_, length);
+    p_ += length;
+    return s;
+  }
+
+ private:
+  const char* p_;
+};
+
+/// The scenario names a request has carried so far, as views into its
+/// payload: an open-addressed table sized once for the request's scenario
+/// count, so checking a name allocates nothing.
+class NameSet {
+ public:
+  explicit NameSet(std::size_t capacity)
+      : slots_(std::bit_ceil(std::max<std::size_t>(1, 2 * capacity))),
+        mask_(slots_.size() - 1) {}
+
+  /// Adds `name` (never empty); false when the set already holds it.
+  bool Insert(std::string_view name) {
+    for (std::size_t i = util::Mix64(util::HashBytes(name)) & mask_;;
+         i = (i + 1) & mask_) {
+      if (slots_[i].empty()) {
+        slots_[i] = name;
+        return true;
+      }
+      if (slots_[i] == name) return false;
+    }
+  }
+
+ private:
+  std::vector<std::string_view> slots_;  ///< An empty view is a free slot.
+  std::size_t mask_;
 };
 
 util::Status CheckVersionAndType(Reader* reader, MsgType* type) {
@@ -228,7 +327,18 @@ WireCode ToWireCode(util::StatusCode code) {
 }
 
 std::string EncodeRequest(const WireRequest& request) {
-  Writer w;
+  std::size_t bytes = kHeaderBytes;
+  if (request.type == MsgType::kAssignBatch) {
+    bytes += 4;
+    for (const core::Scenario& scenario : request.scenarios.scenarios()) {
+      bytes += StrBytes(scenario.name) + 4;
+      for (const core::Scenario::Delta& delta : scenario.deltas) {
+        bytes += StrBytes(delta.var) + 8;
+      }
+    }
+  }
+  std::string out(bytes, '\0');
+  Writer w(&out);
   w.U16(kWireVersion);
   w.U16(static_cast<std::uint16_t>(request.type));
   w.U64(request.request_id);
@@ -244,19 +354,25 @@ std::string EncodeRequest(const WireRequest& request) {
       }
     }
   }
-  return w.Take();
+  return out;
 }
 
-util::Result<WireRequest> DecodeRequest(std::string_view payload,
-                                        std::uint64_t* request_id) {
+namespace {
+
+/// The one request parser: checks every field of `payload` in order and
+/// fills `frame`'s header fields, record offsets and `max_deltas` (not its
+/// payload or hash). A scenario's checks run in the order its fields
+/// arrive, and a repeated name is caught once its record is read, so every
+/// refusal is the first fault of the payload.
+util::Status WalkRequest(std::string_view payload, RequestFrame* frame,
+                         std::uint64_t* request_id) {
   Reader reader(payload);
-  WireRequest request;
   if (request_id != nullptr) *request_id = 0;
-  COBRA_RETURN_IF_ERROR(CheckVersionAndType(&reader, &request.type));
-  COBRA_RETURN_IF_ERROR(reader.U64(&request.request_id, "request id"));
-  if (request_id != nullptr) *request_id = request.request_id;
-  COBRA_RETURN_IF_ERROR(reader.U32(&request.deadline_ms, "deadline"));
-  if (request.type == MsgType::kAssignBatch) {
+  COBRA_RETURN_IF_ERROR(CheckVersionAndType(&reader, &frame->type));
+  COBRA_RETURN_IF_ERROR(reader.U64(&frame->request_id, "request id"));
+  if (request_id != nullptr) *request_id = frame->request_id;
+  COBRA_RETURN_IF_ERROR(reader.U32(&frame->deadline_ms, "deadline"));
+  if (frame->type == MsgType::kAssignBatch) {
     std::size_t num_scenarios = 0;
     // A scenario is at least a name length + delta count: 8 bytes.
     COBRA_RETURN_IF_ERROR(reader.Count(8, &num_scenarios, "scenario"));
@@ -266,18 +382,20 @@ util::Result<WireRequest> DecodeRequest(std::string_view payload,
           "kMaxRequestScenarios cap of %u",
           num_scenarios, kMaxRequestScenarios));
     }
-    request.scenarios.Reserve(num_scenarios);
+    frame->records.reserve(num_scenarios);
+    NameSet names(num_scenarios);
     std::size_t total_deltas = 0;
     for (std::size_t i = 0; i < num_scenarios; ++i) {
-      core::Scenario scenario;
-      COBRA_RETURN_IF_ERROR(reader.Str(&scenario.name, "scenario name"));
-      if (scenario.name.empty()) {
+      frame->records.push_back(reader.pos());
+      std::string_view name;
+      COBRA_RETURN_IF_ERROR(reader.View(&name, "scenario name"));
+      if (name.empty()) {
         return util::Status::InvalidArgument(
             util::StrFormat("wire: scenario %zu has an empty name", i));
       }
       std::size_t num_deltas = 0;
       // A delta is at least a var length + value: 12 bytes, so the count is
-      // bounded by the payload before the list is sized from it.
+      // bounded by the payload before any delta is read.
       COBRA_RETURN_IF_ERROR(reader.Count(12, &num_deltas, "delta"));
       total_deltas += num_deltas;
       if (total_deltas > kMaxRequestDeltas) {
@@ -286,37 +404,137 @@ util::Result<WireRequest> DecodeRequest(std::string_view payload,
             "(kMaxRequestDeltas cap)",
             kMaxRequestDeltas));
       }
-      scenario.deltas.resize(num_deltas);
-      for (core::Scenario::Delta& delta : scenario.deltas) {
-        COBRA_RETURN_IF_ERROR(reader.Str(&delta.var, "delta variable"));
-        COBRA_RETURN_IF_ERROR(reader.F64(&delta.value, "delta value"));
-        if (!std::isfinite(delta.value)) {
+      frame->max_deltas = std::max(frame->max_deltas, num_deltas);
+      for (std::size_t d = 0; d < num_deltas; ++d) {
+        std::string_view var;
+        double value = 0.0;
+        COBRA_RETURN_IF_ERROR(reader.View(&var, "delta variable"));
+        COBRA_RETURN_IF_ERROR(reader.F64(&value, "delta value"));
+        if (!std::isfinite(value)) {
+          // Printed as C strings, as a decoded name would print.
           return util::Status::InvalidArgument(util::StrFormat(
               "wire: scenario %zu (\"%s\") sets \"%s\" to the non-finite "
               "value %g",
-              i, scenario.name.c_str(), delta.var.c_str(), delta.value));
+              i, std::string(name).c_str(), std::string(var).c_str(), value));
         }
       }
-      util::Result<core::ScenarioSet::Handle> added =
-          request.scenarios.Add(std::move(scenario));
-      if (!added.ok()) return added.status();
+      if (!names.Insert(name)) {
+        return util::Status::InvalidArgument(
+            "ScenarioSet: duplicate scenario name \"" + std::string(name) +
+            "\"");
+      }
     }
   }
   if (!reader.AtEnd()) {
     return reader.Fail("trailing bytes after the last field");
   }
+  return util::Status::OK();
+}
+
+/// Appends the scenario records at `records` of a walked `payload` to
+/// `out`.
+util::Status AppendRecords(std::string_view payload,
+                           std::span<const std::size_t> records,
+                           core::ScenarioSet* out) {
+  for (const std::size_t offset : records) {
+    RecordReader record(payload, offset);
+    core::Scenario scenario;
+    scenario.name = record.Str();
+    scenario.deltas.resize(record.U32());
+    for (core::Scenario::Delta& delta : scenario.deltas) {
+      delta.var = record.Str();
+      delta.value = record.F64();
+    }
+    util::Result<core::ScenarioSet::Handle> added =
+        out->Add(std::move(scenario));
+    if (!added.ok()) return added.status();
+  }
+  return util::Status::OK();
+}
+
+/// A window of a frame source, checked like every source's windows.
+util::Status CheckWindow(std::uint64_t begin, std::uint64_t count,
+                         std::uint64_t size) {
+  if (begin > size || count > size - begin) {
+    return util::Status::InvalidArgument(
+        "FrameSource: window [" + std::to_string(begin) + ", " +
+        std::to_string(begin + count) + ") exceeds source size " +
+        std::to_string(size));
+  }
+  return util::Status::OK();
+}
+
+}  // namespace
+
+std::string_view RequestFrame::name(std::size_t i) const {
+  return RecordReader(payload, records[i]).Str();
+}
+
+util::Status RequestFrame::AppendScenarios(std::size_t begin,
+                                           std::size_t count,
+                                           core::ScenarioSet* out) const {
+  return AppendRecords(payload,
+                       std::span<const std::size_t>(records).subspan(begin,
+                                                                     count),
+                       out);
+}
+
+util::Result<RequestFrame> ParseRequest(std::string payload,
+                                        std::uint64_t* request_id) {
+  RequestFrame frame;
+  COBRA_RETURN_IF_ERROR(WalkRequest(payload, &frame, request_id));
+  if (frame.type == MsgType::kAssignBatch) {
+    // Its own seed pair, apart from every source and plan fingerprint.
+    util::Hash128 hash(0x3c6ef372fe94f82bULL, 0xa54ff53a5f1d36f1ULL);
+    hash.FeedBytes(std::string_view(payload).substr(kHeaderBytes));
+    frame.hash = core::SourceFingerprint{hash.lo(), hash.hi()};
+  }
+  frame.payload = std::move(payload);
+  return frame;
+}
+
+util::Result<WireRequest> DecodeRequest(std::string_view payload,
+                                        std::uint64_t* request_id) {
+  RequestFrame frame;
+  COBRA_RETURN_IF_ERROR(WalkRequest(payload, &frame, request_id));
+  WireRequest request;
+  request.type = frame.type;
+  request.request_id = frame.request_id;
+  request.deadline_ms = frame.deadline_ms;
+  request.scenarios.Reserve(frame.num_scenarios());
+  COBRA_RETURN_IF_ERROR(
+      AppendRecords(payload, frame.records, &request.scenarios));
   return request;
 }
 
 std::string EncodeResponse(const WireResponse& response) {
-  Writer w;
+  const bool ok = response.code == WireCode::kOk;
+  std::size_t bytes = 2 + 2 + 8 + 2 + 4 + StrBytes(response.message);
+  if (ok) {
+    bytes += 8;
+    switch (response.type) {
+      case MsgType::kPing:
+        break;
+      case MsgType::kAssignBatch:
+        bytes += StrVecBytes(response.labels) +
+                 StrVecBytes(response.scenario_names) +
+                 F64VecBytes(response.full_values) +
+                 F64VecBytes(response.compressed_values);
+        break;
+      case MsgType::kStats:
+        bytes += StrBytes(response.stats_text);
+        break;
+    }
+  }
+  std::string out(bytes, '\0');
+  Writer w(&out);
   w.U16(kWireVersion);
   w.U16(static_cast<std::uint16_t>(response.type));
   w.U64(response.request_id);
   w.U16(static_cast<std::uint16_t>(response.code));
   w.U32(response.retry_after_ms);
   w.Str(response.message);
-  if (response.code != WireCode::kOk) return w.Take();
+  if (!ok) return out;
   w.U64(response.snapshot_version);
   switch (response.type) {
     case MsgType::kPing:
@@ -331,7 +549,7 @@ std::string EncodeResponse(const WireResponse& response) {
       w.Str(response.stats_text);
       break;
   }
-  return w.Take();
+  return out;
 }
 
 util::Result<WireResponse> DecodeResponse(std::string_view payload) {
@@ -388,19 +606,68 @@ util::Result<WireResponse> DecodeResponse(std::string_view payload) {
 }
 
 // ---------------------------------------------------------------------------
+// FrameSource.
+// ---------------------------------------------------------------------------
+
+util::Status FrameSource::Generate(std::uint64_t begin, std::uint64_t count,
+                                   core::ScenarioSet* out) const {
+  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size()));
+  return frame_->AppendScenarios(static_cast<std::size_t>(begin),
+                                 static_cast<std::size_t>(count), out);
+}
+
+util::Status FrameSource::Lower(std::uint64_t begin, std::uint64_t count,
+                                const core::VarResolver& resolver,
+                                core::LoweredScenarios* out,
+                                std::vector<std::string>* names) const {
+  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size()));
+  const std::size_t first = static_cast<std::size_t>(begin);
+  const std::size_t n = static_cast<std::size_t>(count);
+  out->offsets.reserve(out->offsets.size() + n);
+  if (names != nullptr) names->reserve(names->size() + n);
+  for (std::size_t i = first; i < first + n; ++i) {
+    RecordReader record(frame_->payload, frame_->records[i]);
+    const std::string_view name = record.Str();
+    const std::uint32_t num_deltas = record.U32();
+    for (std::uint32_t d = 0; d < num_deltas; ++d) {
+      const std::string_view var = record.Str();
+      const double value = record.F64();
+      util::Result<prov::VarId> id = resolver.Resolve(var);
+      if (!id.ok()) return core::LoweringError(name, id.status());
+      out->overrides.push_back({*id, value});
+    }
+    out->EndUnsortedScenario();
+    if (names != nullptr) names->emplace_back(name);
+  }
+  return util::Status::OK();
+}
+
+util::Status FrameSource::Names(std::uint64_t begin, std::uint64_t count,
+                                std::vector<std::string>* out) const {
+  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size()));
+  out->reserve(out->size() + static_cast<std::size_t>(count));
+  for (std::uint64_t i = begin; i < begin + count; ++i) {
+    out->emplace_back(frame_->name(static_cast<std::size_t>(i)));
+  }
+  return util::Status::OK();
+}
+
+// ---------------------------------------------------------------------------
 // Frame I/O over a file descriptor.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Writes all of `data` to socket `fd`, retrying on EINTR and partial
-/// writes. MSG_NOSIGNAL turns a write to a closed peer into EPIPE instead of
-/// SIGPIPE, which would kill a process that never ignored that signal.
-util::Status WriteAll(int fd, const char* data, std::size_t size) {
-  std::size_t written = 0;
-  while (written < size) {
-    const ssize_t n =
-        ::send(fd, data + written, size - written, MSG_NOSIGNAL);
+/// Writes every byte of `iov[0, count)` to socket `fd` with `sendmsg`,
+/// retrying on EINTR and partial writes. MSG_NOSIGNAL turns a write to a
+/// closed peer into EPIPE instead of SIGPIPE, which would kill a process
+/// that never ignored that signal.
+util::Status WriteAll(int fd, iovec* iov, std::size_t count) {
+  while (count > 0) {
+    msghdr message{};
+    message.msg_iov = iov;
+    message.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EPIPE || errno == ECONNRESET) {
@@ -409,7 +676,17 @@ util::Status WriteAll(int fd, const char* data, std::size_t size) {
       return util::Status::IoError(
           util::StrFormat("write failed: %s", std::strerror(errno)));
     }
-    written += static_cast<std::size_t>(n);
+    // Skip the buffers sent whole, then advance into a partly sent one.
+    std::size_t sent = static_cast<std::size_t>(n);
+    while (count > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
   }
   return util::Status::OK();
 }
@@ -456,8 +733,9 @@ util::Status WriteFrame(int fd, std::string_view payload) {
   char prefix[4];
   const std::uint32_t size = static_cast<std::uint32_t>(payload.size());
   for (int i = 0; i < 4; ++i) prefix[i] = static_cast<char>(size >> (8 * i));
-  COBRA_RETURN_IF_ERROR(WriteAll(fd, prefix, sizeof(prefix)));
-  return WriteAll(fd, payload.data(), payload.size());
+  iovec iov[2] = {{prefix, sizeof(prefix)},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  return WriteAll(fd, iov, 2);
 }
 
 util::Status ReadFrame(int fd, std::string* payload, bool* closed) {

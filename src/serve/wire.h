@@ -24,6 +24,14 @@
 /// (core/io.cc): little-endian integers, strings as u32 length + bytes,
 /// doubles as IEEE-754 bit patterns — values round-trip exactly, which the
 /// bit-identity contract of the serving tier depends on.
+///
+/// The daemon admits requests undecoded. `ParseRequest` walks the payload
+/// once, runs every check, and keeps the bytes with an index of the scenario
+/// records (`RequestFrame`); a `FrameSource` then lowers and names a large
+/// request's windows straight from those bytes, and only a whole batch's
+/// leader materializes its scenarios. `DecodeRequest` is the same walk
+/// followed by materializing the records into a `ScenarioSet`, so clients,
+/// tests and the daemon share one parser.
 namespace cobra::serve {
 
 /// Version of the wire payload layout. Bump on any change; servers reject
@@ -120,21 +128,100 @@ struct WireResponse {
 };
 
 /// Encodes a request/response into one frame payload (no length prefix).
+/// Each sizes its buffer once and writes the fields into it.
 std::string EncodeRequest(const WireRequest& request);
 std::string EncodeResponse(const WireResponse& response);
 
-/// Decodes a frame payload. Truncated, oversized-count, or wrong-version
-/// payloads fail with InvalidArgument naming the offending field, and so do
-/// an empty scenario name and a NaN or infinite delta value, naming the
-/// scenario's index; nothing is ever partially applied. `request_id`, when
-/// non-null, receives the header's request id as soon as it is read (0
-/// before), so a refusal can be answered under the id the client waits on.
+/// A request payload that passed every decode check, kept as its bytes.
+///
+/// A kAssignBatch payload is a 16-byte header (version, type, request id,
+/// deadline) followed by the scenario section: a u32 scenario count, then
+/// one record per scenario — its name, a u32 delta count, and per delta the
+/// variable name and the value's bit pattern. The frame indexes where each
+/// record starts; readers take names as views into `payload` and never
+/// re-check a bound.
+struct RequestFrame {
+  MsgType type = MsgType::kPing;
+  std::uint64_t request_id = 0;
+  std::uint32_t deadline_ms = 0;
+  /// The payload bytes, moved in by `ParseRequest`.
+  std::string payload;
+  /// Payload offset of each scenario's record, in request order.
+  std::vector<std::size_t> records;
+  /// The largest delta count of one scenario as sent, before a repeated
+  /// variable collapses — what `ScenarioSource::max_deltas` reports.
+  std::size_t max_deltas = 0;
+  /// 128-bit hash (util::Hash128) of the scenario section's bytes. The
+  /// section encodes the scenario list injectively (names, variables, value
+  /// bits and order), so equal hashes stand for equal lists; the daemon
+  /// coalesces whole batches on it.
+  core::SourceFingerprint hash;
+
+  std::size_t num_scenarios() const { return records.size(); }
+
+  /// Scenario `i`'s name, a view into `payload`.
+  std::string_view name(std::size_t i) const;
+
+  /// Appends scenarios `[begin, begin + count)` to `out`, as `DecodeRequest`
+  /// materializes them. The window must lie inside the frame. Fails only
+  /// where `ScenarioSet::Add` does: a name `out` already holds.
+  util::Status AppendScenarios(std::size_t begin, std::size_t count,
+                               core::ScenarioSet* out) const;
+};
+
+/// Walks a request payload once and keeps it as a frame. Refuses exactly
+/// what `DecodeRequest` refuses, with the same status: a truncated,
+/// oversized-count, or wrong-version payload (naming the offending field),
+/// more than `kMaxRequestScenarios` scenarios or `kMaxRequestDeltas` deltas,
+/// an empty or repeated scenario name, a NaN or infinite delta value (naming
+/// the scenario's index), and trailing bytes. `request_id`, when non-null,
+/// receives the header's request id as soon as it is read (0 before), so a
+/// refusal can be answered under the id the client waits on.
+util::Result<RequestFrame> ParseRequest(std::string payload,
+                                        std::uint64_t* request_id = nullptr);
+
+/// Decodes a frame payload: the `ParseRequest` walk, then every scenario
+/// record materialized into `WireRequest::scenarios`. Fails as
+/// `ParseRequest` does; nothing is ever partially applied.
 util::Result<WireRequest> DecodeRequest(std::string_view payload,
                                         std::uint64_t* request_id = nullptr);
+
+/// Decodes a response payload; each value matrix is read after one bounds
+/// check. Truncated, oversized-count, or wrong-version payloads fail with
+/// InvalidArgument naming the offending field.
 util::Result<WireResponse> DecodeResponse(std::string_view payload);
 
-/// Writes one frame (length prefix + payload) to socket `fd`, handling
-/// partial writes and EINTR. Fails with InvalidArgument if payload exceeds
+/// A request frame's scenarios as a source, so the daemon can sweep a large
+/// request with one `AssignStream` without materializing it. `Lower`
+/// resolves each window's delta names as views into the payload and ends
+/// each scenario with `LoweredScenarios::EndUnsortedScenario`, as
+/// `LowerScenarios` does; `Names` copies the window's names; `Generate`
+/// materializes records (for the stream audits). `max_deltas` and
+/// `fingerprint` are the frame's `max_deltas` and `hash`. The source
+/// borrows the frame, which must outlive it.
+class FrameSource final : public core::ScenarioSource {
+ public:
+  explicit FrameSource(const RequestFrame& frame) : frame_(&frame) {}
+
+  std::uint64_t size() const override { return frame_->num_scenarios(); }
+  std::size_t max_deltas() const override { return frame_->max_deltas; }
+  core::SourceFingerprint fingerprint() const override { return frame_->hash; }
+  util::Status Generate(std::uint64_t begin, std::uint64_t count,
+                        core::ScenarioSet* out) const override;
+  util::Status Lower(std::uint64_t begin, std::uint64_t count,
+                     const core::VarResolver& resolver,
+                     core::LoweredScenarios* out,
+                     std::vector<std::string>* names) const override;
+  util::Status Names(std::uint64_t begin, std::uint64_t count,
+                     std::vector<std::string>* out) const override;
+
+ private:
+  const RequestFrame* frame_;
+};
+
+/// Writes one frame (length prefix + payload) to socket `fd` in one
+/// `sendmsg` call where the socket takes it whole, handling partial writes
+/// and EINTR. Fails with InvalidArgument if payload exceeds
 /// kMaxFrameBytes, Unavailable if the peer closed (never raising SIGPIPE),
 /// IoError otherwise — including when `fd` is not a socket.
 util::Status WriteFrame(int fd, std::string_view payload);

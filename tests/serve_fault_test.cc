@@ -15,12 +15,15 @@
 //     kDeadlineExceeded at the next between-window check;
 //   - a client burst riding across a hot swap completes every accepted
 //     request bit-identically to a direct AssignBatch against exactly one
-//     published version.
+//     published version;
+//   - identical concurrent whole batches execute once while their leader
+//     stalls, and a batch one value bit away does not join them.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -456,6 +459,100 @@ TEST_F(ServeFaultTest, CorruptSnapshotQuarantinesExactlyOnceUnderTraffic) {
     EXPECT_NE(log_text.find("checksum mismatch"), std::string::npos);
   }
   server.Stop();
+}
+
+// The coalescing invariant: while a whole-batch leader stalls, requests
+// whose frames are byte-identical wait on its run instead of executing, so
+// N of them execute once (coalesced == N - 1) and every follower answers
+// the leader's rows bit for bit. A request one value bit away keys
+// differently and runs on its own.
+TEST_F(ServeFaultTest, StalledLeaderCoalescesOnlyIdenticalBatches) {
+  Session session;
+  std::shared_ptr<const CompiledSession> origin = ExampleSnapshot(&session);
+  constexpr int kIdentical = 4;
+  ServerOptions options;
+  options.num_workers = kIdentical + 1;  // every request runs at once
+  CobraServer server(options);
+  server.set_log([](const std::string&) {});
+  ASSERT_TRUE(server.Start().ok());
+  server.Swap(origin, "v1");
+
+  const ScenarioSet scenarios = ExampleScenarios();
+  ScenarioSet nudged;
+  nudged.Add("slump").ValueOrDie().Set("Business", std::nextafter(0.8, 1.0));
+  nudged.Add("mixed").ValueOrDie().Set("Business", 1.25).Set("Special", 0.9);
+
+  std::vector<util::Result<WireResponse>> responses(
+      kIdentical + 1, util::Status::Internal("not answered"));
+  auto call = [&](int i, const ScenarioSet* set) {
+    util::Result<Client> client =
+        Client::Connect("127.0.0.1", server.port(), 30000);
+    if (!client.ok()) {
+      responses[static_cast<std::size_t>(i)] = client.status();
+      return;
+    }
+    WireRequest request;
+    request.type = MsgType::kAssignBatch;
+    request.request_id = 100 + static_cast<std::uint64_t>(i);
+    request.deadline_ms = 30000;
+    request.scenarios = *set;
+    responses[static_cast<std::size_t>(i)] = client->Call(request);
+  };
+
+  // The leader goes first; the others are sent once it is stalled.
+  ArmFault(FaultPoint::kSlowLeader, /*count=*/1, /*delay_ms=*/1500);
+  std::vector<std::thread> clients;
+  clients.emplace_back(call, 0, &scenarios);
+  for (int waited = 0; FaultFireCount(FaultPoint::kSlowLeader) == 0; ++waited) {
+    ASSERT_LT(waited, 10000) << "the leader never reached its stall";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 1; i < kIdentical; ++i) clients.emplace_back(call, i, &scenarios);
+  clients.emplace_back(call, kIdentical, &nudged);
+  for (std::thread& client : clients) client.join();
+  server.Stop();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kIdentical - 1));
+  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kIdentical + 1));
+  EXPECT_EQ(FaultFireCount(FaultPoint::kSlowLeader), 1);
+
+  auto expect_direct = [&](const WireResponse& response,
+                           const ScenarioSet& set) {
+    const core::BatchAssignReport report =
+        origin->AssignBatch(set).ValueOrDie();
+    ASSERT_EQ(response.num_scenarios(), report.size());
+    for (std::size_t s = 0; s < report.size(); ++s) {
+      const std::vector<core::ResultDelta::Row>& rows =
+          report.reports[s].delta.rows;
+      ASSERT_EQ(response.num_groups(), rows.size());
+      for (std::size_t g = 0; g < rows.size(); ++g) {
+        EXPECT_TRUE(SameBits(response.full_value(s, g), rows[g].full));
+        EXPECT_TRUE(
+            SameBits(response.compressed_value(s, g), rows[g].compressed));
+      }
+    }
+  };
+  for (const util::Result<WireResponse>& response : responses) {
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response->code, WireCode::kOk) << response->message;
+  }
+  const WireResponse& leader = *responses[0];
+  expect_direct(leader, scenarios);
+  for (int i = 1; i < kIdentical; ++i) {
+    const WireResponse& follower = *responses[static_cast<std::size_t>(i)];
+    EXPECT_EQ(follower.request_id, 100u + static_cast<std::uint64_t>(i));
+    EXPECT_EQ(follower.scenario_names, leader.scenario_names);
+    ASSERT_EQ(follower.full_values.size(), leader.full_values.size());
+    ASSERT_EQ(follower.compressed_values.size(),
+              leader.compressed_values.size());
+    for (std::size_t c = 0; c < leader.full_values.size(); ++c) {
+      EXPECT_TRUE(SameBits(follower.full_values[c], leader.full_values[c]));
+      EXPECT_TRUE(SameBits(follower.compressed_values[c],
+                           leader.compressed_values[c]));
+    }
+  }
+  expect_direct(*responses[kIdentical], nudged);
 }
 
 }  // namespace
