@@ -56,17 +56,6 @@ SourceFingerprint Finish(const util::Hash128& hash) {
 // outer*inner products in ComposeSource cannot overflow uint64.
 constexpr std::uint64_t kMaxSourceSize = 1ULL << 62;
 
-util::Status CheckWindow(std::uint64_t begin, std::uint64_t count,
-                         std::uint64_t size, const char* what) {
-  if (begin > size || count > size - begin) {
-    return util::Status::InvalidArgument(
-        std::string(what) + ": window [" + std::to_string(begin) + ", " +
-        std::to_string(begin + count) + ") exceeds source size " +
-        std::to_string(size));
-  }
-  return util::Status::OK();
-}
-
 /// `prefix-<i>`, the generators' scenario name for ordinal `i`.
 std::string OrdinalName(const std::string& prefix, std::uint64_t i) {
   return prefix + "-" + std::to_string(i);
@@ -129,6 +118,17 @@ util::Result<prov::VarId> VarResolver::Resolve(std::string_view var) const {
         " was interned after this snapshot was taken");
   }
   return id;
+}
+
+util::Status CheckWindow(std::uint64_t begin, std::uint64_t count,
+                         std::uint64_t size, const char* what) {
+  if (begin > size || count > size - begin) {
+    return util::Status::InvalidArgument(
+        std::string(what) + ": window [" + std::to_string(begin) + ", " +
+        std::to_string(begin + count) + ") exceeds source size " +
+        std::to_string(size));
+  }
+  return util::Status::OK();
 }
 
 util::Status LoweringError(std::string_view scenario,

@@ -179,6 +179,12 @@ util::Status LowerScenarios(std::span<const Scenario> scenarios,
 util::Status LoweringError(std::string_view scenario,
                            const util::Status& cause);
 
+/// Checks a source window `[begin, begin + count)` against the source's
+/// `size`. Fails with `InvalidArgument` naming the source kind `what`, the
+/// window and the size — the one message every source's entry points give.
+util::Status CheckWindow(std::uint64_t begin, std::uint64_t count,
+                         std::uint64_t size, const char* what);
+
 /// 128-bit content fingerprint of a scenario *generator spec* (not of the
 /// scenarios it produces): two sources with equal fingerprints generate
 /// identical scenario streams, so a fingerprint keys plans and caches for a

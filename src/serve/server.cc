@@ -262,11 +262,11 @@ void CobraServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
       SendResponse(conn, response);
       continue;
     }
-    switch (request->type) {
+    switch (request->type()) {
       case MsgType::kPing: {
         WireResponse response;
         response.type = MsgType::kPing;
-        response.request_id = request->request_id;
+        response.request_id = request->request_id();
         const ServedSnapshot snapshot = CurrentSnapshot();
         response.snapshot_version = snapshot.version;
         response.message = snapshot.name;
@@ -276,7 +276,7 @@ void CobraServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
       case MsgType::kStats: {
         WireResponse response;
         response.type = MsgType::kStats;
-        response.request_id = request->request_id;
+        response.request_id = request->request_id();
         response.snapshot_version = snapshot_version();
         response.stats_text = StatsText();
         SendResponse(conn, response);
@@ -287,7 +287,7 @@ void CobraServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
         break;
       default: {
         WireResponse response;
-        response.request_id = request->request_id;
+        response.request_id = request->request_id();
         response.code = WireCode::kInvalidArgument;
         response.message = "unknown message type";
         SendResponse(conn, response);
@@ -302,14 +302,14 @@ void CobraServer::AdmitOrShed(const std::shared_ptr<Connection>& conn,
   auto pending = std::make_unique<PendingRequest>();
   pending->conn = conn;
   pending->snapshot = CurrentSnapshot();
-  int deadline_ms = request.deadline_ms == 0
+  int deadline_ms = request.deadline_ms() == 0
                         ? options_.default_deadline_ms
-                        : static_cast<int>(request.deadline_ms);
+                        : static_cast<int>(request.deadline_ms());
   if (deadline_ms > options_.max_deadline_ms) {
     deadline_ms = options_.max_deadline_ms;
   }
   pending->deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
-  const std::uint64_t request_id = request.request_id;
+  const std::uint64_t request_id = request.request_id();
   pending->request = std::move(request);
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -356,7 +356,7 @@ void CobraServer::WorkerLoop() {
 void CobraServer::Execute(PendingRequest& pending) {
   WireResponse response = RunAssignBatch(pending, pending.snapshot);
   response.type = MsgType::kAssignBatch;
-  response.request_id = pending.request.request_id;
+  response.request_id = pending.request.request_id();
   switch (response.code) {
     case WireCode::kOk:
       completed_.fetch_add(1, std::memory_order_relaxed);
@@ -422,7 +422,7 @@ WireResponse CobraServer::RunAssignBatch(const PendingRequest& pending,
     // the frame's hash of its scenario section plus the snapshot version —
     // requests pinned to different versions never share a result.
     const auto key = std::make_pair(
-        std::make_pair(request.hash.lo, request.hash.hi), snapshot.version);
+        std::make_pair(request.hash().lo, request.hash().hi), snapshot.version);
     std::shared_ptr<Inflight> inflight;
     bool leader = false;
     {

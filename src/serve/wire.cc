@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -32,33 +31,51 @@ constexpr std::size_t kHeaderBytes = 2 + 2 + 8 + 4;
 // halves the value matrices' share of encoding and decoding a response.
 constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
 
-/// Bytes of a length-prefixed string on the wire.
-std::size_t StrBytes(std::string_view s) { return 4 + s.size(); }
+/// The sizing pass of an encoding: counts the bytes the filling pass puts.
+struct ByteCounter {
+  std::size_t bytes = 0;
 
-std::size_t StrVecBytes(const std::vector<std::string>& v) {
-  std::size_t bytes = 4;
-  for (const std::string& s : v) bytes += StrBytes(s);
-  return bytes;
-}
+  template <typename T>
+  void Int(T /*v*/) {
+    bytes += sizeof(T);
+  }
+  void Bytes(const void* /*data*/, std::size_t size) { bytes += size; }
+};
 
-std::size_t F64VecBytes(const std::vector<double>& v) {
-  return 4 + 8 * v.size();
-}
+/// The filling pass of an encoding: writes into the buffer the sizing pass
+/// sized.
+struct BufferFiller {
+  char* p;
 
-/// Little-endian payload writer over a buffer its caller sized exactly
-/// (same conventions as the snapshot format).
+  template <typename T>
+  void Int(T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<char>(v >> (8 * i));
+    }
+    p += sizeof(T);
+  }
+  void Bytes(const void* data, std::size_t size) {
+    if (size > 0) std::memcpy(p, data, size);
+    p += size;
+  }
+};
+
+/// Little-endian payload writer over a sink (same conventions as the
+/// snapshot format). A message's fields are written by one function, run
+/// over a `ByteCounter` to size the buffer and over a `BufferFiller` to fill
+/// it (`Encode`), so the size and the bytes come from the same code.
+template <typename Sink>
 class Writer {
  public:
-  explicit Writer(std::string* out) : p_(out->data()), end_(p_ + out->size()) {}
-  ~Writer() { assert(p_ == end_); }
+  explicit Writer(Sink* sink) : sink_(sink) {}
 
-  void U16(std::uint16_t v) { Int(v); }
-  void U32(std::uint32_t v) { Int(v); }
-  void U64(std::uint64_t v) { Int(v); }
-  void F64(double v) { Int(std::bit_cast<std::uint64_t>(v)); }
+  void U16(std::uint16_t v) { sink_->Int(v); }
+  void U32(std::uint32_t v) { sink_->Int(v); }
+  void U64(std::uint64_t v) { sink_->Int(v); }
+  void F64(double v) { sink_->Int(std::bit_cast<std::uint64_t>(v)); }
   void Str(std::string_view s) {
     U32(static_cast<std::uint32_t>(s.size()));
-    Bytes(s.data(), s.size());
+    sink_->Bytes(s.data(), s.size());
   }
   void StrVec(const std::vector<std::string>& v) {
     U32(static_cast<std::uint32_t>(v.size()));
@@ -67,28 +84,75 @@ class Writer {
   void F64Vec(const std::vector<double>& v) {
     U32(static_cast<std::uint32_t>(v.size()));
     if constexpr (kLittleEndianHost) {
-      Bytes(v.data(), 8 * v.size());
+      sink_->Bytes(v.data(), 8 * v.size());
     } else {
       for (double x : v) F64(x);
     }
   }
 
  private:
-  template <typename T>
-  void Int(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      p_[i] = static_cast<char>(v >> (8 * i));
-    }
-    p_ += sizeof(T);
-  }
-  void Bytes(const void* data, std::size_t size) {
-    if (size > 0) std::memcpy(p_, data, size);
-    p_ += size;
-  }
-
-  char* p_;
-  char* const end_;
+  Sink* sink_;
 };
+
+/// Encodes the message whose fields `write_fields(&writer)` writes: one
+/// pass sizes the buffer, a second fills it.
+template <typename WriteFields>
+std::string Encode(const WriteFields& write_fields) {
+  ByteCounter counter;
+  Writer<ByteCounter> sizing(&counter);
+  write_fields(&sizing);
+  std::string out(counter.bytes, '\0');
+  BufferFiller filler{out.data()};
+  Writer<BufferFiller> filling(&filler);
+  write_fields(&filling);
+  return out;
+}
+
+/// A request's fields in wire order.
+template <typename Sink>
+void WriteRequestFields(const WireRequest& request, Writer<Sink>* w) {
+  w->U16(kWireVersion);
+  w->U16(static_cast<std::uint16_t>(request.type));
+  w->U64(request.request_id);
+  w->U32(request.deadline_ms);
+  if (request.type == MsgType::kAssignBatch) {
+    w->U32(static_cast<std::uint32_t>(request.scenarios.size()));
+    for (const core::Scenario& scenario : request.scenarios.scenarios()) {
+      w->Str(scenario.name);
+      w->U32(static_cast<std::uint32_t>(scenario.deltas.size()));
+      for (const core::Scenario::Delta& delta : scenario.deltas) {
+        w->Str(delta.var);
+        w->F64(delta.value);
+      }
+    }
+  }
+}
+
+/// A response's fields in wire order; an error carries no result fields.
+template <typename Sink>
+void WriteResponseFields(const WireResponse& response, Writer<Sink>* w) {
+  w->U16(kWireVersion);
+  w->U16(static_cast<std::uint16_t>(response.type));
+  w->U64(response.request_id);
+  w->U16(static_cast<std::uint16_t>(response.code));
+  w->U32(response.retry_after_ms);
+  w->Str(response.message);
+  if (response.code != WireCode::kOk) return;
+  w->U64(response.snapshot_version);
+  switch (response.type) {
+    case MsgType::kPing:
+      break;
+    case MsgType::kAssignBatch:
+      w->StrVec(response.labels);
+      w->StrVec(response.scenario_names);
+      w->F64Vec(response.full_values);
+      w->F64Vec(response.compressed_values);
+      break;
+    case MsgType::kStats:
+      w->Str(response.stats_text);
+      break;
+  }
+}
 
 template <typename T>
 T LoadLittleEndian(const char* p) {
@@ -327,52 +391,46 @@ WireCode ToWireCode(util::StatusCode code) {
 }
 
 std::string EncodeRequest(const WireRequest& request) {
-  std::size_t bytes = kHeaderBytes;
-  if (request.type == MsgType::kAssignBatch) {
-    bytes += 4;
-    for (const core::Scenario& scenario : request.scenarios.scenarios()) {
-      bytes += StrBytes(scenario.name) + 4;
-      for (const core::Scenario::Delta& delta : scenario.deltas) {
-        bytes += StrBytes(delta.var) + 8;
-      }
-    }
-  }
-  std::string out(bytes, '\0');
-  Writer w(&out);
-  w.U16(kWireVersion);
-  w.U16(static_cast<std::uint16_t>(request.type));
-  w.U64(request.request_id);
-  w.U32(request.deadline_ms);
-  if (request.type == MsgType::kAssignBatch) {
-    w.U32(static_cast<std::uint32_t>(request.scenarios.size()));
-    for (const core::Scenario& scenario : request.scenarios.scenarios()) {
-      w.Str(scenario.name);
-      w.U32(static_cast<std::uint32_t>(scenario.deltas.size()));
-      for (const core::Scenario::Delta& delta : scenario.deltas) {
-        w.Str(delta.var);
-        w.F64(delta.value);
-      }
-    }
-  }
-  return out;
+  return Encode([&request](auto* w) { WriteRequestFields(request, w); });
 }
 
 namespace {
 
-/// The one request parser: checks every field of `payload` in order and
-/// fills `frame`'s header fields, record offsets and `max_deltas` (not its
-/// payload or hash). A scenario's checks run in the order its fields
-/// arrive, and a repeated name is caught once its record is read, so every
-/// refusal is the first fault of the payload.
-util::Status WalkRequest(std::string_view payload, RequestFrame* frame,
-                         std::uint64_t* request_id) {
+/// Appends the scenario records at `records` of a walked `payload` to
+/// `out`.
+util::Status AppendRecords(std::string_view payload,
+                           std::span<const std::size_t> records,
+                           core::ScenarioSet* out) {
+  for (const std::size_t offset : records) {
+    RecordReader record(payload, offset);
+    core::Scenario scenario;
+    scenario.name = record.Str();
+    scenario.deltas.resize(record.U32());
+    for (core::Scenario::Delta& delta : scenario.deltas) {
+      delta.var = record.Str();
+      delta.value = record.F64();
+    }
+    util::Result<core::ScenarioSet::Handle> added =
+        out->Add(std::move(scenario));
+    if (!added.ok()) return added.status();
+  }
+  return util::Status::OK();
+}
+
+}  // namespace
+
+// A scenario's checks run in the order its fields arrive, and a repeated
+// name is caught once its record is read, so every refusal is the first
+// fault of the payload.
+util::Status RequestFrame::Walk(std::string_view payload, RequestFrame* frame,
+                                std::uint64_t* request_id) {
   Reader reader(payload);
   if (request_id != nullptr) *request_id = 0;
-  COBRA_RETURN_IF_ERROR(CheckVersionAndType(&reader, &frame->type));
-  COBRA_RETURN_IF_ERROR(reader.U64(&frame->request_id, "request id"));
-  if (request_id != nullptr) *request_id = frame->request_id;
-  COBRA_RETURN_IF_ERROR(reader.U32(&frame->deadline_ms, "deadline"));
-  if (frame->type == MsgType::kAssignBatch) {
+  COBRA_RETURN_IF_ERROR(CheckVersionAndType(&reader, &frame->type_));
+  COBRA_RETURN_IF_ERROR(reader.U64(&frame->request_id_, "request id"));
+  if (request_id != nullptr) *request_id = frame->request_id_;
+  COBRA_RETURN_IF_ERROR(reader.U32(&frame->deadline_ms_, "deadline"));
+  if (frame->type_ == MsgType::kAssignBatch) {
     std::size_t num_scenarios = 0;
     // A scenario is at least a name length + delta count: 8 bytes.
     COBRA_RETURN_IF_ERROR(reader.Count(8, &num_scenarios, "scenario"));
@@ -382,11 +440,11 @@ util::Status WalkRequest(std::string_view payload, RequestFrame* frame,
           "kMaxRequestScenarios cap of %u",
           num_scenarios, kMaxRequestScenarios));
     }
-    frame->records.reserve(num_scenarios);
+    frame->records_.reserve(num_scenarios);
     NameSet names(num_scenarios);
     std::size_t total_deltas = 0;
     for (std::size_t i = 0; i < num_scenarios; ++i) {
-      frame->records.push_back(reader.pos());
+      frame->records_.push_back(reader.pos());
       std::string_view name;
       COBRA_RETURN_IF_ERROR(reader.View(&name, "scenario name"));
       if (name.empty()) {
@@ -404,7 +462,7 @@ util::Status WalkRequest(std::string_view payload, RequestFrame* frame,
             "(kMaxRequestDeltas cap)",
             kMaxRequestDeltas));
       }
-      frame->max_deltas = std::max(frame->max_deltas, num_deltas);
+      frame->max_deltas_ = std::max(frame->max_deltas_, num_deltas);
       for (std::size_t d = 0; d < num_deltas; ++d) {
         std::string_view var;
         double value = 0.0;
@@ -431,125 +489,44 @@ util::Status WalkRequest(std::string_view payload, RequestFrame* frame,
   return util::Status::OK();
 }
 
-/// Appends the scenario records at `records` of a walked `payload` to
-/// `out`.
-util::Status AppendRecords(std::string_view payload,
-                           std::span<const std::size_t> records,
-                           core::ScenarioSet* out) {
-  for (const std::size_t offset : records) {
-    RecordReader record(payload, offset);
-    core::Scenario scenario;
-    scenario.name = record.Str();
-    scenario.deltas.resize(record.U32());
-    for (core::Scenario::Delta& delta : scenario.deltas) {
-      delta.var = record.Str();
-      delta.value = record.F64();
-    }
-    util::Result<core::ScenarioSet::Handle> added =
-        out->Add(std::move(scenario));
-    if (!added.ok()) return added.status();
-  }
-  return util::Status::OK();
-}
-
-/// A window of a frame source, checked like every source's windows.
-util::Status CheckWindow(std::uint64_t begin, std::uint64_t count,
-                         std::uint64_t size) {
-  if (begin > size || count > size - begin) {
-    return util::Status::InvalidArgument(
-        "FrameSource: window [" + std::to_string(begin) + ", " +
-        std::to_string(begin + count) + ") exceeds source size " +
-        std::to_string(size));
-  }
-  return util::Status::OK();
-}
-
-}  // namespace
-
-std::string_view RequestFrame::name(std::size_t i) const {
-  return RecordReader(payload, records[i]).Str();
-}
-
 util::Status RequestFrame::AppendScenarios(std::size_t begin,
                                            std::size_t count,
                                            core::ScenarioSet* out) const {
-  return AppendRecords(payload,
-                       std::span<const std::size_t>(records).subspan(begin,
-                                                                     count),
-                       out);
+  COBRA_RETURN_IF_ERROR(
+      core::CheckWindow(begin, count, num_scenarios(), "RequestFrame"));
+  return AppendRecords(payload_, records().subspan(begin, count), out);
 }
 
 util::Result<RequestFrame> ParseRequest(std::string payload,
                                         std::uint64_t* request_id) {
   RequestFrame frame;
-  COBRA_RETURN_IF_ERROR(WalkRequest(payload, &frame, request_id));
-  if (frame.type == MsgType::kAssignBatch) {
+  COBRA_RETURN_IF_ERROR(RequestFrame::Walk(payload, &frame, request_id));
+  if (frame.type_ == MsgType::kAssignBatch) {
     // Its own seed pair, apart from every source and plan fingerprint.
     util::Hash128 hash(0x3c6ef372fe94f82bULL, 0xa54ff53a5f1d36f1ULL);
     hash.FeedBytes(std::string_view(payload).substr(kHeaderBytes));
-    frame.hash = core::SourceFingerprint{hash.lo(), hash.hi()};
+    frame.hash_ = core::SourceFingerprint{hash.lo(), hash.hi()};
   }
-  frame.payload = std::move(payload);
+  frame.payload_ = std::move(payload);
   return frame;
 }
 
 util::Result<WireRequest> DecodeRequest(std::string_view payload,
                                         std::uint64_t* request_id) {
   RequestFrame frame;
-  COBRA_RETURN_IF_ERROR(WalkRequest(payload, &frame, request_id));
+  COBRA_RETURN_IF_ERROR(RequestFrame::Walk(payload, &frame, request_id));
   WireRequest request;
-  request.type = frame.type;
-  request.request_id = frame.request_id;
-  request.deadline_ms = frame.deadline_ms;
+  request.type = frame.type_;
+  request.request_id = frame.request_id_;
+  request.deadline_ms = frame.deadline_ms_;
   request.scenarios.Reserve(frame.num_scenarios());
   COBRA_RETURN_IF_ERROR(
-      AppendRecords(payload, frame.records, &request.scenarios));
+      AppendRecords(payload, frame.records_, &request.scenarios));
   return request;
 }
 
 std::string EncodeResponse(const WireResponse& response) {
-  const bool ok = response.code == WireCode::kOk;
-  std::size_t bytes = 2 + 2 + 8 + 2 + 4 + StrBytes(response.message);
-  if (ok) {
-    bytes += 8;
-    switch (response.type) {
-      case MsgType::kPing:
-        break;
-      case MsgType::kAssignBatch:
-        bytes += StrVecBytes(response.labels) +
-                 StrVecBytes(response.scenario_names) +
-                 F64VecBytes(response.full_values) +
-                 F64VecBytes(response.compressed_values);
-        break;
-      case MsgType::kStats:
-        bytes += StrBytes(response.stats_text);
-        break;
-    }
-  }
-  std::string out(bytes, '\0');
-  Writer w(&out);
-  w.U16(kWireVersion);
-  w.U16(static_cast<std::uint16_t>(response.type));
-  w.U64(response.request_id);
-  w.U16(static_cast<std::uint16_t>(response.code));
-  w.U32(response.retry_after_ms);
-  w.Str(response.message);
-  if (!ok) return out;
-  w.U64(response.snapshot_version);
-  switch (response.type) {
-    case MsgType::kPing:
-      break;
-    case MsgType::kAssignBatch:
-      w.StrVec(response.labels);
-      w.StrVec(response.scenario_names);
-      w.F64Vec(response.full_values);
-      w.F64Vec(response.compressed_values);
-      break;
-    case MsgType::kStats:
-      w.Str(response.stats_text);
-      break;
-  }
-  return out;
+  return Encode([&response](auto* w) { WriteResponseFields(response, w); });
 }
 
 util::Result<WireResponse> DecodeResponse(std::string_view payload) {
@@ -611,7 +588,8 @@ util::Result<WireResponse> DecodeResponse(std::string_view payload) {
 
 util::Status FrameSource::Generate(std::uint64_t begin, std::uint64_t count,
                                    core::ScenarioSet* out) const {
-  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size()));
+  COBRA_RETURN_IF_ERROR(
+      core::CheckWindow(begin, count, size(), "FrameSource"));
   return frame_->AppendScenarios(static_cast<std::size_t>(begin),
                                  static_cast<std::size_t>(count), out);
 }
@@ -620,13 +598,14 @@ util::Status FrameSource::Lower(std::uint64_t begin, std::uint64_t count,
                                 const core::VarResolver& resolver,
                                 core::LoweredScenarios* out,
                                 std::vector<std::string>* names) const {
-  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size()));
+  COBRA_RETURN_IF_ERROR(
+      core::CheckWindow(begin, count, size(), "FrameSource"));
   const std::size_t first = static_cast<std::size_t>(begin);
   const std::size_t n = static_cast<std::size_t>(count);
   out->offsets.reserve(out->offsets.size() + n);
   if (names != nullptr) names->reserve(names->size() + n);
   for (std::size_t i = first; i < first + n; ++i) {
-    RecordReader record(frame_->payload, frame_->records[i]);
+    RecordReader record(frame_->payload(), frame_->records()[i]);
     const std::string_view name = record.Str();
     const std::uint32_t num_deltas = record.U32();
     for (std::uint32_t d = 0; d < num_deltas; ++d) {
@@ -638,16 +617,6 @@ util::Status FrameSource::Lower(std::uint64_t begin, std::uint64_t count,
     }
     out->EndUnsortedScenario();
     if (names != nullptr) names->emplace_back(name);
-  }
-  return util::Status::OK();
-}
-
-util::Status FrameSource::Names(std::uint64_t begin, std::uint64_t count,
-                                std::vector<std::string>* out) const {
-  COBRA_RETURN_IF_ERROR(CheckWindow(begin, count, size()));
-  out->reserve(out->size() + static_cast<std::size_t>(count));
-  for (std::uint64_t i = begin; i < begin + count; ++i) {
-    out->emplace_back(frame_->name(static_cast<std::size_t>(i)));
   }
   return util::Status::OK();
 }

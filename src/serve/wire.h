@@ -2,6 +2,7 @@
 #define COBRA_SERVE_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -138,35 +139,56 @@ std::string EncodeResponse(const WireResponse& response);
 /// deadline) followed by the scenario section: a u32 scenario count, then
 /// one record per scenario — its name, a u32 delta count, and per delta the
 /// variable name and the value's bit pattern. The frame indexes where each
-/// record starts; readers take names as views into `payload` and never
-/// re-check a bound.
-struct RequestFrame {
-  MsgType type = MsgType::kPing;
-  std::uint64_t request_id = 0;
-  std::uint32_t deadline_ms = 0;
-  /// The payload bytes, moved in by `ParseRequest`.
-  std::string payload;
-  /// Payload offset of each scenario's record, in request order.
-  std::vector<std::size_t> records;
+/// record starts, so its readers take names as views into the payload and
+/// never re-check a bound. `ParseRequest` is its only producer and the
+/// payload and index are read-only, so a frame always holds a walked payload
+/// (a default-constructed frame is an empty kPing).
+class RequestFrame {
+ public:
+  RequestFrame() = default;
+
+  MsgType type() const { return type_; }
+  std::uint64_t request_id() const { return request_id_; }
+  std::uint32_t deadline_ms() const { return deadline_ms_; }
+  std::size_t num_scenarios() const { return records_.size(); }
   /// The largest delta count of one scenario as sent, before a repeated
   /// variable collapses — what `ScenarioSource::max_deltas` reports.
-  std::size_t max_deltas = 0;
+  std::size_t max_deltas() const { return max_deltas_; }
   /// 128-bit hash (util::Hash128) of the scenario section's bytes. The
   /// section encodes the scenario list injectively (names, variables, value
   /// bits and order), so equal hashes stand for equal lists; the daemon
   /// coalesces whole batches on it.
-  core::SourceFingerprint hash;
-
-  std::size_t num_scenarios() const { return records.size(); }
-
-  /// Scenario `i`'s name, a view into `payload`.
-  std::string_view name(std::size_t i) const;
+  const core::SourceFingerprint& hash() const { return hash_; }
+  /// The payload bytes, moved in by `ParseRequest`.
+  std::string_view payload() const { return payload_; }
+  /// Payload offset of each scenario's record, in request order.
+  std::span<const std::size_t> records() const { return records_; }
 
   /// Appends scenarios `[begin, begin + count)` to `out`, as `DecodeRequest`
-  /// materializes them. The window must lie inside the frame. Fails only
-  /// where `ScenarioSet::Add` does: a name `out` already holds.
+  /// materializes them. Fails with InvalidArgument on a window outside the
+  /// frame, and where `ScenarioSet::Add` does: a name `out` already holds.
   util::Status AppendScenarios(std::size_t begin, std::size_t count,
                                core::ScenarioSet* out) const;
+
+ private:
+  friend util::Result<RequestFrame> ParseRequest(std::string payload,
+                                                 std::uint64_t* request_id);
+  friend util::Result<WireRequest> DecodeRequest(std::string_view payload,
+                                                 std::uint64_t* request_id);
+
+  /// The one request parser: checks every field of `payload` in order and
+  /// fills the header fields, `records_` and `max_deltas_` (not the payload
+  /// or hash).
+  static util::Status Walk(std::string_view payload, RequestFrame* frame,
+                           std::uint64_t* request_id);
+
+  MsgType type_ = MsgType::kPing;
+  std::uint64_t request_id_ = 0;
+  std::uint32_t deadline_ms_ = 0;
+  std::string payload_;
+  std::vector<std::size_t> records_;
+  std::size_t max_deltas_ = 0;
+  core::SourceFingerprint hash_;
 };
 
 /// Walks a request payload once and keeps it as a frame. Refuses exactly
@@ -193,27 +215,27 @@ util::Result<WireResponse> DecodeResponse(std::string_view payload);
 
 /// A request frame's scenarios as a source, so the daemon can sweep a large
 /// request with one `AssignStream` without materializing it. `Lower`
-/// resolves each window's delta names as views into the payload and ends
-/// each scenario with `LoweredScenarios::EndUnsortedScenario`, as
-/// `LowerScenarios` does; `Names` copies the window's names; `Generate`
-/// materializes records (for the stream audits). `max_deltas` and
-/// `fingerprint` are the frame's `max_deltas` and `hash`. The source
-/// borrows the frame, which must outlive it.
+/// resolves each window's delta names as views into the payload, names the
+/// window from it too, and ends each scenario with
+/// `LoweredScenarios::EndUnsortedScenario`, as `LowerScenarios` does;
+/// `Generate` materializes records (for `Names` and the stream audits).
+/// `max_deltas` and `fingerprint` are the frame's `max_deltas` and `hash`.
+/// The source borrows the frame, which must outlive it.
 class FrameSource final : public core::ScenarioSource {
  public:
   explicit FrameSource(const RequestFrame& frame) : frame_(&frame) {}
 
   std::uint64_t size() const override { return frame_->num_scenarios(); }
-  std::size_t max_deltas() const override { return frame_->max_deltas; }
-  core::SourceFingerprint fingerprint() const override { return frame_->hash; }
+  std::size_t max_deltas() const override { return frame_->max_deltas(); }
+  core::SourceFingerprint fingerprint() const override {
+    return frame_->hash();
+  }
   util::Status Generate(std::uint64_t begin, std::uint64_t count,
                         core::ScenarioSet* out) const override;
   util::Status Lower(std::uint64_t begin, std::uint64_t count,
                      const core::VarResolver& resolver,
                      core::LoweredScenarios* out,
                      std::vector<std::string>* names) const override;
-  util::Status Names(std::uint64_t begin, std::uint64_t count,
-                     std::vector<std::string>* out) const override;
 
  private:
   const RequestFrame* frame_;

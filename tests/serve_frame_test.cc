@@ -17,6 +17,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -143,7 +144,7 @@ TEST_F(RequestFrameTest, LoweringAndNamesMatchGenerateOnRandomWindows) {
       max_deltas = std::max(max_deltas, scenario.deltas.size());
     }
     EXPECT_EQ(source.max_deltas(), max_deltas);
-    EXPECT_EQ(source.fingerprint(), frame.hash);
+    EXPECT_EQ(source.fingerprint(), frame.hash());
 
     const WireRequest decoded = DecodeRequest(payload).ValueOrDie();
     ScenarioSet generated_whole;
@@ -216,7 +217,7 @@ TEST_F(RequestFrameTest, HashCoversTheScenarioSectionOnly) {
   const ScenarioSet scenarios = RandomScenarios(rng, 20);
   const RequestFrame frame = Parse(EncodeBatch(scenarios, /*request_id=*/1));
   const RequestFrame same = Parse(EncodeBatch(scenarios, /*request_id=*/2));
-  EXPECT_EQ(frame.hash, same.hash);
+  EXPECT_EQ(frame.hash(), same.hash());
 
   // One more scenario changes the hash; then its one delta's value, the
   // payload's last 8 bytes, moves by its lowest bit (1.0 becomes its
@@ -225,10 +226,10 @@ TEST_F(RequestFrameTest, HashCoversTheScenarioSectionOnly) {
   extended.Add("extra").ValueOrDie().Set(vars_[0], 1.0);
   std::string payload = EncodeBatch(extended);
   const RequestFrame longer = Parse(payload);
-  EXPECT_NE(frame.hash, longer.hash);
+  EXPECT_NE(frame.hash(), longer.hash());
   payload[payload.size() - 8] ^= 1;
   const RequestFrame one_bit = Parse(payload);
-  EXPECT_NE(one_bit.hash, longer.hash);
+  EXPECT_NE(one_bit.hash(), longer.hash());
 }
 
 // An unknown variable fails the window that holds it — naming the scenario
@@ -326,7 +327,7 @@ void StoreU32(std::string* payload, std::size_t at, std::uint32_t value) {
   }
 }
 
-std::uint32_t LoadU32(const std::string& payload, std::size_t at) {
+std::uint32_t LoadU32(std::string_view payload, std::size_t at) {
   std::uint32_t value = 0;
   for (int i = 0; i < 4; ++i) {
     value |= static_cast<std::uint32_t>(static_cast<unsigned char>(
@@ -342,15 +343,15 @@ std::uint32_t LoadU32(const std::string& payload, std::size_t at) {
 std::vector<std::size_t> CountFields(const RequestFrame& frame) {
   std::vector<std::size_t> fields = {16};
   for (std::size_t i = 0; i < frame.num_scenarios(); ++i) {
-    std::size_t at = frame.records[i];
+    std::size_t at = frame.records()[i];
     fields.push_back(at);
-    at += 4 + LoadU32(frame.payload, at);
+    at += 4 + LoadU32(frame.payload(), at);
     fields.push_back(at);
-    const std::uint32_t deltas = LoadU32(frame.payload, at);
+    const std::uint32_t deltas = LoadU32(frame.payload(), at);
     at += 4;
     for (std::uint32_t d = 0; d < deltas; ++d) {
       fields.push_back(at);
-      at += 4 + LoadU32(frame.payload, at) + 8;
+      at += 4 + LoadU32(frame.payload(), at) + 8;
     }
   }
   return fields;
@@ -419,8 +420,8 @@ TEST_F(RequestFrameTest, MutatedFramesAreRefusedOrAgreeWithTheFrameSource) {
               static_cast<std::size_t>(rng.NextBelow(size));
           std::size_t to = static_cast<std::size_t>(rng.NextBelow(size - 1));
           if (to >= from) ++to;
-          const std::string_view name = pristine_frame.name(from);
-          mutant.replace(pristine_frame.records[to] + 4, name.size(), name);
+          const std::string& name = scenarios.scenario(from).name;
+          mutant.replace(pristine_frame.records()[to] + 4, name.size(), name);
           break;
         }
         default:  // Append a trailing byte.
@@ -444,10 +445,11 @@ TEST_F(RequestFrameTest, MutatedFramesAreRefusedOrAgreeWithTheFrameSource) {
       }
       ++accepted;
       EXPECT_EQ(EncodeRequest(*decoded), mutant);
-      EXPECT_EQ(frame->type, decoded->type);
-      EXPECT_EQ(frame->request_id, decoded->request_id);
-      EXPECT_EQ(frame->deadline_ms, decoded->deadline_ms);
-      if (frame->type != MsgType::kAssignBatch || frame->num_scenarios() == 0) {
+      EXPECT_EQ(frame->type(), decoded->type);
+      EXPECT_EQ(frame->request_id(), decoded->request_id);
+      EXPECT_EQ(frame->deadline_ms(), decoded->deadline_ms);
+      if (frame->type() != MsgType::kAssignBatch ||
+          frame->num_scenarios() == 0) {
         EXPECT_EQ(decoded->scenarios.size(), frame->num_scenarios());
         continue;
       }
