@@ -15,7 +15,10 @@
 // planned before pays before its sweep (lowering, block program, tile
 // schedules). Recorded, not gated.
 //
-// A machine-readable BENCH_a12.json lands next to the human output.
+// It prints which blocked-kernel body ran ("blocked kernel isa: avx2" or
+// "baseline", prov::BlockedKernelIsa()); CI surfaces a ::notice when the
+// runner ran the baseline body. A machine-readable BENCH_a12.json, which
+// records it as kernel_isa, lands next to the human output.
 //
 // Knobs: COBRA_A12_SCENARIOS (1024), COBRA_A12_SF (0.03, TPC-H scale
 //        factor), COBRA_A12_BUCKET (128 orders per tree bucket),
@@ -36,6 +39,7 @@
 #include "core/session.h"
 #include "data/tpch.h"
 #include "data/tpch_queries.h"
+#include "prov/eval_program.h"
 #include "rel/sql/planner.h"
 
 namespace {
@@ -93,6 +97,7 @@ int main() {
   const double min_mt = bench::EnvDouble("COBRA_A12_MIN_MT", 1.6);
 
   bench::Header("A12: 16-lane blocked kernel, multi-core scaling");
+  std::printf("blocked kernel isa: %s\n", prov::BlockedKernelIsa());
 
   data::TpchConfig config;
   config.scale_factor = scale_factor;
@@ -196,6 +201,7 @@ int main() {
   json.Add("monomials_compressed", snapshot->compressed_size());
   json.Add("pool_size", snapshot->pool_size());
   json.Add("hardware_threads", hw);
+  json.Add("kernel_isa", std::string(prov::BlockedKernelIsa()));
   json.Add("t1_seconds", t1_seconds);
   json.Add("thw_seconds", thw_seconds);
   json.Add("cold_plan_seconds", cold_plan_seconds);

@@ -44,6 +44,7 @@
 #include "core/session.h"
 #include "data/tpch.h"
 #include "data/tpch_queries.h"
+#include "prov/eval_program.h"
 #include "rel/sql/planner.h"
 #include "util/timer.h"
 
@@ -156,6 +157,7 @@ int main() {
   const std::size_t check = bench::EnvSize("COBRA_A7_CHECK", 16);
 
   bench::Header("A7: high-cardinality batched serving (per-order TPC-H)");
+  std::printf("blocked kernel isa: %s\n", prov::BlockedKernelIsa());
 
   data::TpchConfig config;
   config.scale_factor = scale_factor;
@@ -301,6 +303,7 @@ int main() {
   json.Add("scenarios", num_scenarios);
   json.Add("threads", blocked_batch.num_threads);
   json.Add("block_lanes", blocked_batch.block_lanes);
+  json.Add("kernel_isa", std::string(prov::BlockedKernelIsa()));
   json.Add("scale_factor", scale_factor);
   json.Add("monomials_full", snapshot->full_size());
   json.Add("monomials_compressed", snapshot->compressed_size());

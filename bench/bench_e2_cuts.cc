@@ -65,8 +65,9 @@ void PrintCutTable() {
       "\npaper reference: S1 on P1 -> 4 monomials / 4 variables; "
       "S5 on P1 -> 2 monomials / 3 variables.\n");
 
-  // The compressed S5 polynomial as printed in the paper (with the m1
-  // coefficient corrected; see EXPERIMENTS.md).
+  // The compressed S5 polynomial as printed in the paper, with the m1
+  // coefficient corrected: the paper's 466.1 is a typo for 454.1, the sum
+  // of P1's m1 coefficients.
   prov::VarPool scratch = pool;
   core::Cut s5 = core::Cut::FromNames(tree, {"Plans"}).ValueOrDie();
   core::Abstraction abs =

@@ -41,7 +41,9 @@
 //                                    loaded from disk (the replica path)
 //   plan                             show the snapshot's cached-plan table
 //                                    (fingerprint, engine, lanes, tiles,
-//                                    per-entry base count) and the cache
+//                                    per-entry base count) under a header
+//                                    naming the blocked kernel's
+//                                    instruction set, and the cache
 //                                    hit/core-hit/miss counters
 //   verify                           run the static verifier over the live
 //                                    compiled session: programs, the
@@ -425,6 +427,8 @@ class Shell {
       std::printf("plan cache empty — run `batch [n]` first\n");
       return true;
     }
+    std::printf("cached plans (blocked kernel isa: %s)\n",
+                prov::BlockedKernelIsa());
     std::printf("%-32s %-12s %5s %6s %9s %9s\n", "fingerprint", "engine",
                 "lanes", "tiles", "scenarios", "bases");
     for (const core::CompiledSession::CachedPlanInfo& info : plans) {

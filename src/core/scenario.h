@@ -475,8 +475,9 @@ struct BatchOptions {
     /// bit-identical to the scalar path while the factor/coeff arrays are
     /// read once per block instead of once per scenario. A trailing ragged
     /// block runs padded to 16 lanes; padding lanes are discarded. The
-    /// width only vectorizes to AVX-512 when the library is built with
-    /// `COBRA_ENABLE_NATIVE_ARCH` on a machine that has it.
+    /// lanes run in AVX2 registers on an x86-64 CPU with AVX2 and at the
+    /// build's baseline width otherwise (SSE2 on x86-64), chosen at run
+    /// time with identical results (`prov::BlockedKernelIsa()`).
     kBlocked,
     /// Scalar sparse engine: each scenario is a small sorted (VarId, value)
     /// override list resolved during its own scan — no per-scenario

@@ -13,19 +13,45 @@ namespace {
 /// The blocked kernel's compile-time lane count.
 constexpr int kLanes = static_cast<int>(EvalProgram::kMaxLanes);
 
-/// Everything the blocked kernel's per-term paths read: the program's
-/// compiled arrays, the base valuation and its term products, the block's
-/// override rows, and the side's factor-row array.
+/// Everything a blocked-kernel body reads: the program's compiled arrays,
+/// the base valuation and its sums, the block's override rows, the side's
+/// factor-row array and the block's touched terms.
 struct KernelView {
+  const std::uint32_t* poly_starts = nullptr;
   const std::uint32_t* term_starts = nullptr;
   const double* coeffs = nullptr;
   const VarId* factors = nullptr;
   const double* base = nullptr;
   const double* base_products = nullptr;
+  const double* base_prefix = nullptr;
+  const double* base_values = nullptr;
   const double* values = nullptr;       ///< The block's rows.
   const std::uint64_t* masks = nullptr;
   const std::uint32_t* factor_rows = nullptr;
+  const TouchedTerm* touched = nullptr;  ///< The block's touched terms.
+  const TouchedTerm* touched_end = nullptr;
+  std::size_t lanes = 0;  ///< The block's real lanes.
 };
+
+KernelView MakeKernelView(const EvalProgram& program, const Valuation& base,
+                          const BaseSums& sums, const BlockRows& rows,
+                          const TouchedPrograms& touched, std::size_t block) {
+  const std::span<const TouchedTerm> terms = touched.terms(block);
+  return {.poly_starts = program.poly_starts().data(),
+          .term_starts = program.term_starts().data(),
+          .coeffs = program.coeffs().data(),
+          .factors = program.factors().data(),
+          .base = base.values().data(),
+          .base_products = sums.products.data(),
+          .base_prefix = sums.prefix.data(),
+          .base_values = sums.values.data(),
+          .values = rows.values(block).data(),
+          .masks = rows.masks(block).data(),
+          .factor_rows = touched.factor_rows().data(),
+          .touched = terms.data(),
+          .touched_end = terms.data() + terms.size(),
+          .lanes = rows.num_lanes(block)};
+}
 
 /// Accumulates the kLanes products of touched term `touched` into `sum`.
 /// Per factor the base value is loaded once; a factor no lane overrides
@@ -35,9 +61,11 @@ struct KernelView {
 /// sequence (prod = coeff, prod *= value per factor, sum += prod) on the
 /// scalar path's values, so per-lane results are bit-identical to the
 /// scalar sparse scan while one pass over the compiled arrays serves kLanes
-/// scenarios.
-inline void AddBlockedTerm(const KernelView& k, const TouchedTerm& touched,
-                           double* sum) {
+/// scenarios. Always inlined, so each kernel body compiles it for its own
+/// instruction set.
+[[gnu::always_inline]] inline void AddBlockedTerm(const KernelView& k,
+                                                  const TouchedTerm& touched,
+                                                  double* sum) {
   double prod[kLanes];
   const std::uint32_t t = touched.term;
   const double c = k.coeffs[t];
@@ -73,13 +101,16 @@ inline void AddBlockedTerm(const KernelView& k, const TouchedTerm& touched,
 /// exactly the product each lane's factor path would form, since no lane
 /// overrides any of that term's variables. `*next` advances past the
 /// touched terms consumed.
-inline void AddTermSpan(const KernelView& k, std::uint32_t t,
-                        std::uint32_t end, const TouchedTerm** next,
-                        const TouchedTerm* touched_end, double* sum) {
+[[gnu::always_inline]] inline void AddTermSpan(const KernelView& k,
+                                               std::uint32_t t,
+                                               std::uint32_t end,
+                                               const TouchedTerm** next,
+                                               double* sum) {
   const TouchedTerm* n = *next;
   while (t < end) {
-    while (n != touched_end && n->term < t) ++n;
-    const std::uint32_t stop = n != touched_end && n->term < end ? n->term : end;
+    while (n != k.touched_end && n->term < t) ++n;
+    const std::uint32_t stop =
+        n != k.touched_end && n->term < end ? n->term : end;
     for (; t < stop; ++t) {
       const double p = k.base_products[t];
 #pragma omp simd
@@ -93,12 +124,118 @@ inline void AddTermSpan(const KernelView& k, std::uint32_t t,
   *next = n;
 }
 
-/// The first touched term at or after term `t`.
-const TouchedTerm* FirstTouchedFrom(std::span<const TouchedTerm> terms,
-                                    std::uint32_t t) {
+/// The block's first touched term at or after term `t`.
+const TouchedTerm* FirstTouchedFrom(const KernelView& k, std::uint32_t t) {
   return std::lower_bound(
-      terms.data(), terms.data() + terms.size(), t,
+      k.touched, k.touched_end, t,
       [](const TouchedTerm& a, std::uint32_t term) { return a.term < term; });
+}
+
+/// The body of EvalRangeBlocked, on validated inputs.
+[[gnu::always_inline]] inline void RangeBlockedBody(const KernelView& k,
+                                                    std::size_t poly_begin,
+                                                    std::size_t poly_end,
+                                                    double* out,
+                                                    std::size_t lane_stride) {
+  const TouchedTerm* next = FirstTouchedFrom(k, k.poly_starts[poly_begin]);
+  for (std::size_t p = poly_begin; p < poly_end; ++p) {
+    const std::uint32_t last = k.poly_starts[p + 1];
+    while (next != k.touched_end && next->term < k.poly_starts[p]) ++next;
+    if (next == k.touched_end || next->term >= last) {
+      // No lane overrides a variable of this polynomial.
+      const double value = k.base_values[p];
+      for (std::size_t l = 0; l < k.lanes; ++l) {
+        out[l * lane_stride + p] = value;
+      }
+      continue;
+    }
+    // Every lane shares the base prefix up to the first touched term.
+    double sum[kLanes];
+    const double prefix = k.base_prefix[next->term];
+#pragma omp simd
+    for (int l = 0; l < kLanes; ++l) sum[l] = prefix;
+    AddTermSpan(k, next->term, last, &next, sum);
+    for (std::size_t l = 0; l < k.lanes; ++l) out[l * lane_stride + p] = sum[l];
+  }
+}
+
+/// The body of EvalTermRangeBlocked, on validated inputs.
+[[gnu::always_inline]] inline void TermRangeBlockedBody(
+    const KernelView& k, std::size_t term_begin, std::size_t term_end,
+    double* partials, std::size_t lane_stride) {
+  const TouchedTerm* next =
+      FirstTouchedFrom(k, static_cast<std::uint32_t>(term_begin));
+  double sum[kLanes];
+#pragma omp simd
+  for (int l = 0; l < kLanes; ++l) sum[l] = 0.0;
+  AddTermSpan(k, static_cast<std::uint32_t>(term_begin),
+              static_cast<std::uint32_t>(term_end), &next, sum);
+  for (std::size_t l = 0; l < k.lanes; ++l) partials[l * lane_stride] = sum[l];
+}
+
+// Each body compiles twice from the source above: once for the build's
+// target (SSE2 on plain x86-64), once, on x86-64, under target("avx2").
+// AVX2 without FMA fuses no multiply-add, so both run every lane's IEEE
+// add/mul/and/or sequence unchanged and agree bit for bit. The choice is
+// an explicit function pointer set once per process, not target_clones
+// (an ifunc): GCC 12 binaries holding one crash before main under
+// ThreadSanitizer. COBRA_BLOCKED_BASELINE_ONLY compiles the baseline
+// bodies alone, so a test binary can run them on an AVX2 host.
+#if defined(__x86_64__) && !defined(COBRA_BLOCKED_BASELINE_ONLY)
+#define COBRA_BLOCKED_AVX2_BODY 1
+#endif
+
+using BlockedBody = void (*)(const KernelView&, std::size_t, std::size_t,
+                             double*, std::size_t);
+
+void RangeBlockedBaseline(const KernelView& k, std::size_t begin,
+                          std::size_t end, double* out, std::size_t stride) {
+  RangeBlockedBody(k, begin, end, out, stride);
+}
+
+void TermRangeBlockedBaseline(const KernelView& k, std::size_t begin,
+                              std::size_t end, double* out,
+                              std::size_t stride) {
+  TermRangeBlockedBody(k, begin, end, out, stride);
+}
+
+#if defined(COBRA_BLOCKED_AVX2_BODY)
+[[gnu::target("avx2")]] void RangeBlockedAvx2(const KernelView& k,
+                                              std::size_t begin,
+                                              std::size_t end, double* out,
+                                              std::size_t stride) {
+  RangeBlockedBody(k, begin, end, out, stride);
+}
+
+[[gnu::target("avx2")]] void TermRangeBlockedAvx2(const KernelView& k,
+                                                  std::size_t begin,
+                                                  std::size_t end,
+                                                  double* out,
+                                                  std::size_t stride) {
+  TermRangeBlockedBody(k, begin, end, out, stride);
+}
+#endif
+
+/// The blocked-kernel bodies this process runs.
+struct BlockedBodies {
+  BlockedBody range;
+  BlockedBody term_range;
+  const char* isa;
+};
+
+/// Chosen on first use from the CPU's feature bits, then fixed.
+const BlockedBodies& Bodies() {
+  static const BlockedBodies bodies = [] {
+#if defined(COBRA_BLOCKED_AVX2_BODY)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+      return BlockedBodies{RangeBlockedAvx2, TermRangeBlockedAvx2, "avx2"};
+    }
+#endif
+    return BlockedBodies{RangeBlockedBaseline, TermRangeBlockedBaseline,
+                         "baseline"};
+  }();
+  return bodies;
 }
 
 }  // namespace
@@ -415,31 +552,8 @@ void EvalProgram::EvalRangeBlocked(const Valuation& base, const BaseSums& sums,
   CheckBlockInputs(base, sums, rows, touched, block);
   COBRA_CHECK_MSG(poly_begin <= poly_end && poly_end <= NumPolys(),
                   "EvalProgram::EvalRangeBlocked: bad poly range");
-  const KernelView k{term_starts_.data(),       coeffs_.data(),
-                     factors_.data(),           base.values().data(),
-                     sums.products.data(),      rows.values(block).data(),
-                     rows.masks(block).data(),  touched.factor_rows().data()};
-  const std::span<const TouchedTerm> terms = touched.terms(block);
-  const TouchedTerm* touched_end = terms.data() + terms.size();
-  const TouchedTerm* next = FirstTouchedFrom(terms, poly_starts_[poly_begin]);
-  const std::size_t lanes = rows.num_lanes(block);
-  for (std::size_t p = poly_begin; p < poly_end; ++p) {
-    const std::uint32_t last = poly_starts_[p + 1];
-    while (next != touched_end && next->term < poly_starts_[p]) ++next;
-    if (next == touched_end || next->term >= last) {
-      // No lane overrides a variable of this polynomial.
-      const double value = sums.values[p];
-      for (std::size_t l = 0; l < lanes; ++l) out[l * lane_stride + p] = value;
-      continue;
-    }
-    // Every lane shares the base prefix up to the first touched term.
-    double sum[kLanes];
-    const double prefix = sums.prefix[next->term];
-#pragma omp simd
-    for (int l = 0; l < kLanes; ++l) sum[l] = prefix;
-    AddTermSpan(k, next->term, last, &next, touched_end, sum);
-    for (std::size_t l = 0; l < lanes; ++l) out[l * lane_stride + p] = sum[l];
-  }
+  Bodies().range(MakeKernelView(*this, base, sums, rows, touched, block),
+                 poly_begin, poly_end, out, lane_stride);
 }
 
 double EvalProgram::EvalTermRangeWithOverrides(const Valuation& base,
@@ -476,22 +590,8 @@ void EvalProgram::EvalTermRangeBlocked(
   CheckBlockInputs(base, sums, rows, touched, block);
   COBRA_CHECK_MSG(term_begin <= term_end && term_end <= NumTerms(),
                   "EvalProgram::EvalTermRangeBlocked: bad term range");
-  const KernelView k{term_starts_.data(),       coeffs_.data(),
-                     factors_.data(),           base.values().data(),
-                     sums.products.data(),      rows.values(block).data(),
-                     rows.masks(block).data(),  touched.factor_rows().data()};
-  const std::span<const TouchedTerm> terms = touched.terms(block);
-  const TouchedTerm* next =
-      FirstTouchedFrom(terms, static_cast<std::uint32_t>(term_begin));
-  double sum[kLanes];
-#pragma omp simd
-  for (int l = 0; l < kLanes; ++l) sum[l] = 0.0;
-  AddTermSpan(k, static_cast<std::uint32_t>(term_begin),
-              static_cast<std::uint32_t>(term_end), &next,
-              terms.data() + terms.size(), sum);
-  for (std::size_t l = 0; l < rows.num_lanes(block); ++l) {
-    partials[l * lane_stride] = sum[l];
-  }
+  Bodies().term_range(MakeKernelView(*this, base, sums, rows, touched, block),
+                      term_begin, term_end, partials, lane_stride);
 }
 
 std::vector<double> EvalProgram::TermProducts(
@@ -658,6 +758,8 @@ std::span<const std::uint32_t> VarTermIndex::Terms(VarId var) const {
   return {postings_.data() + offsets_[var],
           postings_.data() + offsets_[var + 1]};
 }
+
+const char* BlockedKernelIsa() { return Bodies().isa; }
 
 const char* EvalLayoutName(EvalLayout layout) {
   using enum EvalLayout;

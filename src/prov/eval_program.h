@@ -160,9 +160,9 @@ struct BaseSums {
 /// for each assignment wastes cache; `EvalProgram` flattens the whole set
 /// into three contiguous arrays (term boundaries, coefficients, variable
 /// factors with exponents expanded) so one valuation is a single linear
-/// scan. The speedups reported in EXPERIMENTS.md are measured with this
-/// evaluator for both full and compressed provenance, which makes the
-/// full-vs-compressed comparison an apples-to-apples size comparison.
+/// scan. The benches measure both full and compressed provenance with this
+/// evaluator, which makes the full-vs-compressed comparison an
+/// apples-to-apples size comparison.
 ///
 /// An `EvalProgram` is immutable after construction and holds no mutable
 /// state during evaluation, so one instance may be shared by any number of
@@ -257,6 +257,12 @@ class EvalProgram {
   /// EvalRangeWithOverrides() with that lane's override list. Aborts on an
   /// undersized base, a bad range or block, or sums that do not cover the
   /// program.
+  ///
+  /// The checks run here; the sweep then runs in one of two bodies compiled
+  /// from one source: the build's baseline target (SSE2 on x86-64) and, on
+  /// x86-64, an AVX2 body, chosen once per process from the CPU's features
+  /// (BlockedKernelIsa() names it). AVX2 without FMA fuses no multiply-add,
+  /// so both bodies return the same bits.
   void EvalRangeBlocked(const Valuation& base, const BaseSums& sums,
                         const BlockRows& rows, const TouchedPrograms& touched,
                         std::size_t block, std::size_t poly_begin,
@@ -280,8 +286,9 @@ class EvalProgram {
 
   /// Blocked form of EvalTermRangeWithOverrides(): lane l's partial sum is
   /// written to `partials[l * lane_stride]`. A slice starts at 0.0, not at
-  /// a prefix; otherwise the same inputs and bit-identity contract as
-  /// EvalRangeBlocked() against the scalar term-range scan.
+  /// a prefix; otherwise the same inputs, bit-identity contract against the
+  /// scalar term-range scan, and per-process choice of a baseline or AVX2
+  /// body as EvalRangeBlocked().
   void EvalTermRangeBlocked(const Valuation& base, const BaseSums& sums,
                             const BlockRows& rows,
                             const TouchedPrograms& touched, std::size_t block,
@@ -382,6 +389,12 @@ class VarTermIndex {
   std::vector<std::uint32_t> postings_;
   std::size_t num_terms_ = 0;
 };
+
+/// The instruction set the blocked kernels (EvalProgram::EvalRangeBlocked
+/// and EvalTermRangeBlocked) run at in this process: "avx2" on an x86-64
+/// CPU with AVX2, "baseline" (the build's default target) otherwise. Fixed on
+/// first use; both bodies return bit-identical results.
+const char* BlockedKernelIsa();
 
 /// Memory layout a plan executes a compiled program in. Every plan now
 /// executes `kAoS` — the blocked kernel reads `EvalProgram`'s own arrays.

@@ -52,7 +52,7 @@ TEST_F(ApplyTest, Example4CutS5CollapsesToTwoMonomials) {
   // Paper prints 466.1*Plans*m1 + 451.15*Plans*m3 (two monomials, three
   // variables). The m1 coefficient as printed is a typo: the P1 m1
   // coefficients sum to 208.8+127.4+75.9+42 = 454.1 (the m3 figure 451.15
-  // is exact). See EXPERIMENTS.md.
+  // is exact).
   EXPECT_EQ(p1.NumMonomials(), 2u);
   EXPECT_TRUE(p1.AlmostEquals(
       Parse("454.1 * Plans * m1 + 451.15 * Plans * m3"), 1e-9));

@@ -349,6 +349,19 @@ std::vector<std::uint32_t> TermIds(const TouchedPrograms& touched,
   return ids;
 }
 
+// The blocked kernels run the AVX2 body exactly when the CPU has AVX2,
+// except in the baseline-body test binary, which compiles the kernel source
+// with COBRA_BLOCKED_BASELINE_ONLY and so has no AVX2 body to run.
+TEST(BlockedKernelIsaTest, NamesTheBodyThisProcessRuns) {
+#if defined(COBRA_BLOCKED_BASELINE_ONLY) || !defined(__x86_64__)
+  EXPECT_STREQ(BlockedKernelIsa(), "baseline");
+#else
+  __builtin_cpu_init();
+  EXPECT_STREQ(BlockedKernelIsa(),
+               __builtin_cpu_supports("avx2") ? "avx2" : "baseline");
+#endif
+}
+
 // The blocked kernel's contract: for every lane count (including ragged
 // counts that pad up to the 16-wide kernel), every lane's results
 // are bit-identical to the scalar sparse path with that lane's override

@@ -145,8 +145,7 @@ TEST(Example4Math, S1CoefficientsMatchPaperText) {
   // The paper prints 466.1 for the S5 m1-coefficient, but the sum of the
   // printed P1 m1-coefficients is 454.1 (the m3 figure, 451.15, checks out
   // exactly: 240 + 114.45 + 72.5 + 24.2). We treat 466.1 as a typo in the
-  // demo text and assert the arithmetically consistent value — also noted
-  // in EXPERIMENTS.md.
+  // demo text and assert the arithmetically consistent value.
   prov::VarPool pool;
   core::AbstractionTree tree =
       core::ParseTree(kFigure2TreeText, &pool).ValueOrDie();

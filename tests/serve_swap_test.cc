@@ -246,7 +246,14 @@ TEST(ServeSwapTest, StopDrainsAcceptedRequests) {
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Stop once the first answer is in, so the drain races the rest of the
+  // burst however slowly the clients start; the bound keeps a server that
+  // answers nothing from hanging the test (the ok check below fails then).
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (ok.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   server.Stop();
   for (std::thread& client : clients) client.join();
   // Drain accounting: everything the server accepted completed.
